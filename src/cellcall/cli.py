@@ -1,17 +1,17 @@
 """Command-line interface: run scenarios, play adversary duels, sweep
 parameter grids, and verify certificates. Exit code is nonzero whenever a
-requested certificate or bound check fails."""
+requested certificate or bound check fails, or a requested optimum is past the
+solver's limits."""
 
 from __future__ import annotations
 
-import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
 
 from .harness import (
-    ScenarioConfig,
     ScenarioError,
     duel_config,
     emit_report,
@@ -30,7 +30,7 @@ def _write(text: str, out: str | None) -> None:
 
 def _finish(report, out, fmt) -> None:
     _write(emit_report(report, fmt), out)
-    if not report.certificate_ok:
+    if report.error or not report.certificate_ok:
         sys.exit(1)
 
 
@@ -116,7 +116,7 @@ def sweep_cmd(template: str, grid_specs: tuple, out: str | None, fmt: str) -> No
             lines.append(f"  failed: {point}: {message}")
         pieces.append("\n".join(lines) + "\n")
     _write("".join(pieces), out)
-    if summary.failures or any(not r.certificate_ok for r in summary.reports):
+    if summary.failures or any(r.error or not r.certificate_ok for r in summary.reports):
         sys.exit(1)
 
 
@@ -130,16 +130,7 @@ def verify(scenario: str, out: str | None, fmt: str) -> None:
         config = load_scenario(scenario)
     except ScenarioError as exc:
         raise click.ClickException(str(exc))
-    config = ScenarioConfig(
-        scenario_id=config.scenario_id,
-        omega=config.omega,
-        cells=config.cells,
-        algorithm=config.algorithm,
-        traffic=config.traffic,
-        verify_certificate=True,
-        compute_opt=True,
-    )
-    _finish(run_experiment(config), out, fmt)
+    _finish(run_experiment(replace(config, verify_certificate=True, compute_opt=True)), out, fmt)
 
 
 if __name__ == "__main__":

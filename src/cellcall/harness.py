@@ -22,7 +22,7 @@ from .ledger import (
     caco_certificate,
     ratio_report,
 )
-from .offline import exact_optimum
+from .offline import InstanceTooLargeError, exact_optimum
 from .online import RunTrace, make_algorithm, run_sequence
 
 
@@ -56,11 +56,23 @@ class ScenarioConfig:
         }
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _as_flag(data: dict, name: str) -> bool:
+    value = data.get(name, False)
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _as_cell(value, what: str) -> Cell:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(v, int) for v in value)
+        or not all(_is_int(v) for v in value)
     ):
         raise ScenarioError(f"{what} must be an integer pair [q, r], got {value!r}")
     return (value[0], value[1])
@@ -70,7 +82,7 @@ def parse_scenario(data: dict, scenario_id: str) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
     omega = data.get("omega")
-    if not isinstance(omega, int) or omega <= 0:
+    if not _is_int(omega) or omega <= 0:
         raise ScenarioError(f"omega must be a positive integer, got {omega!r}")
     raw_cells = data.get("cells")
     if not isinstance(raw_cells, list) or not raw_cells:
@@ -94,8 +106,8 @@ def parse_scenario(data: dict, scenario_id: str) -> ScenarioConfig:
         cells=cells,
         algorithm=algorithm,
         traffic=parsed_traffic,
-        verify_certificate=bool(data.get("verify_certificate", False)),
-        compute_opt=bool(data.get("compute_opt", False)),
+        verify_certificate=_as_flag(data, "verify_certificate"),
+        compute_opt=_as_flag(data, "compute_opt"),
     )
     validate_scenario(config)
     return config
@@ -159,10 +171,11 @@ class RunReport:
         return self.certificate.passed
 
 
-def _certificate_for(config: ScenarioConfig, trace: RunTrace, opt, omega: int):
-    if config.algorithm == "caco":
+def _certificate_for(trace: RunTrace, opt, omega: int):
+    # by resolved name, so "partition:2:1" (which builds caco) is certified too
+    if trace.algorithm == "caco":
         return "caco", caco_certificate(trace, opt, omega)
-    if config.algorithm == "caco2":
+    if trace.algorithm == "caco2":
         return "caco2", caco2_certificate(trace, opt, omega)
     return None, None
 
@@ -181,15 +194,18 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
         trace = run_sequence(alg, network, config.omega, config.traffic)
         compute_opt = config.compute_opt or config.verify_certificate
 
-    opt = None
+    opt = error = None
     if compute_opt:
         # tiny topologies stay tractable at any omega, so lift the spectrum cap
         max_omega = max(64, config.omega) if len(network.cells) <= 8 else 64
-        opt = exact_optimum(network, config.omega, dict(trace.demands), max_omega=max_omega)
+        try:
+            opt = exact_optimum(network, config.omega, dict(trace.demands), max_omega=max_omega)
+        except InstanceTooLargeError as exc:
+            error = f"optimum not computed: {exc}"
 
     certificate = kind = None
     if config.verify_certificate and opt is not None:
-        kind, certificate = _certificate_for(config, trace, opt, config.omega)
+        kind, certificate = _certificate_for(trace, opt, config.omega)
 
     rows = []
     for cell in sorted(network.cells):
@@ -215,6 +231,7 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
         certificate=certificate,
         certificate_kind=kind,
         flagged_cells=trace.flagged_cells,
+        error=error,
     )
 
 

@@ -113,24 +113,21 @@ def _independent_sets(cells: list, network: Network, maximal_only: bool) -> list
 
 
 def _maximal_cliques(cells: list, network: Network) -> list[tuple[int, ...]]:
-    """Maximal cliques of the hex adjacency: triangles, triangle-free edges, isolated cells."""
+    """Maximal cliques as increasing index tuples over `cells` (Bron-Kerbosch on bitmasks)."""
     index = {c: i for i, c in enumerate(cells)}
-    nbr = {c: set(network.neighbors(c)) & set(cells) for c in cells}
+    adj = [sum(1 << index[v] for v in network.neighbors(c) if v in index) for c in cells]
     cliques = []
-    for i, u in enumerate(cells):
-        if not nbr[u]:
-            cliques.append((i,))
-    for u in cells:
-        for v in sorted(nbr[u]):
-            if not u < v:
-                continue
-            common = nbr[u] & nbr[v]
-            if common:
-                for w in sorted(common):
-                    if v < w:
-                        cliques.append(tuple(sorted((index[u], index[v], index[w]))))
-            else:
-                cliques.append((index[u], index[v]))
+
+    def expand(clique: tuple, candidates: int, excluded: int) -> None:
+        if not candidates and not excluded:
+            cliques.append(clique)
+        while candidates:
+            v = (candidates & -candidates).bit_length() - 1
+            expand(clique + (v,), candidates & adj[v], excluded & adj[v])
+            candidates ^= 1 << v
+            excluded |= 1 << v
+
+    expand((), (1 << len(cells)) - 1, 0)
     return cliques
 
 
@@ -159,6 +156,14 @@ def clique_upper_bound(network: Network, omega: int, demands: dict) -> int:
         return 0
     cliques = _maximal_cliques(cells, network)
     touching = [[k for k, K in enumerate(cliques) if i in K] for i in range(n)]
+    # The search from cell i on sees the caps only through the cliques with
+    # members on both sides of i, and a cap above the demand still to come
+    # inside its clique never binds; so those caps, clamped to that demand,
+    # make an exact memo key.
+    frontier = [
+        [(k, sum(r[j] for j in K if j >= i)) for k, K in enumerate(cliques) if K[0] < i <= K[-1]]
+        for i in range(n)
+    ]
     best = 0
 
     def upper(i: int, caps: list[int]) -> int:
@@ -170,29 +175,29 @@ def clique_upper_bound(network: Network, omega: int, demands: dict) -> int:
 
     memo = {}
 
-    def dfs(i: int, caps: tuple, value: int) -> None:
+    def dfs(i: int, caps: list[int], value: int) -> None:
         nonlocal best
         if i == n:
             best = max(best, value)
             return
-        key = (i, caps)
+        key = (i, tuple(min(caps[k], rest) for k, rest in frontier[i]))
         seen = memo.get(key)
         if seen is not None and seen >= value:
             return
         memo[key] = value
-        caps_l = list(caps)
-        if value + upper(i, caps_l) <= best:
+        ceiling = value + upper(i, caps)
+        if ceiling <= best:
             return
-        hi = min([r[i]] + [caps_l[k] for k in touching[i]])
+        hi = min([r[i]] + [caps[k] for k in touching[i]])
         for x in range(hi, -1, -1):
             new_caps = list(caps)
             for k in touching[i]:
                 new_caps[k] -= x
-            dfs(i + 1, tuple(new_caps), value + x)
-            if best == value + upper(i, caps_l):
+            dfs(i + 1, new_caps, value + x)
+            if best == ceiling:
                 return
 
-    dfs(0, tuple(omega for _ in cliques), 0)
+    dfs(0, [omega] * len(cliques), 0)
     return best
 
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from cellcall.cli import main
+from cellcall.hexnet import hex_patch
 from cellcall.harness import (
     RunReport,
     ScenarioConfig,
@@ -72,6 +74,49 @@ def test_unknown_algorithm_rejected():
             {"omega": 7, "cells": [[0, 0]], "algorithm": "nope", "traffic": []},
             scenario_id="x",
         )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("omega", True),
+        ("omega", 21.0),
+        ("cells", [[0, 0], [True, 0]]),
+        ("cells", [[0, 0], [1, False]]),
+        ("traffic", [[0, True]]),
+        ("verify_certificate", "false"),
+        ("verify_certificate", 1),
+        ("compute_opt", "true"),
+        ("compute_opt", None),
+    ],
+)
+def test_coerced_fields_rejected(field, value):
+    data = {"omega": 7, "cells": [[0, 0], [1, 0]], "algorithm": "greedy", "traffic": [[1, 0]]}
+    data[field] = value
+    with pytest.raises(ScenarioError, match={"cells": "cell must", "traffic": "request must"}.get(field, field)):
+        parse_scenario(data, scenario_id="x")
+
+
+def test_certificate_by_resolved_name():
+    config = replace(load_scenario(SCENARIOS / "fig2_caco.json"), algorithm="partition:2:1")
+    report = run_experiment(config)
+    assert report.algorithm == "caco"
+    assert report.certificate_kind == "caco" and report.certificate.passed
+
+
+def _too_large_scenario(tmp_path):
+    cells = [list(c) for c in hex_patch(3).sorted_cells()]  # 37 cells, solver limit 12
+    data = {"omega": 21, "cells": cells, "algorithm": "caco", "traffic": cells, "compute_opt": True}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_optimum_past_solver_limit_named_in_report(tmp_path):
+    report = run_experiment(load_scenario(_too_large_scenario(tmp_path)))
+    assert report.total_opt is None and report.certificate is None
+    assert "37 cells" in report.error
+    assert "error: optimum not computed" in emit_report(report, "text")
 
 
 def test_fig2_experiment_report():
@@ -217,6 +262,14 @@ def test_cli_bad_scenario_is_clean_error(tmp_path):
     result = CliRunner().invoke(main, ["run", str(path)])
     assert result.exit_code != 0
     assert "omega" in result.output
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_cli_optimum_past_solver_limit_exits_nonzero(tmp_path, command):
+    result = CliRunner().invoke(main, [command, str(_too_large_scenario(tmp_path))])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "error: optimum not computed" in result.output
 
 
 def test_cli_unknown_adversary():

@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import pytest
 
-from cellcall.hexnet import Network
+from cellcall.adversary import make_adversary, run_duel
+from cellcall.hexnet import Network, hex_patch
 from cellcall.offline import (
+    ExplicitGraph,
     InstanceTooLargeError,
     clique_upper_bound,
     cycle_graph,
@@ -11,9 +14,11 @@ from cellcall.offline import (
     exhaustive_oracle,
     validate_witness,
 )
-from conftest import random_network
+from cellcall.online import make_algorithm
+from conftest import PATCH_CELLS, random_network
 
 STAR = Network([(0, 0), (-1, 1), (0, -1), (1, 0)])
+PATCH = hex_patch(2)
 
 
 def test_two_adjacent_cells_share_one_pool():
@@ -74,6 +79,7 @@ def test_clique_bound_trivial_pair():
 
 def test_clique_bound_star():
     assert clique_upper_bound(STAR, 21, {c: 21 for c in STAR.cells}) == 63
+    assert clique_upper_bound(STAR, 315, {c: 315 for c in STAR.cells}) == 945
 
 
 def test_exact_matches_oracle_randomized():
@@ -118,3 +124,62 @@ def test_witness_trims_to_demand():
     opt = exact_optimum(net, 5, {(0, 0): 2, (2, 2): 1})
     assert opt.per_cell == {(0, 0): 2, (2, 2): 1}
     assert len(opt.assignment[(0, 0)]) == 2
+
+
+def brute_clique_bound(net, omega, demands):
+    """max sum x_i over x_i <= R_i with every maximal clique summing to <= omega,
+    by enumeration; maximal cliques found by checking every cell subset."""
+    cells = net.sorted_cells()
+    adjacent = {(u, v) for u in cells for v in net.neighbors(u)}
+    cliques = [
+        set(sub)
+        for k in range(1, len(cells) + 1)
+        for sub in itertools.combinations(cells, k)
+        if all((u, v) in adjacent for u, v in itertools.combinations(sub, 2))
+    ]
+    maximal = [K for K in cliques if not any(K < other for other in cliques)]
+    # every cell lies in a maximal clique, so x_i <= omega loses nothing
+    ranges = [range(min(demands.get(c, 0), omega) + 1) for c in cells]
+    best = 0
+    for x in itertools.product(*ranges):
+        load = dict(zip(cells, x))
+        if all(sum(load[c] for c in K) <= omega for K in maximal):
+            best = max(best, sum(x))
+    return best
+
+
+def connected_network(rng, max_cells):
+    """A random connected subnetwork of the 19-cell patch: dense enough that
+    the bound's search meets the same frontier from several prefixes."""
+    cells = {rng.choice(PATCH_CELLS)}
+    size = rng.randint(1, max_cells)
+    while len(cells) < size:
+        cells.add(rng.choice([n for c in sorted(cells) for n in PATCH.neighbors(c) if n not in cells]))
+    return Network(cells)
+
+
+def test_clique_bound_matches_brute_force_randomized():
+    rng = random.Random(44)
+    for _ in range(120):
+        net = connected_network(rng, max_cells=6)
+        omega = rng.randint(1, 5)
+        demands = {c: rng.randint(0, 2 * omega) for c in net.cells}
+        assert clique_upper_bound(net, omega, demands) == brute_clique_bound(net, omega, demands), (
+            sorted(net.cells), omega, demands,
+        )
+    c5 = cycle_graph(5)
+    for omega, demands in ((2, {i: 2 for i in range(5)}), (5, {0: 5, 1: 1, 2: 4, 3: 3, 4: 0})):
+        assert clique_upper_bound(c5, omega, demands) == brute_clique_bound(c5, omega, demands)
+
+
+def test_clique_bound_on_k4_uses_the_whole_clique():
+    k4 = ExplicitGraph(range(4), itertools.combinations(range(4), 2))
+    demands = {i: 6 for i in range(4)}
+    assert clique_upper_bound(k4, 6, demands) == 6
+    assert exact_optimum(k4, 6, demands).total == 6
+
+
+def test_clique_bound_flower_duel():
+    scenario = make_adversary("random:2:126", 21)
+    trace = run_duel(scenario, lambda net, omega: make_algorithm("caco", net, omega))
+    assert clique_upper_bound(scenario.network, 21, dict(trace.demands)) == 63
