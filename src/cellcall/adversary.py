@@ -9,7 +9,6 @@ from typing import Callable, Optional
 
 from .hexnet import Cell, Network, flower_network
 from .online import RunTrace, feed_requests
-from .spectrum import AssignmentState
 
 # Star topology shared by both lower-bound constructions: a center cell and
 # the three pairwise non-adjacent neighbors of one color class.
@@ -115,18 +114,9 @@ def phase_ratios(scenario: AdversaryScenario, algorithm_factory) -> list:
 
     from .offline import exact_optimum
 
-    alg = algorithm_factory(scenario.network, scenario.omega)
-    trace = RunTrace(algorithm=alg.name, network=scenario.network, omega=scenario.omega)
-    trace.state = AssignmentState(scenario.network, scenario.omega)
-    trace.partition = alg.partition
     ratios = []
-    phase = 0
-    while True:
-        counts = {c: trace.state.count(c) for c in scenario.network.cells}
-        batch = scenario.next_batch(phase, counts)
-        if batch is None:
-            break
-        feed_requests(alg, trace, batch)
+
+    def record(trace: RunTrace) -> None:
         opt = exact_optimum(scenario.network, scenario.omega, dict(trace.demands))
         accepted = trace.total_accepted()
         if accepted:
@@ -135,20 +125,23 @@ def phase_ratios(scenario: AdversaryScenario, algorithm_factory) -> list:
             ratios.append(Fraction(1))
         else:
             ratios.append(None)  # unbounded
-        phase += 1
+
+    run_duel(scenario, algorithm_factory, record)
     return ratios
 
 
-def run_duel(scenario: AdversaryScenario, algorithm_factory) -> RunTrace:
+def run_duel(
+    scenario: AdversaryScenario,
+    algorithm_factory,
+    on_phase: Optional[Callable[[RunTrace], None]] = None,
+) -> RunTrace:
     """Play the adversary against an algorithm; pure function of its inputs.
 
-    `algorithm_factory(network, omega)` builds the algorithm instance.
+    `algorithm_factory(network, omega)` builds the algorithm instance;
+    `on_phase(trace)`, when given, runs after each phase's requests.
     """
     alg = algorithm_factory(scenario.network, scenario.omega)
-    trace = RunTrace(algorithm=alg.name, network=scenario.network, omega=scenario.omega)
-    trace.state = AssignmentState(scenario.network, scenario.omega)
-    trace.partition = alg.partition
-    trace.flagged_cells = getattr(alg, "flagged_cells", ())
+    trace = RunTrace.start(alg, scenario.network, scenario.omega)
     phase = 0
     while True:
         counts = {c: trace.state.count(c) for c in scenario.network.cells}
@@ -156,5 +149,7 @@ def run_duel(scenario: AdversaryScenario, algorithm_factory) -> RunTrace:
         if batch is None:
             break
         feed_requests(alg, trace, batch)
+        if on_phase is not None:
+            on_phase(trace)
         phase += 1
     return trace

@@ -100,7 +100,12 @@ def sweep_cmd(template: str, grid_specs: tuple, out: str | None, fmt: str) -> No
         name, _, raw = spec.partition("=")
         if name not in ("algorithm", "omega", "traffic"):
             raise click.ClickException(f"cannot sweep field {name!r}")
-        values = raw.split("|") if name != "omega" else [int(v) for v in raw.split("|")]
+        values = raw.split("|")
+        if name == "omega":
+            try:
+                values = [int(v) for v in values]
+            except ValueError:
+                raise click.ClickException(f"bad grid spec {spec!r}; omega values must be integers")
         grid[name] = values
     summary = sweep(base, grid)
 

@@ -6,13 +6,12 @@ import csv
 import io
 import itertools
 import json
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Union
 
 from . import __version__
-from .adversary import make_adversary, run_duel, star_network
+from .adversary import make_adversary, run_duel
 from .hexnet import Cell, Network, color_of
 from .ledger import (
     Caco2Certificate,
@@ -82,7 +81,7 @@ def parse_scenario(data: dict, scenario_id: str) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
     omega = data.get("omega")
-    if not _is_int(omega) or omega <= 0:
+    if not _is_int(omega):
         raise ScenarioError(f"omega must be a positive integer, got {omega!r}")
     raw_cells = data.get("cells")
     if not isinstance(raw_cells, list) or not raw_cells:
@@ -113,17 +112,23 @@ def parse_scenario(data: dict, scenario_id: str) -> ScenarioConfig:
     return config
 
 
+def _adversary(selector: str, omega: int, network: Optional[Network] = None):
+    try:
+        return make_adversary(selector, omega, network)
+    except Exception as exc:
+        raise ScenarioError(f"traffic selector {selector!r}: {exc}") from exc
+
+
 def validate_scenario(config: ScenarioConfig) -> None:
+    if config.omega <= 0:
+        raise ScenarioError(f"omega must be a positive integer, got {config.omega!r}")
     network = Network(config.cells)
     try:
         make_algorithm(config.algorithm, network, config.omega)
     except Exception as exc:
         raise ScenarioError(f"algorithm {config.algorithm!r}: {exc}") from exc
     if isinstance(config.traffic, str):
-        try:
-            scenario = make_adversary(config.traffic, config.omega, network)
-        except Exception as exc:
-            raise ScenarioError(f"traffic selector {config.traffic!r}: {exc}") from exc
+        scenario = _adversary(config.traffic, config.omega, network)
         missing = scenario.network.cells - network.cells
         if missing:
             raise ScenarioError(
@@ -333,16 +338,17 @@ def sweep(template: ScenarioConfig, grid: dict) -> SweepSummary:
 
 
 def duel_config(adversary: str, algorithm: str, omega: int) -> ScenarioConfig:
-    """Config for an adversary duel; certificates on for the two named algorithms."""
-    scenario = make_adversary(adversary, omega)
+    """Config for an adversary duel; certificates on when the algorithm resolves
+    to caco or caco2 (so "partition:2:1" is certified as caco)."""
+    scenario = _adversary(adversary, omega)
     config = ScenarioConfig(
         scenario_id=f"duel:{adversary}:{algorithm}:{omega}",
         omega=omega,
         cells=tuple(scenario.network.sorted_cells()),
         algorithm=algorithm,
         traffic=adversary,
-        verify_certificate=algorithm in ("caco", "caco2"),
         compute_opt=True,
     )
     validate_scenario(config)
-    return config
+    resolved = make_algorithm(algorithm, scenario.network, omega).name
+    return replace(config, verify_certificate=resolved in ("caco", "caco2"))

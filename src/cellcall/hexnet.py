@@ -45,19 +45,17 @@ def color_of(cell: Cell) -> Color:
     return _BY_INDEX[(q - r) % 3]
 
 
-def are_adjacent(a: Cell, b: Cell) -> bool:
-    return (b[0] - a[0], b[1] - a[1]) in AXIAL_DIRECTIONS
-
-
 class UnknownCellError(KeyError):
     """A cell outside the network was referenced."""
 
 
 class Network:
-    """Explicit finite cell set with derived hex adjacency.
+    """Finite interference graph: a cell set and the adjacency among its cells.
 
-    Immutable after construction; adjacency is always derived from the cell
-    set, never supplied, so there is no inconsistent-input case.
+    Immutable after construction. `Network(cells)` derives hex adjacency from
+    the cell set; `from_edges` takes an explicit edge list, for interference
+    graphs the hex grid cannot realize (a chordless 5-cycle, K4), and
+    `restrict` keeps the adjacency among a subset of the cells.
     """
 
     def __init__(self, cells: Iterable[Cell]):
@@ -73,6 +71,30 @@ class Network:
             for c in self.cells
         }
 
+    @classmethod
+    def _from_adjacency(cls, adj: dict) -> "Network":
+        network = cls.__new__(cls)
+        network.cells = frozenset(adj)
+        network._adj = adj
+        return network
+
+    @classmethod
+    def from_edges(cls, cells: Iterable, edges: Iterable) -> "Network":
+        adj = {c: set() for c in cells}
+        for u, v in edges:
+            if u == v or u not in adj or v not in adj:
+                raise ValueError(f"bad edge ({u}, {v})")
+            adj[u].add(v)
+            adj[v].add(u)
+        return cls._from_adjacency({c: tuple(sorted(ns)) for c, ns in adj.items()})
+
+    def restrict(self, cells: Iterable[Cell]) -> "Network":
+        """The subgraph induced by `cells`, which must all be in the network."""
+        keep = frozenset(cells)
+        return self._from_adjacency(
+            {c: tuple(n for n in self.neighbors(c) if n in keep) for c in keep}
+        )
+
     def __contains__(self, cell: Cell) -> bool:
         return cell in self.cells
 
@@ -80,7 +102,7 @@ class Network:
         return len(self.cells)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Network) and self.cells == other.cells
+        return isinstance(other, Network) and self._adj == other._adj
 
     def __hash__(self) -> int:
         return hash(self.cells)
@@ -92,7 +114,7 @@ class Network:
         return sorted(self.cells)
 
     def neighbors(self, cell: Cell) -> tuple[Cell, ...]:
-        """Neighbors of `cell` within the network, sorted by (q, r)."""
+        """Neighbors of `cell` within the network, sorted."""
         try:
             return self._adj[cell]
         except KeyError:

@@ -12,7 +12,6 @@ from .hexnet import (
     Cell,
     Isolated,
     StructureA,
-    StructureB,
     classify_neighbor_config,
     color_of,
     is_triangle_free,

@@ -19,35 +19,9 @@ class InstanceTooLargeError(ValueError):
     pass
 
 
-class ExplicitGraph:
-    """Adjacency given by an explicit edge list; duck-types the Network surface
-    the solvers use. Exists for interference graphs that the hex grid cannot
-    realize (e.g. a chordless 5-cycle), which the bound checks need."""
-
-    def __init__(self, cells, edges):
-        self.cells = frozenset(cells)
-        self._adj = {c: set() for c in self.cells}
-        for u, v in edges:
-            if u == v or u not in self.cells or v not in self.cells:
-                raise ValueError(f"bad edge ({u}, {v})")
-            self._adj[u].add(v)
-            self._adj[v].add(u)
-
-    def __contains__(self, cell):
-        return cell in self.cells
-
-    def sorted_cells(self):
-        return sorted(self.cells)
-
-    def neighbors(self, cell):
-        return tuple(sorted(self._adj[cell]))
-
-    def edges(self):
-        return [(u, v) for u in self.sorted_cells() for v in self.neighbors(u) if u < v]
-
-
-def cycle_graph(n: int) -> ExplicitGraph:
-    return ExplicitGraph(range(n), [(i, (i + 1) % n) for i in range(n)])
+def cycle_graph(n: int) -> Network:
+    """The chordless n-cycle, which the hex grid cannot realize for n > 3."""
+    return Network.from_edges(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
 @dataclass
@@ -115,7 +89,7 @@ def _independent_sets(cells: list, network: Network, maximal_only: bool) -> list
 def _maximal_cliques(cells: list, network: Network) -> list[tuple[int, ...]]:
     """Maximal cliques as increasing index tuples over `cells` (Bron-Kerbosch on bitmasks)."""
     index = {c: i for i, c in enumerate(cells)}
-    adj = [sum(1 << index[v] for v in network.neighbors(c) if v in index) for c in cells]
+    adj = [sum(1 << index[v] for v in network.neighbors(c)) for c in cells]
     cliques = []
 
     def expand(clique: tuple, candidates: int, excluded: int) -> None:
@@ -201,7 +175,7 @@ def clique_upper_bound(network: Network, omega: int, demands: dict) -> int:
     return best
 
 
-def _components(cells: list, network) -> list[frozenset]:
+def _components(cells: list, network: Network) -> list[frozenset]:
     remaining = set(cells)
     comps = []
     while remaining:
@@ -217,26 +191,6 @@ def _components(cells: list, network) -> list[frozenset]:
         comps.append(frozenset(seen))
         remaining -= seen
     return comps
-
-
-class _Subgraph:
-    """Restriction of a network to a cell subset, for per-component solving."""
-
-    def __init__(self, base, cells):
-        self.cells = frozenset(cells)
-        self._base = base
-
-    def __contains__(self, cell):
-        return cell in self.cells
-
-    def sorted_cells(self):
-        return sorted(self.cells)
-
-    def neighbors(self, cell):
-        return tuple(n for n in self._base.neighbors(cell) if n in self.cells)
-
-    def edges(self):
-        return [(u, v) for u in self.sorted_cells() for v in self.neighbors(u) if u < v]
 
 
 def _value(r: list[int], cov: list[int]) -> int:
@@ -294,7 +248,7 @@ def exact_optimum(
         assignment: dict = {}
         for comp in components:
             sub = exact_optimum(
-                _Subgraph(network, comp),
+                network.restrict(comp),
                 omega,
                 {c: demands.get(c, 0) for c in comp},
                 max_cells=max_cells,

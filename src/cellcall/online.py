@@ -17,7 +17,6 @@ from .hexnet import (
     Isolated,
     Network,
     StructureA,
-    StructureB,
     classify_neighbor_config,
     color_of,
     is_triangle_free,
@@ -26,7 +25,6 @@ from .spectrum import (
     AssignmentState,
     Direction,
     FrequencyPartition,
-    make_partition_caco,
     make_partition_caco2,
     make_partition_family,
 )
@@ -51,19 +49,27 @@ class RunTrace:
     algorithm: str
     network: Network
     omega: int
+    state: AssignmentState
+    partition: Optional[FrequencyPartition]
+    flagged_cells: tuple  # degenerate neighbor configs, see caco2
     events: list = field(default_factory=list)  # (index, cell, Outcome)
     demands: Counter = field(default_factory=Counter)  # R_i
-    state: AssignmentState = None
-    partition: Optional[FrequencyPartition] = None
-    flagged_cells: tuple = ()  # degenerate neighbor configs, see caco2
+
+    @staticmethod
+    def start(algorithm, network: Network, omega: int) -> RunTrace:
+        """Empty trace for `algorithm`, which supplies its name, partition and flagged cells."""
+        return RunTrace(
+            algorithm=algorithm.name,
+            network=network,
+            omega=omega,
+            state=AssignmentState(network, omega),
+            partition=algorithm.partition,
+            flagged_cells=getattr(algorithm, "flagged_cells", ()),
+        )
 
     def accepted_at(self, cell: Cell) -> int:
         """A_i."""
         return self.state.count(cell)
-
-    def accepted_in(self, cell: Cell, freq_range: range) -> int:
-        """A_x(C_i) for one partition range."""
-        return self.state.count_in(cell, freq_range)
 
     def shared_accepted_at(self, cell: Cell) -> int:
         """A_S(C_i); zero when the partition has no shared set."""
@@ -248,10 +254,7 @@ class UnknownRequestCellError(ValueError):
 
 def run_sequence(algorithm, network: Network, omega: int, requests) -> RunTrace:
     """Feed requests one at a time; deterministic for identical inputs."""
-    trace = RunTrace(algorithm=algorithm.name, network=network, omega=omega)
-    trace.state = AssignmentState(network, omega)
-    trace.partition = algorithm.partition
-    trace.flagged_cells = getattr(algorithm, "flagged_cells", ())
+    trace = RunTrace.start(algorithm, network, omega)
     feed_requests(algorithm, trace, requests)
     return trace
 

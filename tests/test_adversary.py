@@ -19,7 +19,7 @@ from cellcall.adversary import (
 )
 from cellcall.hexnet import color_of, flower_network, is_triangle_free
 from cellcall.offline import exact_optimum
-from cellcall.online import make_algorithm
+from cellcall.online import make_algorithm, run_sequence
 
 
 def duel(adversary, selector):
@@ -170,3 +170,15 @@ def test_random_adversary_single_batch():
     scenario = random_adversary(7, seed=1, length=10)
     assert scenario.next_batch(0, {}) == random_sequence(flower_network(), 7, 10, 1)
     assert scenario.next_batch(1, {}) is None
+
+
+@pytest.mark.parametrize("selector", ["greedy", "caco", "caco2"])
+def test_single_batch_duel_matches_run_sequence(selector):
+    net = star_network()
+    scenario = random_adversary(21, seed=5, length=120, network=net)
+    duel_trace = run_duel(scenario, lambda n, om: make_algorithm(selector, n, om))
+    seq_trace = run_sequence(make_algorithm(selector, net, 21), net, 21, scenario.next_batch(0, {}))
+    assert duel_trace.events == seq_trace.events
+    assert duel_trace.demands == seq_trace.demands
+    assert duel_trace.flagged_cells == seq_trace.flagged_cells
+    assert bool(duel_trace.flagged_cells) == (selector == "caco2")  # outer cells have one neighbor

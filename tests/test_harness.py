@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
 from cellcall.cli import main
 from cellcall.hexnet import hex_patch
@@ -95,6 +96,57 @@ def test_coerced_fields_rejected(field, value):
     data[field] = value
     with pytest.raises(ScenarioError, match={"cells": "cell must", "traffic": "request must"}.get(field, field)):
         parse_scenario(data, scenario_id="x")
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 64)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10,
+)
+algorithms = st.sampled_from(
+    ["greedy", "caco", "caco2", "partition:2:1", "partition:1:1", "partition:0:0", "partition:x:1"]
+)
+adversaries = st.sampled_from(["fig2", "fig3", "random", "random:x:y", "random:1:2:3"]) | st.builds(
+    lambda seed, length: f"random:{seed}:{length}", st.integers(-2, 1 << 40), st.integers(-5, 1000)
+)
+selectors = algorithms | adversaries
+cell_pairs = st.lists(st.integers(-2, 2), min_size=2, max_size=2)
+pairs = st.lists(cell_pairs | json_values, max_size=12)
+well_typed = st.lists(cell_pairs, min_size=1, max_size=8, unique_by=tuple).flatmap(
+    lambda cells: st.fixed_dictionaries(
+        {
+            "omega": st.integers(-1, 42),
+            "cells": st.just(cells),
+            "algorithm": algorithms,
+            "traffic": adversaries | st.lists(st.sampled_from(cells), max_size=20),
+        },
+        optional={"verify_certificate": st.booleans(), "compute_opt": st.booleans()},
+    )
+)
+any_fields = st.fixed_dictionaries(
+    {},
+    optional={
+        "omega": st.integers(-3, 64) | json_values,
+        "cells": pairs | json_values,
+        "algorithm": selectors | json_values,
+        "traffic": selectors | pairs | json_values,
+        "verify_certificate": json_values,
+        "compute_opt": json_values,
+    },
+)
+
+
+@given(well_typed | any_fields | json_values)
+def test_parse_scenario_raises_only_scenario_error(data):
+    try:
+        config = parse_scenario(data, scenario_id="fuzz")
+    except ScenarioError:
+        return
+    assert config.omega > 0 and config.cells
 
 
 def test_certificate_by_resolved_name():
@@ -277,3 +329,30 @@ def test_cli_unknown_adversary():
         main, ["duel", "--adversary", "fig7", "--alg", "caco", "--omega", "21"]
     )
     assert result.exit_code != 0
+
+
+def test_cli_duel_certificate_by_resolved_name():
+    result = CliRunner().invoke(
+        main, ["duel", "--adversary", "fig2", "--alg", "partition:2:1", "--omega", "21"]
+    )
+    assert result.exit_code == 0, result.output
+    assert "algorithm: caco" in result.output
+    assert "certificate (caco):" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["duel", "--adversary", "fig9", "--alg", "caco", "--omega", "21"],
+        ["duel", "--adversary", "random", "--alg", "greedy", "--omega", "21"],
+        ["duel", "--adversary", "random:x:y", "--alg", "greedy", "--omega", "21"],
+        ["duel", "--adversary", "fig2", "--alg", "greedy", "--omega", "0"],
+        ["duel", "--adversary", "fig2", "--alg", "greedy", "--omega", "-7"],
+        ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "omega=abc"],
+    ],
+)
+def test_cli_bad_input_is_named_error(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code != 0
+    assert "Error:" in result.output and "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit), result.exception

@@ -129,3 +129,22 @@ def test_network_equality_and_containment():
     assert Network([(0, 0), (1, 0)]) == Network([(1, 0), (0, 0)])
     assert (0, 0) in Network([(0, 0)])
     assert (2, 2) not in Network([(0, 0)])
+
+
+def test_from_edges_rejects_bad_edges():
+    with pytest.raises(ValueError, match="bad edge"):
+        Network.from_edges(range(3), [(0, 1), (2, 2)])
+    with pytest.raises(ValueError, match="bad edge"):
+        Network.from_edges(range(3), [(0, 1), (1, 7)])
+
+
+def test_from_edges_equality_compares_adjacency():
+    path = Network.from_edges(range(3), [(0, 1), (1, 2)])
+    assert path == Network.from_edges(range(3), [(2, 1), (1, 0)])
+    assert path != Network.from_edges(range(3), [(0, 1), (0, 2)])
+    assert path.edges() == [(0, 1), (1, 2)]
+
+
+@given(st.sets(st.sampled_from(hex_patch(2).sorted_cells())))
+def test_restrict_matches_hex_adjacency(cells):
+    assert hex_patch(2).restrict(cells) == Network(cells)

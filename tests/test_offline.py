@@ -6,7 +6,6 @@ import pytest
 from cellcall.adversary import make_adversary, run_duel
 from cellcall.hexnet import Network, hex_patch
 from cellcall.offline import (
-    ExplicitGraph,
     InstanceTooLargeError,
     clique_upper_bound,
     cycle_graph,
@@ -173,7 +172,7 @@ def test_clique_bound_matches_brute_force_randomized():
 
 
 def test_clique_bound_on_k4_uses_the_whole_clique():
-    k4 = ExplicitGraph(range(4), itertools.combinations(range(4), 2))
+    k4 = Network.from_edges(range(4), itertools.combinations(range(4), 2))
     demands = {i: 6 for i in range(4)}
     assert clique_upper_bound(k4, 6, demands) == 6
     assert exact_optimum(k4, 6, demands).total == 6
