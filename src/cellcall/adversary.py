@@ -15,6 +15,10 @@ from .online import RunTrace, feed_requests
 STAR_CENTER: Cell = (0, 0)
 STAR_OUTER: tuple[Cell, ...] = ((-1, 1), (0, -1), (1, 0))
 
+# Longest random traffic a selector may ask for. The requests are generated
+# only when the duel runs, and its trace keeps two list slots per request.
+MAX_RANDOM_LENGTH = 1_000_000
+
 
 def star_network() -> Network:
     return Network((STAR_CENTER,) + STAR_OUTER)
@@ -75,12 +79,17 @@ def random_sequence(network: Network, omega: int, length: int, seed: int, weight
 
 
 def random_adversary(omega: int, seed: int, length: int, network: Optional[Network] = None) -> AdversaryScenario:
-    """Single-batch random traffic; defaults to the 7-cell flower network."""
+    """Single-batch random traffic; defaults to the 7-cell flower network.
+
+    The batch is generated when it is asked for, so building the scenario to
+    check a selector costs nothing however long the traffic is.
+    """
+    if not 0 <= length <= MAX_RANDOM_LENGTH:
+        raise ValueError(f"length must be between 0 and {MAX_RANDOM_LENGTH}, got {length}")
     net = network if network is not None else flower_network()
-    batch = random_sequence(net, omega, length, seed)
 
     def next_batch(phase: int, counts: dict) -> Optional[list]:
-        return list(batch) if phase == 0 else None
+        return random_sequence(net, omega, length, seed) if phase == 0 else None
 
     return AdversaryScenario(f"random:{seed}:{length}", net, omega, next_batch)
 

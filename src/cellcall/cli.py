@@ -67,7 +67,9 @@ def run(scenario: str, out: str | None, fmt: str) -> None:
 @format_option
 def duel(adversary: str, alg: str, omega: int, seed: int | None, out: str | None, fmt: str) -> None:
     """Play an adversary against an online algorithm and report the exact ratio."""
-    if adversary == "random" and seed is not None:
+    if seed is not None:
+        if adversary != "random":
+            raise click.ClickException(f'--seed applies only to --adversary random, not {adversary!r}')
         adversary = f"random:{seed}:{omega}"
     try:
         config = duel_config(adversary, alg, omega)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Tuple
+from typing import Iterable, Optional, Tuple
 
 Cell = Tuple[int, int]  # axial (q, r)
 
@@ -55,27 +55,35 @@ class Network:
     Immutable after construction. `Network(cells)` derives hex adjacency from
     the cell set; `from_edges` takes an explicit edge list, for interference
     graphs the hex grid cannot realize (a chordless 5-cycle, K4), and
-    `restrict` keeps the adjacency among a subset of the cells.
+    `restrict` keeps the adjacency among a subset of the cells. There is one
+    tuple object per cell: the cell set and every neighbor tuple share it, and
+    `own_cell` returns it, so records of many requests hold no copies.
     """
 
     def __init__(self, cells: Iterable[Cell]):
-        self.cells = frozenset((int(q), int(r)) for q, r in cells)
+        own = {}
+        for q, r in cells:
+            cell = (int(q), int(r))
+            own.setdefault(cell, cell)
+        self._own = own
+        self.cells = frozenset(own)
         self._adj = {
             c: tuple(
                 sorted(
                     n
                     for d in AXIAL_DIRECTIONS
-                    if (n := (c[0] + d[0], c[1] + d[1])) in self.cells
+                    if (n := own.get((c[0] + d[0], c[1] + d[1]))) is not None
                 )
             )
-            for c in self.cells
+            for c in own
         }
 
     @classmethod
     def _from_adjacency(cls, adj: dict) -> "Network":
         network = cls.__new__(cls)
-        network.cells = frozenset(adj)
-        network._adj = adj
+        own = network._own = {c: c for c in adj}
+        network.cells = frozenset(own)
+        network._adj = {c: tuple(own[n] for n in ns) for c, ns in adj.items()}
         return network
 
     @classmethod
@@ -97,6 +105,11 @@ class Network:
 
     def __contains__(self, cell: Cell) -> bool:
         return cell in self.cells
+
+    def own_cell(self, cell: Cell) -> Optional[Cell]:
+        """The network's own object equal to `cell` (the one its cell set and
+        neighbor tuples hold), or None when `cell` is not in the network."""
+        return self._own.get(cell)
 
     def __len__(self) -> int:
         return len(self.cells)

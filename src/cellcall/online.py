@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional
 
 from .hexnet import (
@@ -42,9 +43,21 @@ class Outcome:
 REJECT = Outcome(accepted=False)
 
 
+@cache
+def accept(frequency: int) -> Outcome:
+    """The one accept outcome for `frequency`, shared by every decision and run;
+    outcomes are immutable, and the table grows to the largest omega used."""
+    return Outcome(True, frequency)
+
+
 @dataclass
 class RunTrace:
-    """Complete record of one run: events, demands, and the final state."""
+    """Complete record of one run: requests, outcomes, demands, and the final state.
+
+    Request i is `requests[i]`, the network's own cell object, and its decision
+    is `outcomes[i]`, a shared `Outcome`; so a run keeps two list slots per
+    request and no object of its own.
+    """
 
     algorithm: str
     network: Network
@@ -52,7 +65,8 @@ class RunTrace:
     state: AssignmentState
     partition: Optional[FrequencyPartition]
     flagged_cells: tuple  # degenerate neighbor configs, see caco2
-    events: list = field(default_factory=list)  # (index, cell, Outcome)
+    requests: list = field(default_factory=list)  # Cell per request
+    outcomes: list = field(default_factory=list)  # Outcome per request
     demands: Counter = field(default_factory=Counter)  # R_i
 
     @staticmethod
@@ -81,7 +95,7 @@ class RunTrace:
         return sum(self.state.count(c) for c in self.network.cells)
 
     def rejecting_cells(self) -> set[Cell]:
-        return {cell for _, cell, out in self.events if not out.accepted}
+        return {cell for cell, out in zip(self.requests, self.outcomes) if not out.accepted}
 
 
 class GreedyAlgorithm:
@@ -96,7 +110,7 @@ class GreedyAlgorithm:
 
     def decide(self, state: AssignmentState, cell: Cell) -> Outcome:
         f = state.first_available(cell, range(1, self.omega + 1))
-        return Outcome(True, f) if f is not None else REJECT
+        return accept(f) if f is not None else REJECT
 
 
 class PartitionReserveAlgorithm:
@@ -120,11 +134,11 @@ class PartitionReserveAlgorithm:
             "own-color range blocked by a neighbor; coloring is not proper"
         )
         if f is not None:
-            return Outcome(True, f)
+            return accept(f)
         if self.partition.shared is not None:
             f = state.first_available(cell, self.partition.shared)
             if f is not None:
-                return Outcome(True, f)
+                return accept(f)
         return REJECT
 
 
@@ -196,7 +210,7 @@ class Caco2Algorithm:
         f = state.first_available(cell, plan.primary)
         if f is None and plan.overflow is not None:
             f = state.first_available(cell, plan.overflow, plan.overflow_dir)
-        return Outcome(True, f) if f is not None else REJECT
+        return accept(f) if f is not None else REJECT
 
 
 class UnknownAlgorithmError(ValueError):
@@ -260,14 +274,20 @@ def run_sequence(algorithm, network: Network, omega: int, requests) -> RunTrace:
 
 
 def feed_requests(algorithm, trace: RunTrace, requests) -> None:
-    """Append a batch of requests to an in-progress trace (adversary phases)."""
-    base = len(trace.events)
-    for i, cell in enumerate(requests, start=base):
-        cell = (int(cell[0]), int(cell[1]))
-        if cell not in trace.network:
-            raise UnknownRequestCellError(i, cell)
+    """Append a batch of requests to an in-progress trace (adversary phases).
+
+    A request may be any pair of integers, such as a `[q, r]` list; the trace
+    records the network's own cell for it, so it keeps no object per request.
+    """
+    own_cell = trace.network.own_cell
+    for request in requests:
+        key = (int(request[0]), int(request[1]))
+        cell = own_cell(key)
+        if cell is None:
+            raise UnknownRequestCellError(len(trace.requests), key)
         trace.demands[cell] += 1
         outcome = algorithm.decide(trace.state, cell)
         if outcome.accepted:
             trace.state.assign(cell, outcome.frequency)
-        trace.events.append((i, cell, outcome))
+        trace.requests.append(cell)
+        trace.outcomes.append(outcome)

@@ -151,7 +151,7 @@ def test_duel_replay_identical():
     scenario = fig3_adversary(9)
     t1 = run_duel(scenario, lambda n, o: make_algorithm("caco2", n, o))
     t2 = run_duel(scenario, lambda n, o: make_algorithm("caco2", n, o))
-    assert t1.events == t2.events
+    assert t1.requests == t2.requests and t1.outcomes == t2.outcomes
 
 
 def test_make_adversary_selectors():
@@ -178,7 +178,8 @@ def test_single_batch_duel_matches_run_sequence(selector):
     scenario = random_adversary(21, seed=5, length=120, network=net)
     duel_trace = run_duel(scenario, lambda n, om: make_algorithm(selector, n, om))
     seq_trace = run_sequence(make_algorithm(selector, net, 21), net, 21, scenario.next_batch(0, {}))
-    assert duel_trace.events == seq_trace.events
+    assert duel_trace.requests == seq_trace.requests
+    assert duel_trace.outcomes == seq_trace.outcomes
     assert duel_trace.demands == seq_trace.demands
     assert duel_trace.flagged_cells == seq_trace.flagged_cells
     assert bool(duel_trace.flagged_cells) == (selector == "caco2")  # outer cells have one neighbor

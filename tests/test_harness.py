@@ -4,11 +4,14 @@ import json
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
+from cellcall import adversary
+from cellcall.adversary import MAX_RANDOM_LENGTH
 from cellcall.cli import main
 from cellcall.hexnet import hex_patch
 from cellcall.harness import (
@@ -147,6 +150,28 @@ def test_parse_scenario_raises_only_scenario_error(data):
     except ScenarioError:
         return
     assert config.omega > 0 and config.cells
+
+
+def test_random_traffic_length_checked_without_generating(tmp_path, monkeypatch):
+    def generate(*args):
+        raise AssertionError("requests generated while checking a selector")
+
+    monkeypatch.setattr(adversary, "random_sequence", generate)
+    flower = json.loads((SCENARIOS / "flower_greedy_random.json").read_text())
+    parse_scenario(dict(flower, traffic=f"random:1:{MAX_RANDOM_LENGTH}"), scenario_id="at-cap")
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(dict(flower, traffic="random:0:1000000000")))
+    start = perf_counter()
+    with pytest.raises(ScenarioError, match=f"between 0 and {MAX_RANDOM_LENGTH}"):
+        load_scenario(huge)
+    for args in (
+        ["run", str(huge)],
+        ["sweep", str(huge), "--grid", "omega=7"],
+        ["duel", "--adversary", "random:0:1000000000", "--alg", "greedy", "--omega", "7"],
+    ):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1 and "Error:" in result.output, result.output
+    assert perf_counter() - start < 0.5
 
 
 def test_certificate_by_resolved_name():
@@ -349,6 +374,8 @@ def test_cli_duel_certificate_by_resolved_name():
         ["duel", "--adversary", "fig2", "--alg", "greedy", "--omega", "0"],
         ["duel", "--adversary", "fig2", "--alg", "greedy", "--omega", "-7"],
         ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "omega=abc"],
+        ["duel", "--adversary", "fig2", "--seed", "5", "--alg", "greedy", "--omega", "21"],
+        ["duel", "--adversary", "random:1:10", "--seed", "5", "--alg", "greedy", "--omega", "21"],
     ],
 )
 def test_cli_bad_input_is_named_error(args):

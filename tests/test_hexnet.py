@@ -148,3 +148,17 @@ def test_from_edges_equality_compares_adjacency():
 @given(st.sets(st.sampled_from(hex_patch(2).sorted_cells())))
 def test_restrict_matches_hex_adjacency(cells):
     assert hex_patch(2).restrict(cells) == Network(cells)
+
+
+def test_neighbors_are_the_networks_own_cells():
+    cells = hex_patch(3).sorted_cells()
+    for net in (
+        Network([(q, r) for q, r in cells]),
+        Network.from_edges([(q, r) for q, r in cells], [((0, 0), (q, r)) for q, r in cells[:5]]),
+        hex_patch(3).restrict([(q, r) for q, r in cells[::2]]),
+    ):
+        own = {c: c for c in net.cells}
+        for c in net.cells:
+            assert net.own_cell((c[0], c[1])) is c
+            assert all(n is own[n] for n in net.neighbors(c))
+    assert Network(cells).own_cell((99, 99)) is None

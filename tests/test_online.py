@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from cellcall.online import (
     UnknownAlgorithmError,
     UnknownRequestCellError,
     caco_algorithm,
+    feed_requests,
     make_algorithm,
     overflow_order_violations,
     run_sequence,
@@ -21,11 +23,11 @@ STAR = Network([(0, 0), (-1, 1), (0, -1), (1, 0)])  # R center, G outer
 
 
 def accepted_freqs(trace):
-    return [out.frequency for _, _, out in trace.events if out.accepted]
+    return [out.frequency for out in trace.outcomes if out.accepted]
 
 
 def outcomes(trace):
-    return [out.accepted for _, _, out in trace.events]
+    return [out.accepted for out in trace.outcomes]
 
 
 # greedy
@@ -61,7 +63,7 @@ def test_greedy_rejections_are_forced():
     from cellcall.spectrum import AssignmentState
 
     replay = AssignmentState(net, omega)
-    for _, cell, out in trace.events:
+    for cell, out in zip(trace.requests, trace.outcomes, strict=True):
         if out.accepted:
             replay.assign(cell, out.frequency)
         else:
@@ -98,7 +100,7 @@ def test_partition_2_1_identical_to_caco():
     seq = random_requests(rng, net, 100)
     t1 = run_sequence(caco_algorithm(net, 21), net, 21, seq)
     t2 = run_sequence(PartitionReserveAlgorithm(net, 21, 2, 1), net, 21, seq)
-    assert [o.frequency for _, _, o in t1.events] == [o.frequency for _, _, o in t2.events]
+    assert [o.frequency for o in t1.outcomes] == [o.frequency for o in t2.outcomes]
 
 
 def test_partition_1_1_single_cell():
@@ -184,6 +186,41 @@ def test_unknown_request_cell_reports_index():
     assert err.value.index == 1
 
 
+def test_unknown_request_cell_index_counts_earlier_batches():
+    net = Network([(0, 0)])
+    alg = GreedyAlgorithm(net, 7)
+    trace = run_sequence(alg, net, 7, [(0, 0), (0, 0)])
+    with pytest.raises(UnknownRequestCellError) as err:
+        feed_requests(alg, trace, [[0, 0], [3, 3]])
+    assert (err.value.index, err.value.cell) == (3, (3, 3))
+    assert len(trace.requests) == len(trace.outcomes) == 3
+
+
+@pytest.mark.parametrize("as_lists", [False, True])
+def test_trace_keeps_no_object_per_request(as_lists):
+    net = hex_patch(4)
+    own = {c: c for c in net.cells}
+    rng = random.Random(4)
+    # fresh objects equal to the network's cells, as a scenario file yields them
+    requests = [
+        [q, r] if as_lists else (q, r) for q, r in rng.choices(net.sorted_cells(), k=20_000)
+    ]
+    alg = caco_algorithm(net, 21)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run_sequence(alg, net, 21, requests)
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth < 32 * len(requests), growth / len(requests)
+    assert all(cell is own[cell] for cell in trace.requests)
+    shared = {}
+    accepted = [out for out in trace.outcomes if out.accepted]
+    assert len(accepted) > 21
+    assert all(shared.setdefault(out.frequency, out) is out for out in accepted)
+
+
 def test_determinism():
     rng = random.Random(3)
     net = random_network(rng, max_cells=8, triangle_free=True)
@@ -191,7 +228,7 @@ def test_determinism():
     for selector in ("greedy", "caco2"):
         a = run_sequence(make_algorithm(selector, net, 9), net, 9, seq)
         b = run_sequence(make_algorithm(selector, net, 9), net, 9, seq)
-        assert a.events == b.events
+        assert a.requests == b.requests and a.outcomes == b.outcomes
 
 
 def test_make_algorithm_selectors():
