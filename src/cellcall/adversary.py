@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .hexnet import Cell, Network, flower_network
-from .online import RunTrace, feed_requests
+from .online import RunTrace, feed_requests, parse_selector
 
 # Star topology shared by both lower-bound constructions: a center cell and
 # the three pairwise non-adjacent neighbors of one color class.
@@ -100,20 +100,12 @@ class UnknownAdversaryError(ValueError):
 
 def make_adversary(selector: str, omega: int, network: Optional[Network] = None) -> AdversaryScenario:
     """Selectors: "fig2", "fig3", "random:<seed>:<length>"."""
-    if selector == "fig2":
-        return fig2_adversary(omega)
-    if selector == "fig3":
-        return fig3_adversary(omega)
-    if selector.startswith("random:"):
-        parts = selector.split(":")
-        if len(parts) != 3:
-            raise UnknownAdversaryError(f"bad random selector {selector!r}")
-        try:
-            seed, length = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise UnknownAdversaryError(f"bad random selector {selector!r}") from None
-        return random_adversary(omega, seed, length, network)
-    raise UnknownAdversaryError(f"unknown adversary selector {selector!r}")
+    name, args = parse_selector(
+        selector, "adversary", {"fig2": 0, "fig3": 0, "random": 2}, UnknownAdversaryError
+    )
+    if name == "random":
+        return random_adversary(omega, *args, network)
+    return fig2_adversary(omega) if name == "fig2" else fig3_adversary(omega)
 
 
 def phase_ratios(scenario: AdversaryScenario, algorithm_factory) -> list:

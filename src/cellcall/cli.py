@@ -40,7 +40,17 @@ format_option = click.option(
 out_option = click.option("--out", type=click.Path(dir_okay=False), default=None)
 
 
-@click.group()
+class _Group(click.Group):
+    """Ends every command's `ScenarioError` as one `Error:` line and exit 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ScenarioError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Online call admission control: simulation, duels, and proof-ledger checks."""
 
@@ -51,11 +61,7 @@ def main() -> None:
 @format_option
 def run(scenario: str, out: str | None, fmt: str) -> None:
     """Execute one scenario file."""
-    try:
-        config = load_scenario(scenario)
-    except ScenarioError as exc:
-        raise click.ClickException(str(exc))
-    _finish(run_experiment(config), out, fmt)
+    _finish(run_experiment(load_scenario(scenario)), out, fmt)
 
 
 @main.command()
@@ -71,11 +77,7 @@ def duel(adversary: str, alg: str, omega: int, seed: int | None, out: str | None
         if adversary != "random":
             raise click.ClickException(f'--seed applies only to --adversary random, not {adversary!r}')
         adversary = f"random:{seed}:{omega}"
-    try:
-        config = duel_config(adversary, alg, omega)
-    except ScenarioError as exc:
-        raise click.ClickException(str(exc))
-    _finish(run_experiment(config), out, fmt)
+    _finish(run_experiment(duel_config(adversary, alg, omega)), out, fmt)
 
 
 @main.command(name="sweep")
@@ -91,10 +93,7 @@ def duel(adversary: str, alg: str, omega: int, seed: int | None, out: str | None
 @format_option
 def sweep_cmd(template: str, grid_specs: tuple, out: str | None, fmt: str) -> None:
     """Run a scenario template over a parameter grid and summarize ratios."""
-    try:
-        base = load_scenario(template)
-    except ScenarioError as exc:
-        raise click.ClickException(str(exc))
+    base = load_scenario(template)
     grid: dict = {}
     for spec in grid_specs:
         if "=" not in spec:
@@ -133,10 +132,7 @@ def sweep_cmd(template: str, grid_specs: tuple, out: str | None, fmt: str) -> No
 @format_option
 def verify(scenario: str, out: str | None, fmt: str) -> None:
     """Run a scenario with optimum computation and certificate checks forced on."""
-    try:
-        config = load_scenario(scenario)
-    except ScenarioError as exc:
-        raise click.ClickException(str(exc))
+    config = load_scenario(scenario)
     _finish(run_experiment(replace(config, verify_certificate=True, compute_opt=True)), out, fmt)
 
 

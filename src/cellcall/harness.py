@@ -123,22 +123,22 @@ def validate_scenario(config: ScenarioConfig) -> None:
     if config.omega <= 0:
         raise ScenarioError(f"omega must be a positive integer, got {config.omega!r}")
     network = Network(config.cells)
-    try:
-        make_algorithm(config.algorithm, network, config.omega)
-    except Exception as exc:
-        raise ScenarioError(f"algorithm {config.algorithm!r}: {exc}") from exc
     if isinstance(config.traffic, str):
+        # fig2 and fig3 run on their own star, so the scenario must list exactly its cells
         scenario = _adversary(config.traffic, config.omega, network)
-        missing = scenario.network.cells - network.cells
-        if missing:
+        if scenario.network.cells != network.cells:
             raise ScenarioError(
-                f"adversary {config.traffic!r} needs cells {sorted(missing)} "
-                "which are not in the scenario"
+                f"adversary {config.traffic!r} runs on cells {sorted(scenario.network.cells)}, "
+                f"but the scenario lists cells {sorted(network.cells)}"
             )
     else:
         for i, cell in enumerate(config.traffic):
             if cell not in network:
                 raise ScenarioError(f"traffic request {i} at cell {cell} is outside the network")
+    try:
+        make_algorithm(config.algorithm, network, config.omega)
+    except Exception as exc:
+        raise ScenarioError(f"algorithm {config.algorithm!r}: {exc}") from exc
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -338,8 +338,9 @@ def sweep(template: ScenarioConfig, grid: dict) -> SweepSummary:
 
 
 def duel_config(adversary: str, algorithm: str, omega: int) -> ScenarioConfig:
-    """Config for an adversary duel; certificates on when the algorithm resolves
-    to caco or caco2 (so "partition:2:1" is certified as caco)."""
+    """Config for an adversary duel on the adversary's own network, with the
+    optimum and the certificate requested; `run_experiment` checks a
+    certificate only when the algorithm resolves to caco or caco2."""
     scenario = _adversary(adversary, omega)
     config = ScenarioConfig(
         scenario_id=f"duel:{adversary}:{algorithm}:{omega}",
@@ -347,8 +348,8 @@ def duel_config(adversary: str, algorithm: str, omega: int) -> ScenarioConfig:
         cells=tuple(scenario.network.sorted_cells()),
         algorithm=algorithm,
         traffic=adversary,
+        verify_certificate=True,
         compute_opt=True,
     )
     validate_scenario(config)
-    resolved = make_algorithm(algorithm, scenario.network, omega).name
-    return replace(config, verify_certificate=resolved in ("caco", "caco2"))
+    return config

@@ -133,9 +133,6 @@ class Network:
         except KeyError:
             raise UnknownCellError(f"cell {cell} is not in the network") from None
 
-    def degree(self, cell: Cell) -> int:
-        return len(self.neighbors(cell))
-
     def edges(self) -> list[tuple[Cell, Cell]]:
         return [(u, v) for u in self.sorted_cells() for v in self._adj[u] if u < v]
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .hexnet import Cell, Network
+from .hexnet import Network
 
 
 class InstanceTooLargeError(ValueError):
@@ -29,9 +29,6 @@ class OptimumWitness:
     total: int
     per_cell: dict  # Cell -> O_i
     assignment: dict  # Cell -> frozenset of frequencies, |set| == O_i
-
-    def o(self, cell: Cell) -> int:
-        return self.per_cell.get(cell, 0)
 
 
 def validate_witness(network: Network, omega: int, demands: dict, witness: OptimumWitness) -> None:
@@ -56,40 +53,36 @@ def _demand_list(network: Network, demands: dict) -> tuple[list, list]:
     return cells, [int(demands.get(c, 0)) for c in cells]
 
 
-def _independent_sets(cells: list, network: Network, maximal_only: bool) -> list[int]:
-    """Independent sets as bitmasks over the sorted cell list, lexicographic order."""
-    n = len(cells)
+def _adjacency(cells: list, network: Network) -> list[int]:
+    """Neighbour bitmask of each cell over the index of `cells`."""
     index = {c: i for i, c in enumerate(cells)}
-    adj = [0] * n
-    for i, c in enumerate(cells):
-        for nb in network.neighbors(c):
-            adj[i] |= 1 << index[nb]
+    return [sum(1 << index[v] for v in network.neighbors(c)) for c in cells]
+
+
+def _independent_sets(cells: list, network: Network) -> list[int]:
+    """Every nonempty independent set as a bitmask over `cells`, lexicographic
+    order; the brute-force scan behind `exhaustive_oracle`."""
+    n = len(cells)
+    adj = _adjacency(cells, network)
     sets = []
     for mask in range(1, 1 << n):
-        ok = True
-        for i in range(n):
-            if mask >> i & 1 and adj[i] & mask:
-                ok = False
-                break
-        if not ok:
-            continue
-        if maximal_only:
-            # maximal iff every outside vertex has a neighbor inside
-            addable = any(
-                not (mask >> i & 1) and not (adj[i] & mask) for i in range(n)
-            )
-            if addable:
-                continue
-        sets.append(mask)
+        if not any(mask >> i & 1 and adj[i] & mask for i in range(n)):
+            sets.append(mask)
     # lexicographic by member cell indices
     sets.sort(key=lambda m: tuple(i for i in range(n) if m >> i & 1))
     return sets
 
 
-def _maximal_cliques(cells: list, network: Network) -> list[tuple[int, ...]]:
-    """Maximal cliques as increasing index tuples over `cells` (Bron-Kerbosch on bitmasks)."""
-    index = {c: i for i, c in enumerate(cells)}
-    adj = [sum(1 << index[v] for v in network.neighbors(c)) for c in cells]
+def _maximal_independent_sets(adj: list[int]) -> list[tuple[int, ...]]:
+    """Maximal independent sets as increasing index tuples, lexicographic
+    order: the maximal cliques of the complement graph."""
+    full = (1 << len(adj)) - 1
+    return sorted(_maximal_cliques([full ^ a ^ (1 << i) for i, a in enumerate(adj)]))
+
+
+def _maximal_cliques(adj: list[int]) -> list[tuple[int, ...]]:
+    """Maximal cliques as increasing index tuples, given each vertex's
+    neighbour bitmask (Bron-Kerbosch)."""
     cliques = []
 
     def expand(clique: tuple, candidates: int, excluded: int) -> None:
@@ -101,23 +94,20 @@ def _maximal_cliques(cells: list, network: Network) -> list[tuple[int, ...]]:
             candidates ^= 1 << v
             excluded |= 1 << v
 
-    expand((), (1 << len(cells)) - 1, 0)
+    expand((), (1 << len(adj)) - 1, 0)
     return cliques
 
 
-def _clique_partition(cells: list, network: Network) -> list[tuple[int, ...]]:
-    """Greedy partition of the cells into disjoint cliques (for the B&B bound)."""
+def _clique_partition(adj: list[int]) -> list[tuple[int, ...]]:
+    """Greedy partition of the cells into disjoint cliques (for the B&B bound);
+    every cell lies in some maximal clique, so every cell is covered."""
     taken = set()
     parts = []
-    for clique in sorted(_maximal_cliques(cells, network), key=lambda k: (-len(k), k)):
+    for clique in sorted(_maximal_cliques(adj), key=lambda k: (-len(k), k)):
         members = tuple(i for i in clique if i not in taken)
         if members:
             parts.append(members)
             taken.update(members)
-    for i in range(len(cells)):
-        if i not in taken:
-            parts.append((i,))
-            taken.add(i)
     return parts
 
 
@@ -128,7 +118,7 @@ def clique_upper_bound(network: Network, omega: int, demands: dict) -> int:
     n = len(cells)
     if n == 0:
         return 0
-    cliques = _maximal_cliques(cells, network)
+    cliques = _maximal_cliques(_adjacency(cells, network))
     touching = [[k for k, K in enumerate(cliques) if i in K] for i in range(n)]
     # The search from cell i on sees the caps only through the cliques with
     # members on both sides of i, and a cap above the demand still to come
@@ -258,9 +248,10 @@ def exact_optimum(
             assignment.update(sub.assignment)
         return OptimumWitness(sum(per_cell.values()), per_cell, assignment)
 
-    sets = _independent_sets(cells, network, maximal_only=True)
-    members = [tuple(i for i in range(n) if m >> i & 1) for m in sets]
-    parts = _clique_partition(cells, network)
+    adj = _adjacency(cells, network)
+    members = _maximal_independent_sets(adj)
+    sets = [sum(1 << i for i in m) for m in members]
+    parts = _clique_partition(adj)
     ceiling = clique_upper_bound(network, omega, demands)
 
     best_value = -1
@@ -327,7 +318,7 @@ def exhaustive_oracle(
     if n == 0 or omega == 0:
         return OptimumWitness(0, {c: 0 for c in cells}, {c: frozenset() for c in cells})
 
-    sets = [0] + _independent_sets(cells, network, maximal_only=False)
+    sets = [0] + _independent_sets(cells, network)
     best_value = -1
     best_combo = None
     for combo in itertools.combinations_with_replacement(sets, omega):

@@ -7,6 +7,7 @@ feeds a request list through one and accumulates the trace.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
@@ -213,8 +214,41 @@ class Caco2Algorithm:
         return accept(f) if f is not None else REJECT
 
 
+_SELECTOR_INT = re.compile(r"-?[0-9]+")
+
+
+def parse_selector(selector: str, kind: str, arity: dict, error: type) -> tuple[str, tuple[int, ...]]:
+    """Split a selector into its name and integer arguments.
+
+    A selector is a name from `arity`, followed by ":<int>" once per argument
+    that `arity[name]` asks for; each argument is an ASCII decimal integer
+    (`-?[0-9]+`), so "+3", " 3", "1_000" and non-ASCII digits are refused.
+    An unknown name, or arguments on a name that takes none (or none on one
+    that does), raises `error("unknown <kind> selector ...")`; malformed or
+    miscounted arguments raise `error("bad <name> selector ...")`.
+    """
+    name, colon, rest = selector.partition(":")
+    if name not in arity or bool(colon) != (arity[name] > 0):
+        raise error(f"unknown {kind} selector {selector!r}")
+    args = rest.split(":") if colon else []
+    try:
+        if len(args) == arity[name] and all(_SELECTOR_INT.fullmatch(a) for a in args):
+            return name, tuple(int(a) for a in args)
+    except ValueError:  # more digits than the interpreter converts
+        pass
+    raise error(f"bad {name} selector {selector!r}")
+
+
 class UnknownAlgorithmError(ValueError):
     pass
+
+
+_ALGORITHMS = {
+    "greedy": GreedyAlgorithm,
+    "caco": caco_algorithm,
+    "caco2": Caco2Algorithm,
+    "partition": PartitionReserveAlgorithm,
+}
 
 
 def make_algorithm(selector: str, network: Network, omega: int):
@@ -222,22 +256,10 @@ def make_algorithm(selector: str, network: Network, omega: int):
 
     Selectors: "greedy", "caco", "caco2", "partition:<x>:<y>".
     """
-    if selector == "greedy":
-        return GreedyAlgorithm(network, omega)
-    if selector == "caco":
-        return caco_algorithm(network, omega)
-    if selector == "caco2":
-        return Caco2Algorithm(network, omega)
-    if selector.startswith("partition:"):
-        parts = selector.split(":")
-        if len(parts) != 3:
-            raise UnknownAlgorithmError(f"bad partition selector {selector!r}")
-        try:
-            x, y = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise UnknownAlgorithmError(f"bad partition selector {selector!r}") from None
-        return PartitionReserveAlgorithm(network, omega, x, y)
-    raise UnknownAlgorithmError(f"unknown algorithm selector {selector!r}")
+    name, args = parse_selector(
+        selector, "algorithm", {"greedy": 0, "caco": 0, "caco2": 0, "partition": 2}, UnknownAlgorithmError
+    )
+    return _ALGORITHMS[name](network, omega, *args)
 
 
 def overflow_order_violations(trace: RunTrace) -> list:

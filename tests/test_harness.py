@@ -174,6 +174,19 @@ def test_random_traffic_length_checked_without_generating(tmp_path, monkeypatch)
     assert perf_counter() - start < 0.5
 
 
+def test_fixed_network_adversary_needs_exactly_its_cells():
+    flower = json.loads((SCENARIOS / "flower_greedy_random.json").read_text())
+    flower_cells = sorted(tuple(c) for c in flower["cells"])
+    # caco2 would run on the triangle-free star, so the cells, not the
+    # algorithm, are what is wrong
+    for algorithm in ("greedy", "caco2"):
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(dict(flower, traffic="fig2", algorithm=algorithm), scenario_id="x")
+        message = str(info.value)
+        assert "[(-1, 1), (0, -1), (0, 0), (1, 0)]" in message
+        assert str(flower_cells) in message
+
+
 def test_certificate_by_resolved_name():
     config = replace(load_scenario(SCENARIOS / "fig2_caco.json"), algorithm="partition:2:1")
     report = run_experiment(config)
@@ -293,8 +306,9 @@ def test_sweep_continues_past_failures():
 def test_duel_config_includes_certificate():
     config = duel_config("fig2", "caco", 21)
     assert config.verify_certificate and config.compute_opt
-    config = duel_config("fig2", "greedy", 21)
-    assert not config.verify_certificate
+    report = run_experiment(duel_config("fig2", "greedy", 21))
+    assert report.certificate is None
+    assert "certificate (" not in emit_report(report)
 
 
 # CLI
@@ -376,6 +390,8 @@ def test_cli_duel_certificate_by_resolved_name():
         ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "omega=abc"],
         ["duel", "--adversary", "fig2", "--seed", "5", "--alg", "greedy", "--omega", "21"],
         ["duel", "--adversary", "random:1:10", "--seed", "5", "--alg", "greedy", "--omega", "21"],
+        ["duel", "--adversary", "random:+3:20", "--alg", "greedy", "--omega", "21"],
+        ["duel", "--adversary", "fig2", "--alg", "partition: 2:1", "--omega", "21"],
     ],
 )
 def test_cli_bad_input_is_named_error(args):

@@ -2,11 +2,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cellcall.adversary import make_adversary, run_duel
 from cellcall.hexnet import Network, hex_patch
 from cellcall.offline import (
     InstanceTooLargeError,
+    _adjacency,
+    _independent_sets,
+    _maximal_independent_sets,
     clique_upper_bound,
     cycle_graph,
     exact_optimum,
@@ -182,3 +186,16 @@ def test_clique_bound_flower_duel():
     scenario = make_adversary("random:2:126", 21)
     trace = run_duel(scenario, lambda net, omega: make_algorithm("caco", net, omega))
     assert clique_upper_bound(scenario.network, 21, dict(trace.demands)) == 63
+
+
+@given(st.sets(st.sampled_from(PATCH_CELLS), min_size=1, max_size=12))
+def test_maximal_independent_sets_are_complement_cliques(cells):
+    net = Network(cells)
+    ordered = net.sorted_cells()
+    adj = _adjacency(ordered, net)
+    # maximal: every cell outside the set has a neighbour inside it
+    maximal = [
+        m for m in _independent_sets(ordered, net)
+        if all(m >> i & 1 or adj[i] & m for i in range(len(ordered)))
+    ]
+    assert [sum(1 << i for i in s) for s in _maximal_independent_sets(adj)] == maximal

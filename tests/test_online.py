@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from cellcall.adversary import UnknownAdversaryError, make_adversary
 from cellcall.hexnet import Network, flower_network, hex_patch
 from cellcall.online import (
     Caco2Algorithm,
@@ -241,6 +242,49 @@ def test_make_algorithm_selectors():
         make_algorithm("magic", net, 7)
     with pytest.raises(UnknownAlgorithmError):
         make_algorithm("partition:a:b", net, 7)
+
+
+def _algorithm(selector):
+    return make_algorithm(selector, Network([(0, 0)]), 21)
+
+
+def _adversary(selector):
+    return make_adversary(selector, 7)
+
+
+@pytest.mark.parametrize(
+    "factory, error, selector, prefix",
+    [
+        (_algorithm, UnknownAlgorithmError, "magic", "unknown algorithm"),
+        (_algorithm, UnknownAlgorithmError, "", "unknown algorithm"),
+        (_algorithm, UnknownAlgorithmError, "greedy:1", "unknown algorithm"),
+        (_algorithm, UnknownAlgorithmError, "partition", "unknown algorithm"),
+        (_algorithm, UnknownAlgorithmError, "partition:1", "bad partition"),
+        (_algorithm, UnknownAlgorithmError, "partition:", "bad partition"),
+        (_algorithm, UnknownAlgorithmError, "partition:a:b", "bad partition"),
+        (_algorithm, UnknownAlgorithmError, "partition:1:2:3", "bad partition"),
+        (_adversary, UnknownAdversaryError, "fig9", "unknown adversary"),
+        (_adversary, UnknownAdversaryError, "fig2:1", "unknown adversary"),
+        (_adversary, UnknownAdversaryError, "random", "unknown adversary"),
+        (_adversary, UnknownAdversaryError, "random:", "bad random"),
+        (_adversary, UnknownAdversaryError, "random:x:y", "bad random"),
+        (_adversary, UnknownAdversaryError, "random:1:2:3", "bad random"),
+        pytest.param(
+            _adversary, UnknownAdversaryError, "random:1:" + "9" * 5000, "bad random", id="digits"
+        ),
+        # integer arguments that int() would coerce
+        (_adversary, UnknownAdversaryError, "random:+3:\u0662\u0660", "bad random"),
+        (_adversary, UnknownAdversaryError, "random: 3:20", "bad random"),
+        (_adversary, UnknownAdversaryError, "random:3:20\n", "bad random"),
+        (_adversary, UnknownAdversaryError, "random:1_000:5", "bad random"),
+        (_algorithm, UnknownAlgorithmError, "partition: 2:1", "bad partition"),
+        (_algorithm, UnknownAlgorithmError, "partition:2:+1", "bad partition"),
+    ],
+)
+def test_bad_selector_is_named(factory, error, selector, prefix):
+    with pytest.raises(error) as info:
+        factory(selector)
+    assert str(info.value) == f"{prefix} selector {selector!r}"
 
 
 def test_trace_demand_counters():
