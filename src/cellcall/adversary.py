@@ -67,15 +67,12 @@ def fig3_adversary(omega: int) -> AdversaryScenario:
     return AdversaryScenario("fig3", star_network(), omega, next_batch)
 
 
-def random_sequence(network: Network, omega: int, length: int, seed: int, weights=None):
+def random_sequence(network: Network, omega: int, length: int, seed: int):
     """Deterministic pseudo-random request list over the network's cells."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    cells = network.sorted_cells()
-    if weights is not None and len(weights) != len(cells):
-        raise ValueError("weights must match the sorted cell list")
     rng = random.Random(seed)
-    return rng.choices(cells, weights=weights, k=length)
+    return rng.choices(network.sorted_cells(), k=length)
 
 
 def random_adversary(omega: int, seed: int, length: int, network: Optional[Network] = None) -> AdversaryScenario:
@@ -110,22 +107,16 @@ def make_adversary(selector: str, omega: int, network: Optional[Network] = None)
 
 def phase_ratios(scenario: AdversaryScenario, algorithm_factory) -> list:
     """Exact OPT/ALG after each adversary phase (the adversary may stop at any
-    phase boundary, so the scenario's strength is the max of these)."""
-    from fractions import Fraction
-
+    phase boundary, so the scenario's strength is the max of these); each is
+    `ledger.ratio_report`'s ratio, None when unbounded."""
+    from .ledger import ratio_report
     from .offline import exact_optimum
 
     ratios = []
 
     def record(trace: RunTrace) -> None:
         opt = exact_optimum(scenario.network, scenario.omega, dict(trace.demands))
-        accepted = trace.total_accepted()
-        if accepted:
-            ratios.append(Fraction(opt.total, accepted))
-        elif opt.total == 0:
-            ratios.append(Fraction(1))
-        else:
-            ratios.append(None)  # unbounded
+        ratios.append(ratio_report(trace, opt).ratio)
 
     run_duel(scenario, algorithm_factory, record)
     return ratios

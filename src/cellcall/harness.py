@@ -201,10 +201,8 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
 
     opt = error = None
     if compute_opt:
-        # tiny topologies stay tractable at any omega, so lift the spectrum cap
-        max_omega = max(64, config.omega) if len(network.cells) <= 8 else 64
         try:
-            opt = exact_optimum(network, config.omega, dict(trace.demands), max_omega=max_omega)
+            opt = exact_optimum(network, config.omega, dict(trace.demands))
         except InstanceTooLargeError as exc:
             error = f"optimum not computed: {exc}"
 

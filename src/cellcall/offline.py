@@ -19,6 +19,16 @@ class InstanceTooLargeError(ValueError):
     pass
 
 
+# `exact_optimum` takes at most MAX_CELLS cells, and omega at most MAX_OMEGA
+# past ANY_OMEGA_CELLS cells: tiny topologies stay tractable at any omega.
+MAX_CELLS = 12
+MAX_OMEGA = 64
+ANY_OMEGA_CELLS = 8
+# `exhaustive_oracle` enumerates every multiset of independent sets.
+ORACLE_MAX_CELLS = 4
+ORACLE_MAX_OMEGA = 6
+
+
 def cycle_graph(n: int) -> Network:
     """The chordless n-cycle, which the hex grid cannot realize for n > 3."""
     return Network.from_edges(range(n), [(i, (i + 1) % n) for i in range(n)])
@@ -187,9 +197,7 @@ def _value(r: list[int], cov: list[int]) -> int:
     return sum(min(a, b) for a, b in zip(r, cov))
 
 
-def _build_witness(
-    cells: list, r: list[int], sets: list[int], mults: list[int], omega: int
-) -> OptimumWitness:
+def _build_witness(cells: list, r: list[int], sets: list[int], mults: list[int]) -> OptimumWitness:
     freq = 1
     per_cell_freqs = {c: [] for c in cells}
     for mask, count in zip(sets, mults):
@@ -207,14 +215,7 @@ def _build_witness(
     return OptimumWitness(total=sum(per_cell.values()), per_cell=per_cell, assignment=assignment)
 
 
-def exact_optimum(
-    network: Network,
-    omega: int,
-    demands: dict,
-    *,
-    max_cells: int = 12,
-    max_omega: int = 64,
-) -> OptimumWitness:
+def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness:
     """Exact offline optimum with a realizing assignment.
 
     Branches on multiplicities of maximal independent sets in lexicographic
@@ -223,10 +224,10 @@ def exact_optimum(
     """
     cells, r = _demand_list(network, demands)
     n = len(cells)
-    if n > max_cells or omega > max_omega:
+    if n > MAX_CELLS or (omega > MAX_OMEGA and n > ANY_OMEGA_CELLS):
         raise InstanceTooLargeError(
-            f"instance with {n} cells, omega={omega} exceeds limits "
-            f"({max_cells} cells, omega {max_omega})"
+            f"instance with {n} cells, omega={omega} exceeds limits ({MAX_CELLS} cells, "
+            f"omega {MAX_OMEGA} past {ANY_OMEGA_CELLS} cells)"
         )
     if n == 0 or omega == 0 or not any(r):
         return OptimumWitness(0, {c: 0 for c in cells}, {c: frozenset() for c in cells})
@@ -237,13 +238,7 @@ def exact_optimum(
         per_cell: dict = {}
         assignment: dict = {}
         for comp in components:
-            sub = exact_optimum(
-                network.restrict(comp),
-                omega,
-                {c: demands.get(c, 0) for c in comp},
-                max_cells=max_cells,
-                max_omega=max_omega,
-            )
+            sub = exact_optimum(network.restrict(comp), omega, {c: demands.get(c, 0) for c in comp})
             per_cell.update(sub.per_cell)
             assignment.update(sub.assignment)
         return OptimumWitness(sum(per_cell.values()), per_cell, assignment)
@@ -300,19 +295,17 @@ def exact_optimum(
 
     mults = [0] * len(sets)
     dfs(0, omega, [0] * n)
-    return _build_witness(cells, r, sets, best_mults, omega)
+    return _build_witness(cells, r, sets, best_mults)
 
 
-def exhaustive_oracle(
-    network: Network, omega: int, demands: dict, *, max_cells: int = 4, max_omega: int = 6
-) -> OptimumWitness:
+def exhaustive_oracle(network: Network, omega: int, demands: dict) -> OptimumWitness:
     """Brute-force optimum by enumerating every multiset of independent sets
     (including non-maximal and empty); test-time cross-check for exact_optimum."""
     cells, r = _demand_list(network, demands)
     n = len(cells)
-    if n > max_cells or omega > max_omega:
+    if n > ORACLE_MAX_CELLS or omega > ORACLE_MAX_OMEGA:
         raise InstanceTooLargeError(
-            f"oracle limited to {max_cells} cells and omega {max_omega}; "
+            f"oracle limited to {ORACLE_MAX_CELLS} cells and omega {ORACLE_MAX_OMEGA}; "
             f"got {n} cells, omega={omega}"
         )
     if n == 0 or omega == 0:
@@ -333,4 +326,4 @@ def exhaustive_oracle(
             best_combo = combo
     mult = {m: best_combo.count(m) for m in set(best_combo)}
     ordered = sorted(mult)
-    return _build_witness(cells, r, ordered, [mult[m] for m in ordered], omega)
+    return _build_witness(cells, r, ordered, [mult[m] for m in ordered])

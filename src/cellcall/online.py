@@ -1,8 +1,10 @@
 """Deterministic online admission algorithms: greedy, the partition family
 (CACO is the 2:1 member), and the triangle-free directional variant CACO2.
 
-Every algorithm implements `decide(state, cell) -> Outcome`; `run_sequence`
-feeds a request list through one and accumulates the trace.
+The algorithms differ only in the order in which a cell tries frequencies:
+each is a `ScanAlgorithm` whose per-cell scan list drives the one
+`decide(state, cell) -> Outcome`; `run_sequence` feeds a request list through
+one and accumulates the trace.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .hexnet import (
 )
 from .spectrum import (
     AssignmentState,
-    Direction,
     FrequencyPartition,
     make_partition_caco2,
     make_partition_family,
@@ -79,7 +80,7 @@ class RunTrace:
             omega=omega,
             state=AssignmentState(network, omega),
             partition=algorithm.partition,
-            flagged_cells=getattr(algorithm, "flagged_cells", ()),
+            flagged_cells=algorithm.flagged_cells,
         )
 
     def accepted_at(self, cell: Cell) -> int:
@@ -99,22 +100,44 @@ class RunTrace:
         return {cell for cell, out in zip(self.requests, self.outcomes) if not out.accepted}
 
 
-class GreedyAlgorithm:
+class ScanAlgorithm:
+    """An online algorithm given by its per-cell scan list.
+
+    `scans[cell]` is a tuple of frequency ranges tried in order, each in its
+    own order (a descending scan is `r[::-1]`). A request takes the first
+    available frequency found and is rejected when every range is exhausted.
+    Subclasses build `scans`, and set `partition` and `flagged_cells` when
+    they have them.
+    """
+
+    name: str
+    scans: dict  # Cell -> tuple of ranges
+    partition: Optional[FrequencyPartition] = None
+    flagged_cells: tuple = ()  # degenerate neighbor configs, see caco2
+
+    def __init__(self, network: Network, omega: int):
+        self.network = network
+        self.omega = omega
+
+    def decide(self, state: AssignmentState, cell: Cell) -> Outcome:
+        for freqs in self.scans[cell]:
+            f = state.first_available(cell, freqs)
+            if f is not None:
+                return accept(f)
+        return REJECT
+
+
+class GreedyAlgorithm(ScanAlgorithm):
     """Accept with the minimal available frequency from the whole spectrum."""
 
     name = "greedy"
 
     def __init__(self, network: Network, omega: int):
-        self.network = network
-        self.omega = omega
-        self.partition = None
-
-    def decide(self, state: AssignmentState, cell: Cell) -> Outcome:
-        f = state.first_available(cell, range(1, self.omega + 1))
-        return accept(f) if f is not None else REJECT
+        super().__init__(network, omega)
+        self.scans = dict.fromkeys(network.cells, (range(1, omega + 1),))
 
 
-class PartitionReserveAlgorithm:
+class PartitionReserveAlgorithm(ScanAlgorithm):
     """The x:x:x:y partition family: own color range first, shared range second.
 
     CACO is the 2:1 member. The own-range test reduces to a per-cell counter
@@ -123,24 +146,22 @@ class PartitionReserveAlgorithm:
     """
 
     def __init__(self, network: Network, omega: int, x_share: int, y_share: int):
-        self.network = network
-        self.omega = omega
-        self.partition = make_partition_family(omega, x_share, y_share)
+        super().__init__(network, omega)
+        self.partition = part = make_partition_family(omega, x_share, y_share)
         self.name = "caco" if (x_share, y_share) == (2, 1) else f"partition:{x_share}:{y_share}"
+        shared = (part.shared,) if part.shared is not None else ()
+        by_color = {color: (part.range_for(color),) + shared for color in Color}
+        self.scans = {c: by_color[color_of(c)] for c in network.cells}
 
     def decide(self, state: AssignmentState, cell: Cell) -> Outcome:
-        own = self.partition.range_for(color_of(cell))
-        f = state.first_available(cell, own)
-        assert (f is not None) == (state.count_in(cell, own) < len(own)), (
+        outcome = super().decide(state, cell)
+        own = self.scans[cell][0]
+        # own is scanned first, so it had a free frequency iff the outcome took one from it
+        took_own = outcome.accepted and outcome.frequency in own
+        assert took_own == (state.count_in(cell, own) < len(own)), (
             "own-color range blocked by a neighbor; coloring is not proper"
         )
-        if f is not None:
-            return accept(f)
-        if self.partition.shared is not None:
-            f = state.first_available(cell, self.partition.shared)
-            if f is not None:
-                return accept(f)
-        return REJECT
+        return outcome
 
 
 def caco_algorithm(network: Network, omega: int) -> PartitionReserveAlgorithm:
@@ -151,17 +172,7 @@ class NotTriangleFreeError(ValueError):
     """CACO2 requires a triangle-free network."""
 
 
-@dataclass(frozen=True)
-class _Caco2Plan:
-    """Per-cell decision plan: primary range, then one overflow range with a direction."""
-
-    primary: range
-    overflow: Optional[range]
-    overflow_dir: Direction
-    flagged: bool  # degenerate structure (1 or 2 same-colored neighbors)
-
-
-class Caco2Algorithm:
+class Caco2Algorithm(ScanAlgorithm):
     """Thirds partition with directional overflow on triangle-free networks.
 
     Neighbor configurations are computed once from the static topology:
@@ -172,46 +183,36 @@ class Caco2Algorithm:
       - structure B (two neighbors, distinct colors): overflow into the
         successor color's range, descending.
     Single-neighbor cells follow the structure-B rule: the overflow target is
-    always the successor color's range, descending.
+    always the successor color's range, descending. Structure-A cells with one
+    or two neighbors are flagged as degenerate.
     """
+
+    name = "caco2"
 
     def __init__(self, network: Network, omega: int):
         if not is_triangle_free(network):
             raise NotTriangleFreeError("caco2 requires a triangle-free network")
-        self.network = network
-        self.omega = omega
+        super().__init__(network, omega)
         self.partition = make_partition_caco2(omega)
-        self.name = "caco2"
-        self._plans = {c: self._plan_for(c) for c in network.cells}
+        configs = {c: classify_neighbor_config(network, c) for c in network.cells}
+        self.scans = {c: self._scan_for(c, config) for c, config in configs.items()}
         self.flagged_cells = tuple(
-            sorted(c for c, p in self._plans.items() if p.flagged)
+            sorted(c for c, cfg in configs.items() if isinstance(cfg, StructureA) and cfg.k < 3)
         )
 
-    def _plan_for(self, cell: Cell) -> _Caco2Plan:
-        x = color_of(cell)
-        primary = self.partition.range_for(x)
-        config = classify_neighbor_config(self.network, cell)
+    def _scan_for(self, cell: Cell, config) -> tuple:
         if isinstance(config, Isolated):
-            return _Caco2Plan(range(1, self.omega + 1), None, Direction.BOTTOM_TO_TOP, False)
+            return (range(1, self.omega + 1),)
+        x = color_of(cell)
+        own = self.partition.range_for(x)
         if isinstance(config, StructureA) and config.k >= 2:
             y = config.neighbor_color
             z = next(c for c in Color if c not in (x, y))
-            direction = (
-                Direction.BOTTOM_TO_TOP if x.successor is y else Direction.TOP_TO_BOTTOM
-            )
-            return _Caco2Plan(primary, self.partition.range_for(z), direction, config.k == 2)
+            overflow = self.partition.range_for(z)
+            return (own, overflow if x.successor is y else overflow[::-1])
         # Structure B, and single-neighbor cells treated the same way:
         # overflow into the successor color's range, top-to-bottom.
-        flagged = isinstance(config, StructureA)  # k == 1
-        overflow = self.partition.range_for(x.successor)
-        return _Caco2Plan(primary, overflow, Direction.TOP_TO_BOTTOM, flagged)
-
-    def decide(self, state: AssignmentState, cell: Cell) -> Outcome:
-        plan = self._plans[cell]
-        f = state.first_available(cell, plan.primary)
-        if f is None and plan.overflow is not None:
-            f = state.first_available(cell, plan.overflow, plan.overflow_dir)
-        return accept(f) if f is not None else REJECT
+        return (own, self.partition.range_for(x.successor)[::-1])
 
 
 _SELECTOR_INT = re.compile(r"-?[0-9]+")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 from .hexnet import Cell, Color, Network
@@ -15,11 +14,6 @@ class PartitionError(ValueError):
 
 class FrequencyConflictError(RuntimeError):
     """An assignment violated the interference rule (algorithm bug surfaced)."""
-
-
-class Direction(Enum):
-    BOTTOM_TO_TOP = "bottom_to_top"  # ascending frequency numbers
-    TOP_TO_BOTTOM = "top_to_bottom"  # descending
 
 
 @dataclass(frozen=True)
@@ -104,12 +98,10 @@ class AssignmentState:
             return False
         return all(freq not in self._used[n] for n in self.network.neighbors(cell))
 
-    def first_available(
-        self, cell: Cell, freq_range: range, direction: Direction = Direction.BOTTOM_TO_TOP
-    ) -> Optional[int]:
-        """First available frequency of the range scanning in the given direction."""
-        scan = freq_range if direction is Direction.BOTTOM_TO_TOP else reversed(freq_range)
-        for f in scan:
+    def first_available(self, cell: Cell, freqs: range) -> Optional[int]:
+        """First available frequency of `freqs`, scanned in the range's own
+        order; a descending scan is a negative-step range such as `r[::-1]`."""
+        for f in freqs:
             if self.is_available(cell, f):
                 return f
         return None

@@ -7,6 +7,7 @@ import pytest
 from cellcall.adversary import (
     STAR_CENTER,
     STAR_OUTER,
+    AdversaryScenario,
     UnknownAdversaryError,
     fig2_adversary,
     fig3_adversary,
@@ -122,6 +123,21 @@ def test_family_minimum_at_2_1():
     assert best == (2, 1)
     assert strengths[(2, 1)] == Fraction(7, 3)
     assert sum(1 for v in strengths.values() if v == strengths[best]) == 1
+
+
+def test_phase_ratios_follow_ratio_report():
+    """An empty phase has ratio 1; a phase the algorithm wholly rejects is unbounded (None)."""
+    phases = [[], [STAR_CENTER]]
+    scenario = AdversaryScenario(
+        "edge", star_network(), 3, lambda phase, counts: phases[phase] if phase < len(phases) else None
+    )
+
+    def reject_all(net, omega):
+        alg = make_algorithm("greedy", net, omega)
+        alg.scans = dict.fromkeys(net.cells, ())
+        return alg
+
+    assert phase_ratios(scenario, reject_all) == [Fraction(1), None]
 
 
 def test_random_sequence_empty():

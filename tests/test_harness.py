@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
-from cellcall import adversary
+from cellcall import adversary, harness
 from cellcall.adversary import MAX_RANDOM_LENGTH
 from cellcall.cli import main
 from cellcall.hexnet import hex_patch
@@ -26,6 +26,7 @@ from cellcall.harness import (
     sweep,
 )
 from cellcall.ledger import CheckResult
+from cellcall.offline import OptimumWitness
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -363,6 +364,46 @@ def test_cli_optimum_past_solver_limit_exits_nonzero(tmp_path, command):
     assert "error: optimum not computed" in result.output
 
 
+def test_cli_verify_tampered_optimum_fails(monkeypatch):
+    exact_optimum = harness.exact_optimum
+
+    def tampered(network, omega, demands):
+        # 7 more calls at one outer star cell than fig3's true optimum of 9 there
+        opt = exact_optimum(network, omega, demands)
+        per_cell = {**opt.per_cell, (1, 0): opt.per_cell[(1, 0)] + 7}
+        return OptimumWitness(opt.total + 7, per_cell, opt.assignment)
+
+    monkeypatch.setattr(harness, "exact_optimum", tampered)
+    result = CliRunner().invoke(main, ["verify", str(SCENARIOS / "fig3_caco2.json")])
+    assert result.exit_code == 1
+    assert "per_cell_ratio_9_4: FAIL at [(1, 0)]" in result.output
+    assert "global_ratio_9_4: FAIL" in result.output
+    assert "status: fail" in result.output
+
+
+def test_cli_verify_uncovered_case_exits_zero(tmp_path):
+    # a 3-cell path at omega 3 whose optimum leaves (1, 0) outside the case tree
+    traffic = [[-1, 0]] * 2 + [[0, 0]] + [[1, 0]] * 3
+    data = {"omega": 3, "cells": [[-1, 0], [0, 0], [1, 0]], "algorithm": "caco2", "traffic": traffic}
+    path = tmp_path / "uncovered.json"
+    path.write_text(json.dumps(data))
+    result = CliRunner().invoke(main, ["verify", str(path)])
+    assert result.exit_code == 0, result.output
+    assert "status: uncovered" in result.output
+    assert "  uncovered: (1, 0) (compensation left the cell below 4O/9)\n" in result.output
+
+
+def test_cli_readme_seed_shorthand_is_random_selector():
+    def duel(adversary, *extra):
+        return CliRunner().invoke(
+            main, ["duel", "--adversary", adversary, *extra, "--alg", "greedy", "--omega", "21"]
+        )
+
+    shorthand = duel("random", "--seed", "7")
+    assert shorthand.exit_code == 0, shorthand.output
+    assert shorthand.output == duel("random:7:21").output
+
+
 def test_cli_unknown_adversary():
     result = CliRunner().invoke(
         main, ["duel", "--adversary", "fig7", "--alg", "caco", "--omega", "21"]
@@ -392,6 +433,8 @@ def test_cli_duel_certificate_by_resolved_name():
         ["duel", "--adversary", "random:1:10", "--seed", "5", "--alg", "greedy", "--omega", "21"],
         ["duel", "--adversary", "random:+3:20", "--alg", "greedy", "--omega", "21"],
         ["duel", "--adversary", "fig2", "--alg", "partition: 2:1", "--omega", "21"],
+        ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "omega"],
+        ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "cells=1"],
     ],
 )
 def test_cli_bad_input_is_named_error(args):

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from cellcall.adversary import STAR_CENTER, STAR_OUTER, fig2_adversary, fig3_adversary, run_duel
-from cellcall.hexnet import Network, hex_patch
+from cellcall.hexnet import AXIAL_DIRECTIONS, Network, color_of, hex_patch
 from cellcall.ledger import (
     NetworkMismatchError,
     caco2_certificate,
@@ -138,6 +139,36 @@ def test_caco2_random_sweep_pass_or_uncovered():
         assert cert.status in ("pass", "uncovered"), [str(c) for c in cert.checks]
         statuses.append(cert.status)
     assert "pass" in statuses
+
+
+def structure_b_overflow_runs(omega):
+    """caco2 runs, under block traffic, on 3-cell paths whose centre i has
+    neighbours of both other colours (structure B); yields those where i
+    donates with 3*A_i > omega while both neighbours fall short of 4O/9, the
+    case that credits omega/9 to the predecessor-coloured neighbour."""
+    centre = (0, 0)
+    for q, r in AXIAL_DIRECTIONS[:3]:
+        net = Network([centre, (q, r), (-q, -r)])  # opposite neighbours: two colours, no triangle
+        x = color_of(centre)
+        cj = next(n for n in net.neighbors(centre) if color_of(n) is x.successor)
+        ck = next(n for n in net.neighbors(centre) if color_of(n) is x.predecessor)
+        for order in itertools.permutations(net.sorted_cells()):
+            for counts in itertools.product(range(omega + 1), repeat=3):
+                seq = [c for c, m in zip(order, counts) for _ in range(m)]
+                trace, opt = caco2_run(net, omega, seq)
+                A = {c: trace.accepted_at(c) for c in net.cells}
+                short = {c: 9 * A[c] < 4 * opt.per_cell[c] for c in net.cells}
+                if not short[centre] and 3 * A[centre] > omega and short[cj] and short[ck]:
+                    yield trace, opt, centre, cj, ck
+
+
+def test_caco2_structure_b_overflow_credit_found_by_search():
+    omega = 3
+    trace, opt, i, cj, ck = next(structure_b_overflow_runs(omega))
+    cert = caco2_certificate(trace, opt, omega)
+    assert cert.h_values[(i, cj)] == Fraction(4 * opt.per_cell[cj], 9) - trace.accepted_at(cj)
+    assert cert.h_values[(i, ck)] == Fraction(omega, 9)
+    assert cert.status in ("pass", "uncovered")
 
 
 def test_caco2_certificate_requires_triangle_free():

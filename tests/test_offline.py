@@ -1,10 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cellcall.adversary import make_adversary, run_duel
+from cellcall.adversary import fig2_adversary, make_adversary, phase_ratios, run_duel
 from cellcall.hexnet import Network, hex_patch
 from cellcall.offline import (
     InstanceTooLargeError,
@@ -17,7 +18,7 @@ from cellcall.offline import (
     exhaustive_oracle,
     validate_witness,
 )
-from cellcall.online import make_algorithm
+from cellcall.online import caco_algorithm, make_algorithm
 from conftest import PATCH_CELLS, random_network
 
 STAR = Network([(0, 0), (-1, 1), (0, -1), (1, 0)])
@@ -56,9 +57,13 @@ def test_size_limits_enforced():
     with pytest.raises(InstanceTooLargeError):
         exact_optimum(net, 7, {})
     with pytest.raises(InstanceTooLargeError):
-        exact_optimum(Network([(0, 0)]), 65, {(0, 0): 1})
+        exact_optimum(Network([(q, 0) for q in range(9)]), 65, {})
     with pytest.raises(InstanceTooLargeError):
         exhaustive_oracle(Network([(q, 0) for q in range(5)]), 2, {})
+    # up to 8 cells omega is uncapped, for the CLI and the library alike
+    path8 = Network([(q, 0) for q in range(8)])
+    assert exact_optimum(path8, 65, {c: 65 for c in path8.cells}).total == 4 * 65
+    assert phase_ratios(fig2_adversary(84), caco_algorithm) == [Fraction(7, 3), Fraction(7, 3)]
 
 
 def test_oracle_single_cell():

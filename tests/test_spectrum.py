@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from cellcall.hexnet import Color, Network, flower_network
 from cellcall.spectrum import (
     AssignmentState,
-    Direction,
     FrequencyConflictError,
     PartitionError,
     make_partition_caco,
@@ -105,7 +104,7 @@ def test_first_available_skips_neighbor_usage():
 def test_first_available_descending():
     net = flower_network()
     state = AssignmentState(net, 6)
-    assert state.first_available((0, 0), range(4, 7), Direction.TOP_TO_BOTTOM) == 6
+    assert state.first_available((0, 0), range(4, 7)[::-1]) == 6
 
 
 def test_first_available_none_when_exhausted():
@@ -174,6 +173,6 @@ def test_first_available_matches_exhaustive_scan(ops, lo, hi):
     for cell in cells:
         avail = [f for f in rng if state.is_available(cell, f)]
         assert state.first_available(cell, rng) == (min(avail) if avail else None)
-        assert state.first_available(cell, rng, Direction.TOP_TO_BOTTOM) == (
+        assert state.first_available(cell, rng[::-1]) == (
             max(avail) if avail else None
         )
