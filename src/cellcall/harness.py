@@ -13,14 +13,7 @@ from typing import Optional, Union
 from . import __version__
 from .adversary import make_adversary, run_duel
 from .hexnet import Cell, Network, color_of
-from .ledger import (
-    Caco2Certificate,
-    CacoCertificate,
-    RatioReport,
-    caco2_certificate,
-    caco_certificate,
-    ratio_report,
-)
+from .ledger import Certificate, RatioReport, caco2_certificate, caco_certificate, ratio_report
 from .offline import InstanceTooLargeError, exact_optimum
 from .online import RunTrace, make_algorithm, run_sequence
 
@@ -160,8 +153,7 @@ class RunReport:
     total_accepted: int
     total_opt: Optional[int]
     ratio: Optional[RatioReport]
-    certificate: Optional[Union[CacoCertificate, Caco2Certificate]] = None
-    certificate_kind: Optional[str] = None
+    certificate: Optional[Certificate] = None
     flagged_cells: tuple = ()
     version: str = __version__
     error: Optional[str] = None
@@ -169,20 +161,17 @@ class RunReport:
     @property
     def certificate_ok(self) -> bool:
         """True when no requested check failed (uncovered cases are tolerated)."""
-        if self.certificate is None:
-            return True
-        if isinstance(self.certificate, Caco2Certificate):
-            return self.certificate.status in ("pass", "uncovered")
-        return self.certificate.passed
+        return self.certificate is None or self.certificate.status != "fail"
 
 
-def _certificate_for(trace: RunTrace, opt, omega: int):
-    # by resolved name, so "partition:2:1" (which builds caco) is certified too
+def _certificate_for(trace: RunTrace, opt, omega: int) -> Optional[Certificate]:
+    # by resolved name, so "partition:2:1" (which builds caco) is certified too;
+    # called through this module's globals, which perfbench/tracing.py rebinds
     if trace.algorithm == "caco":
-        return "caco", caco_certificate(trace, opt, omega)
+        return caco_certificate(trace, opt, omega)
     if trace.algorithm == "caco2":
-        return "caco2", caco2_certificate(trace, opt, omega)
-    return None, None
+        return caco2_certificate(trace, opt, omega)
+    return None
 
 
 def run_experiment(config: ScenarioConfig) -> RunReport:
@@ -206,9 +195,9 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
         except InstanceTooLargeError as exc:
             error = f"optimum not computed: {exc}"
 
-    certificate = kind = None
+    certificate = None
     if config.verify_certificate and opt is not None:
-        kind, certificate = _certificate_for(trace, opt, config.omega)
+        certificate = _certificate_for(trace, opt, config.omega)
 
     rows = []
     for cell in sorted(network.cells):
@@ -232,7 +221,6 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
         total_opt=opt.total if opt is not None else None,
         ratio=ratio_report(trace, opt) if opt is not None else None,
         certificate=certificate,
-        certificate_kind=kind,
         flagged_cells=trace.flagged_cells,
         error=error,
     )
@@ -275,10 +263,11 @@ def emit_report(report: RunReport, fmt: str = "text") -> str:
     cert = report.certificate
     if cert is not None:
         lines.append("")
-        lines.append(f"certificate ({report.certificate_kind}):")
+        lines.append(f"certificate ({cert.kind}):")
         for check in cert.checks:
             lines.append(f"  {check}")
-        if isinstance(cert, Caco2Certificate):
+        # a caco verdict is just its checks; a caco2 verdict may be "uncovered"
+        if cert.kind == "caco2":
             lines.append(f"  status: {cert.status}")
             for cell, reason in cert.uncovered:
                 lines.append(f"  uncovered: {cell} ({reason})")

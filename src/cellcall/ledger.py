@@ -4,7 +4,7 @@ arithmetic; floats appear only in decimal renderings."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -38,83 +38,53 @@ class CheckResult:
         return f"{self.name}: {status}{extra}{cells}"
 
 
-def _require_same_network(trace: RunTrace, opt: OptimumWitness) -> None:
+@dataclass
+class Certificate:
+    """The amortized ledger of one run, shared by the 7/3 and 9/4 proofs.
+
+    Donor cells are charged B = floor * O; every other cell is charged its own
+    A plus the credits h[(giver, receiver)] it receives. The run is certified
+    when sum B <= sum A and O <= B / floor at every cell, along with the
+    preconditions of its proof.
+    """
+
+    kind: str  # "caco" or "caco2"
+    omega: int
+    donors: frozenset  # cells charged floor * O
+    b_values: dict  # Cell -> Fraction
+    h_values: dict  # (Cell, Cell) -> Fraction, giver -> receiver
+    checks: list
+    uncovered: list  # (cell, reason) the proof's case tree does not cover
+
+    @property
+    def status(self) -> str:
+        """The verdict: "fail" if a global check fails, else "uncovered" if a
+        case is uncovered, else "pass" when every check passes and "fail" if not."""
+        if not all(c.passed for c in self.checks if c.name.startswith("global_")):
+            return "fail"
+        if self.uncovered:
+            return "uncovered"
+        return "pass" if all(c.passed for c in self.checks) else "fail"
+
+
+def _tallies(trace: RunTrace, opt: OptimumWitness) -> tuple:
+    """Sorted cells, O and A per cell, of a trace and a witness over the same cells."""
     if set(opt.per_cell) != set(trace.network.cells):
         raise NetworkMismatchError(
             "trace and optimum cover different cell sets: "
             f"{sorted(trace.network.cells)} vs {sorted(opt.per_cell)}"
         )
+    cells = trace.network.sorted_cells()
+    return cells, {c: opt.per_cell[c] for c in cells}, {c: trace.accepted_at(c) for c in cells}
 
 
-@dataclass
-class CacoCertificate:
-    omega: int
-    classification: dict  # Cell -> "safe" | "dangerous"
-    b_values: dict  # Cell -> Fraction
-    checks: list
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def caco_certificate(trace: RunTrace, opt: OptimumWitness, omega: int) -> CacoCertificate:
-    """Evaluate the safe/dangerous amortization of a 2:2:2:1 partition run.
-
-    Checks: (a) safe cells accept at least 3O/7; (b) dangerous cells are
-    pairwise non-adjacent and safe cells have at most 3 dangerous neighbors;
-    (c) every rejecting cell's shared-set usage, own plus neighbors, covers
-    the whole shared range; (d) the amortized total never exceeds the real
-    total; (e) per-cell O <= 7/3 * B, with B = 0 forcing O = 0.
-    """
-    _require_same_network(trace, opt)
-    net = trace.network
-    cells = net.sorted_cells()
-    O = {c: opt.per_cell[c] for c in cells}
-    A = {c: trace.accepted_at(c) for c in cells}
-    A_S = {c: trace.shared_accepted_at(c) for c in cells}
-
-    classification = {
-        c: "safe" if 3 * O[c] <= 2 * omega else "dangerous" for c in cells
-    }
-    b = {}
-    for c in cells:
-        if classification[c] == "safe":
-            b[c] = Fraction(3 * O[c], 7)
-        else:
-            b[c] = A[c] + sum(
-                (Fraction(A[k]) - Fraction(3 * O[k], 7)) / 3 for k in net.neighbors(c)
-            )
-
-    checks = []
-
-    bad = tuple(c for c in cells if classification[c] == "safe" and 7 * A[c] < 3 * O[c])
-    checks.append(CheckResult("safe_cell_floor", not bad, bad))
-
-    adj_dangerous = tuple(
-        u
-        for u in cells
-        if classification[u] == "dangerous"
-        and any(classification[v] == "dangerous" for v in net.neighbors(u))
-    )
-    crowded = tuple(
-        u
-        for u in cells
-        if classification[u] == "safe"
-        and sum(1 for v in net.neighbors(u) if classification[v] == "dangerous") > 3
-    )
-    checks.append(
-        CheckResult("dangerous_separation", not (adj_dangerous or crowded), adj_dangerous + crowded)
-    )
-
-    rejecting = sorted(trace.rejecting_cells())
-    bad = tuple(
-        c
-        for c in rejecting
-        if 7 * (A_S[c] + sum(A_S[k] for k in net.neighbors(c))) < omega
-    )
-    checks.append(CheckResult("shared_exhaustion_at_rejection", not bad, bad))
-
+def _balance(cells, O, A, donors, h, floor: Fraction, checks: list) -> dict:
+    """B per cell, appending the amortized_total and per-cell ratio checks for
+    `floor` (3/7 checks the 7/3 ratio, 4/9 the 9/4 ratio)."""
+    received = dict.fromkeys(cells, 0)
+    for (_, receiver), amount in h.items():
+        received[receiver] += amount
+    b = {c: floor * O[c] if c in donors else A[c] + received[c] for c in cells}
     total_b = sum(b.values())
     total_a = sum(A.values())
     checks.append(
@@ -124,55 +94,83 @@ def caco_certificate(trace: RunTrace, opt: OptimumWitness, omega: int) -> CacoCe
             detail=f"sum B = {total_b}, sum A = {total_a}",
         )
     )
+    # O <= B / floor, and B = 0 forces O = 0
+    bad = tuple(c for c in cells if (O[c] > 0 if b[c] == 0 else floor * O[c] > b[c]))
+    name = f"per_cell_ratio_{floor.denominator}_{floor.numerator}"
+    checks.append(CheckResult(name, not bad, bad))
+    return b
 
-    bad = tuple(
-        c for c in cells if (O[c] > 0 if b[c] == 0 else 3 * O[c] > 7 * b[c])
+
+def caco_certificate(trace: RunTrace, opt: OptimumWitness, omega: int) -> Certificate:
+    """Evaluate the safe/dangerous amortization of a 2:2:2:1 partition run.
+
+    The donors are the safe cells, O <= 2*omega/3; each dangerous cell is
+    credited (A_k - 3O_k/7)/3 by every neighbor k, which may be negative.
+    Checks: (a) safe cells accept at least 3O/7; (b) dangerous cells are
+    pairwise non-adjacent and safe cells have at most 3 dangerous neighbors;
+    (c) every rejecting cell's shared-set usage, own plus neighbors, covers
+    the whole shared range; (d) the amortized total never exceeds the real
+    total; (e) per-cell O <= 7/3 * B, with B = 0 forcing O = 0.
+    """
+    cells, O, A = _tallies(trace, opt)
+    net = trace.network
+    floor = Fraction(3, 7)
+    donors = frozenset(c for c in cells if 3 * O[c] <= 2 * omega)
+    h = {
+        (k, c): (A[k] - floor * O[k]) / 3
+        for c in cells
+        if c not in donors
+        for k in net.neighbors(c)
+    }
+
+    checks = []
+
+    bad = tuple(c for c in cells if c in donors and 7 * A[c] < 3 * O[c])
+    checks.append(CheckResult("safe_cell_floor", not bad, bad))
+
+    adj_dangerous = tuple(
+        u
+        for u in cells
+        if u not in donors and any(v not in donors for v in net.neighbors(u))
     )
-    checks.append(CheckResult("per_cell_ratio_7_3", not bad, bad))
+    crowded = tuple(
+        u
+        for u in cells
+        if u in donors and sum(1 for v in net.neighbors(u) if v not in donors) > 3
+    )
+    checks.append(
+        CheckResult("dangerous_separation", not (adj_dangerous or crowded), adj_dangerous + crowded)
+    )
 
-    return CacoCertificate(omega, classification, b, checks)
+    A_S = {c: trace.shared_accepted_at(c) for c in cells}
+    bad = tuple(
+        c
+        for c in sorted(trace.rejecting_cells())
+        if 7 * (A_S[c] + sum(A_S[k] for k in net.neighbors(c))) < omega
+    )
+    checks.append(CheckResult("shared_exhaustion_at_rejection", not bad, bad))
 
-
-@dataclass
-class Caco2Certificate:
-    omega: int
-    h_values: dict  # (Cell, Cell) -> Fraction, donor -> receiver
-    b_values: dict  # Cell -> Fraction
-    checks: list
-    uncovered: list = field(default_factory=list)  # (cell, reason)
-    flagged_cells: tuple = ()  # structure-A cells with fewer than 3 neighbors
-
-    @property
-    def status(self) -> str:
-        global_ok = all(c.passed for c in self.checks if c.name == "global_ratio_9_4")
-        if not global_ok:
-            return "fail"
-        if self.uncovered:
-            return "uncovered"
-        return "pass" if all(c.passed for c in self.checks) else "fail"
+    b = _balance(cells, O, A, donors, h, floor, checks)
+    return Certificate("caco", omega, donors, b, h, checks, [])
 
 
-def caco2_certificate(trace: RunTrace, opt: OptimumWitness, omega: int) -> Caco2Certificate:
+def caco2_certificate(trace: RunTrace, opt: OptimumWitness, omega: int) -> Certificate:
     """Evaluate the compensation accounting of a thirds-partition run.
 
-    Cells with A >= 4O/9 donate their surplus along the proof's case tree;
-    cells the tree does not cover for the given optimum witness are reported
-    as uncovered rather than guessed. The global 9/4 ratio check is
-    independent of the case tree and always enforced.
+    The donors are the cells with A >= 4O/9; each donates its surplus along
+    the proof's case tree. Cells the tree does not cover for the given
+    optimum witness are reported as uncovered rather than guessed. The global
+    9/4 ratio check is independent of the case tree and always enforced.
     """
-    _require_same_network(trace, opt)
+    cells, O, A = _tallies(trace, opt)
     net = trace.network
     if not is_triangle_free(net):
         raise NotTriangleFreeError("caco2 certificate requires a triangle-free network")
-    cells = net.sorted_cells()
-    O = {c: opt.per_cell[c] for c in cells}
-    A = {c: trace.accepted_at(c) for c in cells}
-    surplus = {c: 9 * A[c] >= 4 * O[c] for c in cells}
-    configs = {c: classify_neighbor_config(net, c) for c in cells}
+    floor = Fraction(4, 9)
+    donors = frozenset(c for c in cells if 9 * A[c] >= 4 * O[c])
 
     h: dict = {}
     uncovered: list = []
-    flagged = []
 
     def credit(i: Cell, j: Cell, amount: Fraction) -> None:
         # each branch below credits a surplus donor's spare, a deficient
@@ -182,15 +180,13 @@ def caco2_certificate(trace: RunTrace, opt: OptimumWitness, omega: int) -> Caco2
             h[(i, j)] = h.get((i, j), Fraction(0)) + amount
 
     for i in cells:
-        if not surplus[i]:
+        if i not in donors:
             continue
-        spare = Fraction(A[i]) - Fraction(4 * O[i], 9)
-        config = configs[i]
+        spare = A[i] - floor * O[i]
+        config = classify_neighbor_config(net, i)
         if isinstance(config, Isolated):
             continue
         if isinstance(config, StructureA):
-            if config.k < 3:
-                flagged.append(i)
             for j in net.neighbors(i):
                 credit(i, j, spare / config.k)
             continue
@@ -203,54 +199,33 @@ def caco2_certificate(trace: RunTrace, opt: OptimumWitness, omega: int) -> Caco2
             uncovered.append((i, "structure B without both successor colors"))
             continue
         if 3 * A[i] > omega:
-            if not surplus[cj]:
-                credit(i, cj, Fraction(4 * O[cj], 9) - A[cj])
-                if not surplus[ck]:
+            if cj not in donors:
+                credit(i, cj, floor * O[cj] - A[cj])
+                if ck not in donors:
                     credit(i, ck, Fraction(omega, 9))
-            elif not surplus[ck]:
+            elif ck not in donors:
                 credit(i, ck, spare)
         else:
-            if not surplus[ck]:
+            if ck not in donors:
                 credit(i, ck, spare)
-
-    b = {}
-    for i in cells:
-        if surplus[i]:
-            b[i] = Fraction(4 * O[i], 9)
-        else:
-            b[i] = A[i] + sum(v for (d, r), v in h.items() if r == i)
 
     checks = []
 
-    over_budget = tuple(
-        i
-        for i in cells
-        if surplus[i]
-        and Fraction(4 * O[i], 9) + sum(v for (d, r), v in h.items() if d == i) > A[i]
-    )
+    given = dict.fromkeys(cells, 0)
+    for (giver, _), amount in h.items():
+        given[giver] += amount
+    over_budget = tuple(i for i in cells if i in donors and floor * O[i] + given[i] > A[i])
     for i in over_budget:
         uncovered.append((i, "compensation exceeds the donor's budget"))
     checks.append(CheckResult("donor_budget", not over_budget, over_budget))
 
-    total_b = sum(b.values())
-    total_a = sum(A.values())
-    checks.append(
-        CheckResult(
-            "amortized_total",
-            total_b <= total_a,
-            detail=f"sum B = {total_b}, sum A = {total_a}",
-        )
-    )
-
-    bad = tuple(
-        i for i in cells if (O[i] > 0 if b[i] == 0 else 4 * O[i] > 9 * b[i])
-    )
-    for i in bad:
-        if not surplus[i]:
+    b = _balance(cells, O, A, donors, h, floor, checks)
+    for i in checks[-1].failing_cells:  # per_cell_ratio_9_4
+        if i not in donors:
             uncovered.append((i, "compensation left the cell below 4O/9"))
-    checks.append(CheckResult("per_cell_ratio_9_4", not bad, bad))
 
     total_o = sum(O.values())
+    total_a = sum(A.values())
     global_ok = 4 * total_o <= 9 * total_a or (total_a == 0 and total_o == 0)
     checks.append(
         CheckResult(
@@ -260,9 +235,7 @@ def caco2_certificate(trace: RunTrace, opt: OptimumWitness, omega: int) -> Caco2
         )
     )
 
-    return Caco2Certificate(
-        omega, h, b, checks, uncovered=sorted(set(uncovered)), flagged_cells=tuple(flagged)
-    )
+    return Certificate("caco2", omega, donors, b, h, checks, sorted(set(uncovered)))
 
 
 @dataclass
@@ -270,10 +243,6 @@ class RatioReport:
     opt_total: int
     alg_total: int
     ratio: Optional[Fraction]  # None means infinite
-
-    @property
-    def infinite(self) -> bool:
-        return self.ratio is None
 
     def render(self) -> str:
         if self.ratio is None:

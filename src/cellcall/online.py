@@ -150,7 +150,7 @@ class PartitionReserveAlgorithm(ScanAlgorithm):
         self.partition = part = make_partition_family(omega, x_share, y_share)
         self.name = "caco" if (x_share, y_share) == (2, 1) else f"partition:{x_share}:{y_share}"
         shared = (part.shared,) if part.shared is not None else ()
-        by_color = {color: (part.range_for(color),) + shared for color in Color}
+        by_color = {color: (part.ranges[color],) + shared for color in Color}
         self.scans = {c: by_color[color_of(c)] for c in network.cells}
 
     def decide(self, state: AssignmentState, cell: Cell) -> Outcome:
@@ -204,15 +204,15 @@ class Caco2Algorithm(ScanAlgorithm):
         if isinstance(config, Isolated):
             return (range(1, self.omega + 1),)
         x = color_of(cell)
-        own = self.partition.range_for(x)
+        own = self.partition.ranges[x]
         if isinstance(config, StructureA) and config.k >= 2:
             y = config.neighbor_color
             z = next(c for c in Color if c not in (x, y))
-            overflow = self.partition.range_for(z)
+            overflow = self.partition.ranges[z]
             return (own, overflow if x.successor is y else overflow[::-1])
         # Structure B, and single-neighbor cells treated the same way:
         # overflow into the successor color's range, top-to-bottom.
-        return (own, self.partition.range_for(x.successor)[::-1])
+        return (own, self.partition.ranges[x.successor][::-1])
 
 
 _SELECTOR_INT = re.compile(r"-?[0-9]+")

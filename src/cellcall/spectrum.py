@@ -24,15 +24,6 @@ class FrequencyPartition:
     ranges: dict  # Color -> range, 1-based
     shared: Optional[range] = None
 
-    def range_for(self, color: Color) -> range:
-        return self.ranges[color]
-
-    def all_named(self) -> list[tuple[str, range]]:
-        named = [(c.value, r) for c, r in self.ranges.items()]
-        if self.shared is not None:
-            named.append(("S", self.shared))
-        return named
-
 
 def make_partition_family(omega: int, x_share: int, y_share: int) -> FrequencyPartition:
     """Per-color ranges of x parts each plus a shared range of y parts (ratio x:x:x:y)."""
@@ -53,11 +44,6 @@ def make_partition_family(omega: int, x_share: int, y_share: int) -> FrequencyPa
         lo += per_color
     shared = range(lo, omega + 1) if y_share else None
     return FrequencyPartition(omega=omega, ranges=ranges, shared=shared)
-
-
-def make_partition_caco(omega: int) -> FrequencyPartition:
-    """The 2:2:2:1 split; requires omega divisible by 7."""
-    return make_partition_family(omega, 2, 1)
 
 
 def make_partition_caco2(omega: int) -> FrequencyPartition:

@@ -176,7 +176,7 @@ def test_criterion_5_certificates(announce, caco_sweep, caco2_sweep):
     ok = True
     for inst in caco_sweep[0]:
         cert = caco_certificate(inst.trace, inst.opt, inst.omega)
-        ok = ok and cert.passed and len(cert.checks) == 5
+        ok = ok and cert.status == "pass" and len(cert.checks) == 5
     uncovered = 0
     for inst in caco2_sweep[0]:
         cert = caco2_certificate(inst.trace, inst.opt, inst.omega)

@@ -25,7 +25,7 @@ from cellcall.harness import (
     run_experiment,
     sweep,
 )
-from cellcall.ledger import CheckResult
+from cellcall.ledger import Certificate, CheckResult
 from cellcall.offline import OptimumWitness
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -192,7 +192,7 @@ def test_certificate_by_resolved_name():
     config = replace(load_scenario(SCENARIOS / "fig2_caco.json"), algorithm="partition:2:1")
     report = run_experiment(config)
     assert report.algorithm == "caco"
-    assert report.certificate_kind == "caco" and report.certificate.passed
+    assert report.certificate.kind == "caco" and report.certificate.status == "pass"
 
 
 def _too_large_scenario(tmp_path):
@@ -215,7 +215,7 @@ def test_fig2_experiment_report():
     assert report.total_accepted == 27
     assert report.total_opt == 63
     assert report.ratio.ratio == Fraction(7, 3)
-    assert report.certificate.passed
+    assert report.certificate.status == "pass"
 
 
 def test_fig3_experiment_report():
@@ -272,10 +272,9 @@ def test_failing_certificate_listed_in_text():
         total_accepted=0,
         total_opt=1,
         ratio=None,
-        certificate=type(
-            "FakeCert", (), {"checks": [CheckResult("per_cell_ratio_7_3", False, ((0, 0),))], "passed": False}
-        )(),
-        certificate_kind="caco",
+        certificate=Certificate(
+            "caco", 21, frozenset(), {}, {}, [CheckResult("per_cell_ratio_7_3", False, ((0, 0),))], []
+        ),
     )
     text = emit_report(report, "text")
     assert "per_cell_ratio_7_3: FAIL" in text

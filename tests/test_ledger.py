@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cellcall.adversary import STAR_CENTER, STAR_OUTER, fig2_adversary, fig3_adversary, run_duel
+from cellcall.harness import RunReport
 from cellcall.hexnet import AXIAL_DIRECTIONS, Network, color_of, hex_patch
 from cellcall.ledger import (
     NetworkMismatchError,
@@ -34,21 +35,21 @@ def test_fig2_certificate_values():
     trace = run_duel(scenario, lambda n, o: make_algorithm("caco", n, o))
     opt = exact_optimum(trace.network, 21, dict(trace.demands))
     cert = caco_certificate(trace, opt, 21)
-    assert cert.classification[STAR_CENTER] == "safe"
+    assert STAR_CENTER in cert.donors
     assert cert.b_values[STAR_CENTER] == 0
     for c in STAR_OUTER:
-        assert cert.classification[c] == "dangerous"
+        assert c not in cert.donors
         assert cert.b_values[c] == 9  # 6 + (9 - 0)/3
         assert Fraction(opt.per_cell[c]) / cert.b_values[c] == Fraction(7, 3)
     assert sum(cert.b_values.values()) == 27 == trace.total_accepted()
-    assert cert.passed
+    assert cert.status == "pass"
 
 
 def test_empty_sequence_vacuous_pass():
     net = Network([(0, 0), (1, 0)])
     trace, opt = caco_run(net, 21, [])
     cert = caco_certificate(trace, opt, 21)
-    assert cert.passed
+    assert cert.status == "pass"
     assert all(b == 0 for b in cert.b_values.values())
 
 
@@ -56,10 +57,10 @@ def test_single_cell_dangerous():
     net = Network([(0, 0)])
     trace, opt = caco_run(net, 21, [(0, 0)] * 21)
     cert = caco_certificate(trace, opt, 21)
-    assert cert.classification[(0, 0)] == "dangerous"  # O = 21 > 14
+    assert (0, 0) not in cert.donors  # O = 21 > 14
     assert trace.accepted_at((0, 0)) == 9  # 3*omega/7
     assert cert.b_values[(0, 0)] == 9
-    assert cert.passed
+    assert cert.status == "pass"
 
 
 def test_caco_certificate_random_sweep():
@@ -69,7 +70,7 @@ def test_caco_certificate_random_sweep():
         omega = rng.choice([7, 14, 21])
         trace, opt = caco_run(net, omega, random_requests(rng, net, rng.randint(0, 4 * omega)))
         cert = caco_certificate(trace, opt, omega)
-        assert cert.passed, [str(c) for c in cert.checks if not c.passed]
+        assert cert.status == "pass", [str(c) for c in cert.checks if not c.passed]
 
 
 def test_network_mismatch_rejected():
@@ -89,6 +90,58 @@ def test_tampered_optimum_fails_with_cell_named():
     failing = [c for c in cert.checks if not c.passed]
     assert failing
     assert any((0, 0) in c.failing_cells for c in failing)
+
+
+def assert_fails(cert, lines):
+    """The certificate prints exactly `lines`, fails, and fails its report."""
+    assert [str(c) for c in cert.checks] == lines
+    assert cert.status == "fail"
+    report = RunReport("tampered", cert.kind, cert.omega, [], 0, 0, None, None, certificate=cert)
+    assert not report.certificate_ok
+
+
+def test_safe_cell_floor_fails_on_tampered_optimum():
+    # O = 7 makes the cell safe (3*7 <= 2*21), yet it accepted 2 < 3O/7
+    net = Network([(0, 0)])
+    trace, _ = caco_run(net, 21, [(0, 0)] * 2)
+    cert = caco_certificate(trace, OptimumWitness(7, {(0, 0): 7}, {}), 21)
+    assert_fails(cert, [
+        "safe_cell_floor: FAIL at [(0, 0)]",
+        "dangerous_separation: pass",
+        "shared_exhaustion_at_rejection: pass",
+        "amortized_total: FAIL sum B = 3, sum A = 2",
+        "per_cell_ratio_7_3: pass",
+    ])
+
+
+def test_adjacent_dangerous_cells_fail_separation():
+    # O = 15 > 2*21/3 at both cells of an edge; each credits the other a
+    # negative (A_k - 3O_k/7)/3, and the amortized total goes negative
+    net = Network([(0, 0), (1, 0)])
+    trace, _ = caco_run(net, 21, [(0, 0), (0, 0), (1, 0)])
+    cert = caco_certificate(trace, OptimumWitness(30, {(0, 0): 15, (1, 0): 15}, {}), 21)
+    assert cert.h_values[((1, 0), (0, 0))] == Fraction(-38, 21)
+    assert_fails(cert, [
+        "safe_cell_floor: pass",
+        "dangerous_separation: FAIL at [(0, 0), (1, 0)]",
+        "shared_exhaustion_at_rejection: pass",
+        "amortized_total: pass sum B = -2/7, sum A = 3",
+        "per_cell_ratio_7_3: FAIL at [(0, 0), (1, 0)]",
+    ])
+
+
+def test_greedy_trace_fails_shared_exhaustion():
+    # greedy has no shared range, so a rejection finds none of it in use
+    net = Network([(0, 0)])
+    trace = run_sequence(make_algorithm("greedy", net, 7), net, 7, [(0, 0)] * 8)
+    opt = exact_optimum(net, 7, dict(trace.demands))
+    assert_fails(caco_certificate(trace, opt, 7), [
+        "safe_cell_floor: pass",
+        "dangerous_separation: pass",
+        "shared_exhaustion_at_rejection: FAIL at [(0, 0)]",
+        "amortized_total: pass sum B = 7, sum A = 7",
+        "per_cell_ratio_7_3: pass",
+    ])
 
 
 # caco2 certificates
@@ -171,6 +224,21 @@ def test_caco2_structure_b_overflow_credit_found_by_search():
     assert cert.status in ("pass", "uncovered")
 
 
+def test_donor_budget_fails_on_tampered_optimum():
+    # O = 30 at C_j makes its shortfall credit exceed the donor's spare
+    trace, opt, i, cj, ck = next(structure_b_overflow_runs(3))
+    per_cell = {**opt.per_cell, cj: 30}
+    cert = caco2_certificate(trace, OptimumWitness(sum(per_cell.values()), per_cell, opt.assignment), 3)
+    assert (i, cj) == ((0, 0), (1, 0))
+    assert cert.uncovered == [((0, 0), "compensation exceeds the donor's budget")]
+    assert_fails(cert, [
+        "donor_budget: FAIL at [(0, 0)]",
+        "amortized_total: FAIL sum B = 44/3, sum A = 4",
+        "per_cell_ratio_9_4: pass",
+        "global_ratio_9_4: FAIL sum O = 33, sum A = 4",
+    ])
+
+
 def test_caco2_certificate_requires_triangle_free():
     net = hex_patch(1)
     trace = run_sequence(make_algorithm("greedy", net, 9), net, 9, [])
@@ -182,9 +250,8 @@ def test_caco2_certificate_requires_triangle_free():
 
 def test_caco2_flags_degenerate_structure_cells():
     net = Network([(0, 0), (1, 0)])
-    trace, opt = caco2_run(net, 9, [(0, 0)] * 9 + [(1, 0)] * 9)
-    cert = caco2_certificate(trace, opt, 9)
-    assert cert.flagged_cells  # single-neighbor donors are flagged
+    trace, _ = caco2_run(net, 9, [(0, 0)] * 9 + [(1, 0)] * 9)
+    assert trace.flagged_cells == ((0, 0), (1, 0))  # single-neighbor cells are flagged
 
 
 # ratio report
@@ -210,7 +277,7 @@ def test_ratio_infinite():
     trace = run_sequence(make_algorithm("greedy", net, 3), net, 3, [])
     opt = OptimumWitness(5, {(0, 0): 5}, {(0, 0): frozenset({1, 2, 3, 4, 5})})
     report = ratio_report(trace, opt)
-    assert report.infinite
+    assert report.ratio is None
     assert report.render() == "inf"
 
 

@@ -6,47 +6,41 @@ from cellcall.spectrum import (
     AssignmentState,
     FrequencyConflictError,
     PartitionError,
-    make_partition_caco,
     make_partition_caco2,
     make_partition_family,
 )
 
 
-def ranges_of(p):
-    named = dict(p.all_named())
-    return named
-
-
 def test_caco_partition_omega_21():
-    p = make_partition_caco(21)
-    assert list(p.range_for(Color.R)) == list(range(1, 7))
-    assert list(p.range_for(Color.G)) == list(range(7, 13))
-    assert list(p.range_for(Color.B)) == list(range(13, 19))
+    p = make_partition_family(21, 2, 1)
+    assert list(p.ranges[Color.R]) == list(range(1, 7))
+    assert list(p.ranges[Color.G]) == list(range(7, 13))
+    assert list(p.ranges[Color.B]) == list(range(13, 19))
     assert list(p.shared) == [19, 20, 21]
 
 
 def test_caco_partition_smallest():
-    p = make_partition_caco(7)
-    assert list(p.range_for(Color.R)) == [1, 2]
+    p = make_partition_family(7, 2, 1)
+    assert list(p.ranges[Color.R]) == [1, 2]
     assert list(p.shared) == [7]
 
 
 def test_caco_partition_divisibility():
     with pytest.raises(PartitionError):
-        make_partition_caco(10)
+        make_partition_family(10, 2, 1)
 
 
 def test_caco2_partition_omega_9():
     p = make_partition_caco2(9)
-    assert list(p.range_for(Color.R)) == [1, 2, 3]
-    assert list(p.range_for(Color.G)) == [4, 5, 6]
-    assert list(p.range_for(Color.B)) == [7, 8, 9]
+    assert list(p.ranges[Color.R]) == [1, 2, 3]
+    assert list(p.ranges[Color.G]) == [4, 5, 6]
+    assert list(p.ranges[Color.B]) == [7, 8, 9]
     assert p.shared is None
 
 
 def test_caco2_partition_singletons():
     p = make_partition_caco2(3)
-    assert [len(p.range_for(c)) for c in Color] == [1, 1, 1]
+    assert [len(p.ranges[c]) for c in Color] == [1, 1, 1]
 
 
 def test_caco2_partition_divisibility():
@@ -56,8 +50,8 @@ def test_caco2_partition_divisibility():
 
 def test_partition_ratio_exact_up_to_10000():
     for omega in range(7, 10001, 7):
-        p = make_partition_caco(omega)
-        sizes = [len(p.range_for(c)) for c in Color] + [len(p.shared)]
+        p = make_partition_family(omega, 2, 1)
+        sizes = [len(p.ranges[c]) for c in Color] + [len(p.shared)]
         assert sizes == [2 * omega // 7] * 3 + [omega // 7]
         # disjoint cover of {1..omega}
         assert sum(sizes) == omega
@@ -66,7 +60,7 @@ def test_partition_ratio_exact_up_to_10000():
 def test_partition_ranges_disjoint_cover():
     p = make_partition_family(30, 3, 1)
     seen = set()
-    for _, rng in p.all_named():
+    for rng in [*p.ranges.values(), p.shared]:
         assert not (seen & set(rng))
         seen |= set(rng)
     assert seen == set(range(1, 31))
