@@ -67,7 +67,7 @@ def fig3_adversary(omega: int) -> AdversaryScenario:
     return AdversaryScenario("fig3", star_network(), omega, next_batch)
 
 
-def random_sequence(network: Network, omega: int, length: int, seed: int):
+def random_sequence(network: Network, length: int, seed: int):
     """Deterministic pseudo-random request list over the network's cells."""
     if length < 0:
         raise ValueError("length must be nonnegative")
@@ -86,7 +86,7 @@ def random_adversary(omega: int, seed: int, length: int, network: Optional[Netwo
     net = network if network is not None else flower_network()
 
     def next_batch(phase: int, counts: dict) -> Optional[list]:
-        return random_sequence(net, omega, length, seed) if phase == 0 else None
+        return random_sequence(net, length, seed) if phase == 0 else None
 
     return AdversaryScenario(f"random:{seed}:{length}", net, omega, next_batch)
 

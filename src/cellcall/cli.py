@@ -68,15 +68,10 @@ def run(scenario: str, out: str | None, fmt: str) -> None:
 @click.option("--adversary", required=True, help='"fig2", "fig3", or "random:<seed>:<length>"')
 @click.option("--alg", required=True, help='"greedy", "caco", "caco2", or "partition:<x>:<y>"')
 @click.option("--omega", required=True, type=int)
-@click.option("--seed", type=int, default=None, help='shorthand: turns "random" into "random:<seed>:<omega>"')
 @out_option
 @format_option
-def duel(adversary: str, alg: str, omega: int, seed: int | None, out: str | None, fmt: str) -> None:
+def duel(adversary: str, alg: str, omega: int, out: str | None, fmt: str) -> None:
     """Play an adversary against an online algorithm and report the exact ratio."""
-    if seed is not None:
-        if adversary != "random":
-            raise click.ClickException(f'--seed applies only to --adversary random, not {adversary!r}')
-        adversary = f"random:{seed}:{omega}"
     _finish(run_experiment(duel_config(adversary, alg, omega)), out, fmt)
 
 

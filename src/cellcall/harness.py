@@ -32,21 +32,6 @@ class ScenarioConfig:
     verify_certificate: bool = False
     compute_opt: bool = False
 
-    def to_jsonable(self) -> dict:
-        traffic = (
-            self.traffic
-            if isinstance(self.traffic, str)
-            else [list(c) for c in self.traffic]
-        )
-        return {
-            "omega": self.omega,
-            "cells": [list(c) for c in self.cells],
-            "algorithm": self.algorithm,
-            "traffic": traffic,
-            "verify_certificate": self.verify_certificate,
-            "compute_opt": self.compute_opt,
-        }
-
 
 def _is_int(value) -> bool:
     # JSON true/false load as bool, a subclass of int
@@ -112,26 +97,36 @@ def _adversary(selector: str, omega: int, network: Optional[Network] = None):
         raise ScenarioError(f"traffic selector {selector!r}: {exc}") from exc
 
 
-def validate_scenario(config: ScenarioConfig) -> None:
+def build_scenario(config: ScenarioConfig):
+    """Check a scenario and build what it runs: `(network, adversary, algorithm)`,
+    the adversary None for a request list. The only place a scenario is checked."""
     if config.omega <= 0:
         raise ScenarioError(f"omega must be a positive integer, got {config.omega!r}")
     network = Network(config.cells)
+    adversary = None
     if isinstance(config.traffic, str):
         # fig2 and fig3 run on their own star, so the scenario must list exactly its cells
-        scenario = _adversary(config.traffic, config.omega, network)
-        if scenario.network.cells != network.cells:
+        adversary = _adversary(config.traffic, config.omega, network)
+        if adversary.network.cells != network.cells:
             raise ScenarioError(
-                f"adversary {config.traffic!r} runs on cells {sorted(scenario.network.cells)}, "
+                f"adversary {config.traffic!r} runs on cells {sorted(adversary.network.cells)}, "
                 f"but the scenario lists cells {sorted(network.cells)}"
             )
+        network = adversary.network
     else:
         for i, cell in enumerate(config.traffic):
             if cell not in network:
                 raise ScenarioError(f"traffic request {i} at cell {cell} is outside the network")
     try:
-        make_algorithm(config.algorithm, network, config.omega)
+        algorithm = make_algorithm(config.algorithm, network, config.omega)
     except Exception as exc:
         raise ScenarioError(f"algorithm {config.algorithm!r}: {exc}") from exc
+    return network, adversary, algorithm
+
+
+def validate_scenario(config: ScenarioConfig) -> None:
+    """Raise `ScenarioError` if `config` cannot run."""
+    build_scenario(config)
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -155,7 +150,6 @@ class RunReport:
     ratio: Optional[RatioReport]
     certificate: Optional[Certificate] = None
     flagged_cells: tuple = ()
-    version: str = __version__
     error: Optional[str] = None
 
     @property
@@ -175,21 +169,14 @@ def _certificate_for(trace: RunTrace, opt, omega: int) -> Optional[Certificate]:
 
 
 def run_experiment(config: ScenarioConfig) -> RunReport:
-    network = Network(config.cells)
-    if isinstance(config.traffic, str):
-        scenario = make_adversary(config.traffic, config.omega, network)
-        trace = run_duel(
-            scenario, lambda net, om: make_algorithm(config.algorithm, net, om)
-        )
-        network = scenario.network
-        compute_opt = True  # adversary duels are small; the ratio is the point
+    network, adversary, algorithm = build_scenario(config)
+    if adversary is None:
+        trace = run_sequence(algorithm, network, config.omega, config.traffic)
     else:
-        alg = make_algorithm(config.algorithm, network, config.omega)
-        trace = run_sequence(alg, network, config.omega, config.traffic)
-        compute_opt = config.compute_opt or config.verify_certificate
+        trace = run_duel(adversary, lambda net, om: algorithm)
 
     opt = error = None
-    if compute_opt:
+    if config.compute_opt or config.verify_certificate:
         try:
             opt = exact_optimum(network, config.omega, dict(trace.demands))
         except InstanceTooLargeError as exc:
@@ -244,7 +231,7 @@ def emit_report(report: RunReport, fmt: str = "text") -> str:
         f"scenario: {report.scenario_id}",
         f"algorithm: {report.algorithm}",
         f"omega: {report.omega}",
-        f"suite: cellcall {report.version}",
+        f"suite: cellcall {__version__}",
         "",
         f"{'q':>4} {'r':>4} {'color':>5} {'demand':>6} {'online':>6} {'opt':>5}",
     ]
@@ -307,7 +294,6 @@ def sweep(template: ScenarioConfig, grid: dict) -> SweepSummary:
         ) + "]"
         try:
             config = replace(template, scenario_id=point_id, **overrides)
-            validate_scenario(config)
             reports.append(run_experiment(config))
         except Exception as exc:
             failures.append((point_id, str(exc)))
@@ -329,7 +315,7 @@ def duel_config(adversary: str, algorithm: str, omega: int) -> ScenarioConfig:
     optimum and the certificate requested; `run_experiment` checks a
     certificate only when the algorithm resolves to caco or caco2."""
     scenario = _adversary(adversary, omega)
-    config = ScenarioConfig(
+    return ScenarioConfig(
         scenario_id=f"duel:{adversary}:{algorithm}:{omega}",
         omega=omega,
         cells=tuple(scenario.network.sorted_cells()),
@@ -338,5 +324,3 @@ def duel_config(adversary: str, algorithm: str, omega: int) -> ScenarioConfig:
         verify_certificate=True,
         compute_opt=True,
     )
-    validate_scenario(config)
-    return config

@@ -115,8 +115,7 @@ class ScanAlgorithm:
     partition: Optional[FrequencyPartition] = None
     flagged_cells: tuple = ()  # degenerate neighbor configs, see caco2
 
-    def __init__(self, network: Network, omega: int):
-        self.network = network
+    def __init__(self, omega: int):
         self.omega = omega
 
     def decide(self, state: AssignmentState, cell: Cell) -> Outcome:
@@ -133,7 +132,7 @@ class GreedyAlgorithm(ScanAlgorithm):
     name = "greedy"
 
     def __init__(self, network: Network, omega: int):
-        super().__init__(network, omega)
+        super().__init__(omega)
         self.scans = dict.fromkeys(network.cells, (range(1, omega + 1),))
 
 
@@ -146,7 +145,7 @@ class PartitionReserveAlgorithm(ScanAlgorithm):
     """
 
     def __init__(self, network: Network, omega: int, x_share: int, y_share: int):
-        super().__init__(network, omega)
+        super().__init__(omega)
         self.partition = part = make_partition_family(omega, x_share, y_share)
         self.name = "caco" if (x_share, y_share) == (2, 1) else f"partition:{x_share}:{y_share}"
         shared = (part.shared,) if part.shared is not None else ()
@@ -192,7 +191,7 @@ class Caco2Algorithm(ScanAlgorithm):
     def __init__(self, network: Network, omega: int):
         if not is_triangle_free(network):
             raise NotTriangleFreeError("caco2 requires a triangle-free network")
-        super().__init__(network, omega)
+        super().__init__(omega)
         self.partition = make_partition_caco2(omega)
         configs = {c: classify_neighbor_config(network, c) for c in network.cells}
         self.scans = {c: self._scan_for(c, config) for c, config in configs.items()}

@@ -141,18 +141,18 @@ def test_phase_ratios_follow_ratio_report():
 
 
 def test_random_sequence_empty():
-    assert random_sequence(flower_network(), 7, 0, 1) == []
+    assert random_sequence(flower_network(), 0, 1) == []
 
 
 def test_random_sequence_deterministic():
     net = flower_network()
-    assert random_sequence(net, 7, 50, 9) == random_sequence(net, 7, 50, 9)
-    assert random_sequence(net, 7, 50, 9) != random_sequence(net, 7, 50, 10)
+    assert random_sequence(net, 50, 9) == random_sequence(net, 50, 9)
+    assert random_sequence(net, 50, 9) != random_sequence(net, 50, 10)
 
 
 def test_random_sequence_snapshot():
     # pinned on first run; guards the cross-version stability of seeding
-    seq = random_sequence(flower_network(), 7, 200, 12345)
+    seq = random_sequence(flower_network(), 200, 12345)
     digest = hashlib.sha256(json.dumps(seq).encode()).hexdigest()
     assert seq[:5] == [(0, -1), (-1, 0), (1, -1), (0, -1), (0, -1)]
     assert digest == "52baee002ad8e9c4a0280d4ac41761ec7eb4609043e4f5799d4bcfe09dcdefb7"
@@ -160,7 +160,7 @@ def test_random_sequence_snapshot():
 
 def test_random_sequence_negative_length():
     with pytest.raises(ValueError):
-        random_sequence(flower_network(), 7, -1, 0)
+        random_sequence(flower_network(), -1, 0)
 
 
 def test_duel_replay_identical():
@@ -184,7 +184,7 @@ def test_make_adversary_selectors():
 
 def test_random_adversary_single_batch():
     scenario = random_adversary(7, seed=1, length=10)
-    assert scenario.next_batch(0, {}) == random_sequence(flower_network(), 7, 10, 1)
+    assert scenario.next_batch(0, {}) == random_sequence(flower_network(), 10, 1)
     assert scenario.next_batch(1, {}) is None
 
 

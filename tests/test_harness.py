@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import shlex
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -36,13 +38,6 @@ def test_bundled_fig2_scenario_loads():
     assert config.omega == 21
     assert config.algorithm == "caco"
     assert config.traffic == "fig2"
-
-
-def test_scenario_roundtrip_all_bundled():
-    for path in sorted(SCENARIOS.glob("*.json")):
-        config = load_scenario(path)
-        again = parse_scenario(config.to_jsonable(), scenario_id=config.scenario_id)
-        assert again == config
 
 
 def test_request_at_absent_cell_named(tmp_path):
@@ -195,9 +190,10 @@ def test_certificate_by_resolved_name():
     assert report.certificate.kind == "caco" and report.certificate.status == "pass"
 
 
-def _too_large_scenario(tmp_path):
+def _too_large_scenario(tmp_path, **fields):
     cells = [list(c) for c in hex_patch(3).sorted_cells()]  # 37 cells, solver limit 12
     data = {"omega": 21, "cells": cells, "algorithm": "caco", "traffic": cells, "compute_opt": True}
+    data.update(fields)
     path = tmp_path / "big.json"
     path.write_text(json.dumps(data))
     return path
@@ -208,6 +204,20 @@ def test_optimum_past_solver_limit_named_in_report(tmp_path):
     assert report.total_opt is None and report.certificate is None
     assert "37 cells" in report.error
     assert "error: optimum not computed" in emit_report(report, "text")
+
+
+@pytest.mark.parametrize(
+    "fields", [{"algorithm": "nope"}, {"traffic": ((0, 0), (4, 4))}, {"traffic": "fig2"}]
+)
+def test_run_experiment_checks_unvalidated_config(fields):
+    flower = load_scenario(SCENARIOS / "flower_greedy_random.json")
+    config = replace(flower, **fields)
+    data = json.loads(json.dumps({k: v for k, v in vars(config).items() if k != "scenario_id"}))
+    with pytest.raises(ScenarioError) as parsed:
+        parse_scenario(data, scenario_id="x")
+    with pytest.raises(ScenarioError) as ran:
+        run_experiment(config)
+    assert str(ran.value) == str(parsed.value)
 
 
 def test_fig2_experiment_report():
@@ -363,6 +373,18 @@ def test_cli_optimum_past_solver_limit_exits_nonzero(tmp_path, command):
     assert "error: optimum not computed" in result.output
 
 
+@pytest.mark.parametrize("compute_opt", [False, True])
+def test_cli_run_honours_compute_opt_for_selector_traffic(tmp_path, compute_opt):
+    path = _too_large_scenario(tmp_path, traffic="random:1:500", compute_opt=compute_opt)
+    result = CliRunner().invoke(main, ["run", str(path)])
+    if compute_opt:
+        assert result.exit_code == 1
+        assert "error: optimum not computed" in result.output
+    else:
+        assert result.exit_code == 0, result.output
+        assert "opt=-" in result.output and "error:" not in result.output
+
+
 def test_cli_verify_tampered_optimum_fails(monkeypatch):
     exact_optimum = harness.exact_optimum
 
@@ -392,15 +414,38 @@ def test_cli_verify_uncovered_case_exits_zero(tmp_path):
     assert "  uncovered: (1, 0) (compensation left the cell below 4O/9)\n" in result.output
 
 
-def test_cli_readme_seed_shorthand_is_random_selector():
-    def duel(adversary, *extra):
-        return CliRunner().invoke(
-            main, ["duel", "--adversary", adversary, *extra, "--alg", "greedy", "--omega", "21"]
-        )
+def test_cli_readme_commands_exit_zero(tmp_path, monkeypatch):
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("cellcall ")
+    ]
+    assert len(commands) == 6
+    monkeypatch.chdir(SCENARIOS.parent)
+    for command in commands:
+        args = command[1:]
+        if "--out" in args:
+            i = args.index("--out") + 1
+            args[i] = str(tmp_path / args[i])
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, (command, result.output)
 
-    shorthand = duel("random", "--seed", "7")
-    assert shorthand.exit_code == 0, shorthand.output
-    assert shorthand.output == duel("random:7:21").output
+
+def test_cli_duel_builds_algorithm_once(monkeypatch):
+    calls = Counter()
+    for name in ("make_algorithm", "make_adversary"):
+        def counted(*args, real=getattr(harness, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(harness, name, counted)
+    result = CliRunner().invoke(
+        main, ["duel", "--adversary", "fig2", "--alg", "caco", "--omega", "21"]
+    )
+    assert result.exit_code == 0, result.output
+    assert calls["make_algorithm"] == 1 and calls["make_adversary"] <= 2
 
 
 def test_cli_unknown_adversary():
@@ -429,7 +474,7 @@ def test_cli_duel_certificate_by_resolved_name():
         ["duel", "--adversary", "fig2", "--alg", "greedy", "--omega", "-7"],
         ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "omega=abc"],
         ["duel", "--adversary", "fig2", "--seed", "5", "--alg", "greedy", "--omega", "21"],
-        ["duel", "--adversary", "random:1:10", "--seed", "5", "--alg", "greedy", "--omega", "21"],
+        ["duel", "--adversary", "random", "--seed", "5", "--alg", "greedy", "--omega", "21"],
         ["duel", "--adversary", "random:+3:20", "--alg", "greedy", "--omega", "21"],
         ["duel", "--adversary", "fig2", "--alg", "partition: 2:1", "--omega", "21"],
         ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "omega"],
