@@ -158,13 +158,13 @@ class RunReport:
         return self.certificate is None or self.certificate.status != "fail"
 
 
-def _certificate_for(trace: RunTrace, opt, omega: int) -> Optional[Certificate]:
+def _certificate_for(trace: RunTrace, opt) -> Optional[Certificate]:
     # by resolved name, so "partition:2:1" (which builds caco) is certified too;
     # called through this module's globals, which perfbench/tracing.py rebinds
     if trace.algorithm == "caco":
-        return caco_certificate(trace, opt, omega)
+        return caco_certificate(trace, opt)
     if trace.algorithm == "caco2":
-        return caco2_certificate(trace, opt, omega)
+        return caco2_certificate(trace, opt)
     return None
 
 
@@ -184,7 +184,7 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
 
     certificate = None
     if config.verify_certificate and opt is not None:
-        certificate = _certificate_for(trace, opt, config.omega)
+        certificate = _certificate_for(trace, opt)
 
     rows = []
     for cell in sorted(network.cells):

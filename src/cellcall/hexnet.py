@@ -1,10 +1,9 @@
-"""Finite hexagonal-grid topology: axial coordinates, 3-coloring, neighbor structures."""
+"""Finite hexagonal-grid topology: axial coordinates, 3-coloring, neighbor split by color."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 Cell = Tuple[int, int]  # axial (q, r)
 
@@ -145,47 +144,24 @@ def is_triangle_free(network: Network) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Isolated:
-    pass
+class NeighborConfig(NamedTuple):
+    """A cell's neighbors split by color, relative to the cell's own color X:
+    `successors` have color X.successor, `predecessors` X.predecessor, each
+    sorted. Isolated: both empty. Structure A (every neighbor one color): one
+    empty, k the size of the other. Structure B: one cell in each.
+    """
 
-
-@dataclass(frozen=True)
-class StructureA:
-    """All neighbors share one base color (differing from the cell's own)."""
-
-    neighbor_color: Color
-    k: int  # neighbor count, 1..3 in triangle-free networks
-
-
-@dataclass(frozen=True)
-class StructureB:
-    """Exactly two neighbors, of two distinct base colors."""
-
-    color1: Color
-    color2: Color
-
-
-@dataclass(frozen=True)
-class General:
-    """Anything else; only occurs in non-triangle-free networks."""
-
-    degree: int
-
-
-NeighborConfig = Isolated | StructureA | StructureB | General
+    successors: tuple[Cell, ...]
+    predecessors: tuple[Cell, ...]
 
 
 def classify_neighbor_config(network: Network, cell: Cell) -> NeighborConfig:
+    x = color_of(cell)
     nbrs = network.neighbors(cell)
-    if not nbrs:
-        return Isolated()
-    colors = sorted({color_of(n) for n in nbrs}, key=lambda c: c.value)
-    if len(colors) == 1:
-        return StructureA(neighbor_color=colors[0], k=len(nbrs))
-    if len(nbrs) == 2:
-        return StructureB(color1=colors[0], color2=colors[1])
-    return General(degree=len(nbrs))
+    return NeighborConfig(
+        tuple(n for n in nbrs if color_of(n) is x.successor),
+        tuple(n for n in nbrs if color_of(n) is x.predecessor),
+    )
 
 
 def hex_patch(radius: int, center: Cell = (0, 0)) -> Network:

@@ -8,16 +8,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .hexnet import (
-    Cell,
-    Isolated,
-    StructureA,
-    classify_neighbor_config,
-    color_of,
-    is_triangle_free,
-)
+from .hexnet import Cell, classify_neighbor_config
 from .offline import OptimumWitness
-from .online import NotTriangleFreeError, RunTrace
+from .online import RunTrace, require_triangle_free_hex
 
 
 class NetworkMismatchError(ValueError):
@@ -49,7 +42,6 @@ class Certificate:
     """
 
     kind: str  # "caco" or "caco2"
-    omega: int
     donors: frozenset  # cells charged floor * O
     b_values: dict  # Cell -> Fraction
     h_values: dict  # (Cell, Cell) -> Fraction, giver -> receiver
@@ -101,7 +93,7 @@ def _balance(cells, O, A, donors, h, floor: Fraction, checks: list) -> dict:
     return b
 
 
-def caco_certificate(trace: RunTrace, opt: OptimumWitness, omega: int) -> Certificate:
+def caco_certificate(trace: RunTrace, opt: OptimumWitness) -> Certificate:
     """Evaluate the safe/dangerous amortization of a 2:2:2:1 partition run.
 
     The donors are the safe cells, O <= 2*omega/3; each dangerous cell is
@@ -113,7 +105,7 @@ def caco_certificate(trace: RunTrace, opt: OptimumWitness, omega: int) -> Certif
     total; (e) per-cell O <= 7/3 * B, with B = 0 forcing O = 0.
     """
     cells, O, A = _tallies(trace, opt)
-    net = trace.network
+    net, omega = trace.network, trace.omega
     floor = Fraction(3, 7)
     donors = frozenset(c for c in cells if 3 * O[c] <= 2 * omega)
     h = {
@@ -151,10 +143,10 @@ def caco_certificate(trace: RunTrace, opt: OptimumWitness, omega: int) -> Certif
     checks.append(CheckResult("shared_exhaustion_at_rejection", not bad, bad))
 
     b = _balance(cells, O, A, donors, h, floor, checks)
-    return Certificate("caco", omega, donors, b, h, checks, [])
+    return Certificate("caco", donors, b, h, checks, [])
 
 
-def caco2_certificate(trace: RunTrace, opt: OptimumWitness, omega: int) -> Certificate:
+def caco2_certificate(trace: RunTrace, opt: OptimumWitness) -> Certificate:
     """Evaluate the compensation accounting of a thirds-partition run.
 
     The donors are the cells with A >= 4O/9; each donates its surplus along
@@ -163,9 +155,8 @@ def caco2_certificate(trace: RunTrace, opt: OptimumWitness, omega: int) -> Certi
     9/4 ratio check is independent of the case tree and always enforced.
     """
     cells, O, A = _tallies(trace, opt)
-    net = trace.network
-    if not is_triangle_free(net):
-        raise NotTriangleFreeError("caco2 certificate requires a triangle-free network")
+    net, omega = trace.network, trace.omega
+    require_triangle_free_hex(net)
     floor = Fraction(4, 9)
     donors = frozenset(c for c in cells if 9 * A[c] >= 4 * O[c])
 
@@ -183,21 +174,14 @@ def caco2_certificate(trace: RunTrace, opt: OptimumWitness, omega: int) -> Certi
         if i not in donors:
             continue
         spare = A[i] - floor * O[i]
-        config = classify_neighbor_config(net, i)
-        if isinstance(config, Isolated):
+        succ, pred = classify_neighbor_config(net, i)
+        if not (succ and pred):
+            # structure A: each of the k neighbors gets spare/k; isolated: nothing
+            for j in succ + pred:
+                credit(i, j, spare / len(succ + pred))
             continue
-        if isinstance(config, StructureA):
-            for j in net.neighbors(i):
-                credit(i, j, spare / config.k)
-            continue
-        # structure B: relabel so C_j carries the successor color of i
-        x = color_of(i)
-        nbrs = net.neighbors(i)
-        cj = next((n for n in nbrs if color_of(n) is x.successor), None)
-        ck = next((n for n in nbrs if color_of(n) is x.predecessor), None)
-        if cj is None or ck is None:
-            uncovered.append((i, "structure B without both successor colors"))
-            continue
+        # structure B: C_j has the successor color of i, C_k the predecessor
+        (cj,), (ck,) = succ, pred
         if 3 * A[i] > omega:
             if cj not in donors:
                 credit(i, cj, floor * O[cj] - A[cj])
@@ -235,13 +219,11 @@ def caco2_certificate(trace: RunTrace, opt: OptimumWitness, omega: int) -> Certi
         )
     )
 
-    return Certificate("caco2", omega, donors, b, h, checks, sorted(set(uncovered)))
+    return Certificate("caco2", donors, b, h, checks, sorted(set(uncovered)))
 
 
 @dataclass
 class RatioReport:
-    opt_total: int
-    alg_total: int
     ratio: Optional[Fraction]  # None means infinite
 
     def render(self) -> str:
@@ -257,9 +239,6 @@ def ratio_report(trace: RunTrace, opt: OptimumWitness) -> RatioReport:
     """Exact OPT/ALG ratio; 1 for the empty instance, infinite when the
     algorithm accepted nothing but the optimum is positive."""
     alg = trace.total_accepted()
-    best = opt.total
     if alg == 0:
-        ratio = Fraction(1) if best == 0 else None
-    else:
-        ratio = Fraction(best, alg)
-    return RatioReport(opt_total=best, alg_total=alg, ratio=ratio)
+        return RatioReport(Fraction(1) if opt.total == 0 else None)
+    return RatioReport(Fraction(opt.total, alg))

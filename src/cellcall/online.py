@@ -15,22 +15,8 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional
 
-from .hexnet import (
-    Cell,
-    Color,
-    Isolated,
-    Network,
-    StructureA,
-    classify_neighbor_config,
-    color_of,
-    is_triangle_free,
-)
-from .spectrum import (
-    AssignmentState,
-    FrequencyPartition,
-    make_partition_caco2,
-    make_partition_family,
-)
+from .hexnet import Cell, Color, Network, classify_neighbor_config, color_of, is_triangle_free
+from .spectrum import AssignmentState, FrequencyPartition, make_partition_family
 
 
 @dataclass(frozen=True)
@@ -168,50 +154,54 @@ def caco_algorithm(network: Network, omega: int) -> PartitionReserveAlgorithm:
 
 
 class NotTriangleFreeError(ValueError):
-    """CACO2 requires a triangle-free network."""
+    """CACO2 and its certificate require a triangle-free hex network."""
+
+
+def require_triangle_free_hex(network: Network) -> None:
+    """Raise NotTriangleFreeError unless `network` has the hex adjacency of its
+    own cells and no triangle, the networks the 9/4 proof covers."""
+    try:
+        is_hex = network == Network(network.cells)
+    except (TypeError, ValueError):  # cells that are not integer pairs
+        is_hex = False
+    if not (is_hex and is_triangle_free(network)):
+        raise NotTriangleFreeError("caco2 requires a triangle-free hex network")
 
 
 class Caco2Algorithm(ScanAlgorithm):
-    """Thirds partition with directional overflow on triangle-free networks.
+    """Thirds partition with directional overflow on triangle-free hex networks.
 
-    Neighbor configurations are computed once from the static topology:
+    Scans are computed once from each cell's neighbors of its successor and
+    predecessor colors (`classify_neighbor_config`):
       - isolated cells scan the whole spectrum bottom-to-top;
-      - structure A (all neighbors one color Y): overflow into the third
-        color's range, ascending when Y is the cell color's cyclic successor,
-        descending otherwise;
-      - structure B (two neighbors, distinct colors): overflow into the
-        successor color's range, descending.
-    Single-neighbor cells follow the structure-B rule: the overflow target is
-    always the successor color's range, descending. Structure-A cells with one
-    or two neighbors are flagged as degenerate.
+      - cells with two or more neighbors, all of the successor color, overflow
+        into the predecessor color's range, ascending;
+      - every other cell (structure A on predecessor-colored neighbors,
+        structure B, a single neighbor) overflows into the successor color's
+        range, descending.
+    Structure-A cells with one or two neighbors are flagged as degenerate.
     """
 
     name = "caco2"
 
     def __init__(self, network: Network, omega: int):
-        if not is_triangle_free(network):
-            raise NotTriangleFreeError("caco2 requires a triangle-free network")
+        require_triangle_free_hex(network)
         super().__init__(omega)
-        self.partition = make_partition_caco2(omega)
+        self.partition = make_partition_family(omega, 1, 0)
         configs = {c: classify_neighbor_config(network, c) for c in network.cells}
-        self.scans = {c: self._scan_for(c, config) for c, config in configs.items()}
+        self.scans = {c: self._scan_for(c, *config) for c, config in configs.items()}
         self.flagged_cells = tuple(
-            sorted(c for c, cfg in configs.items() if isinstance(cfg, StructureA) and cfg.k < 3)
+            sorted(c for c, (s, p) in configs.items() if not (s and p) and 0 < len(s + p) < 3)
         )
 
-    def _scan_for(self, cell: Cell, config) -> tuple:
-        if isinstance(config, Isolated):
+    def _scan_for(self, cell: Cell, succ: tuple, pred: tuple) -> tuple:
+        if not (succ or pred):
             return (range(1, self.omega + 1),)
         x = color_of(cell)
-        own = self.partition.ranges[x]
-        if isinstance(config, StructureA) and config.k >= 2:
-            y = config.neighbor_color
-            z = next(c for c in Color if c not in (x, y))
-            overflow = self.partition.ranges[z]
-            return (own, overflow if x.successor is y else overflow[::-1])
-        # Structure B, and single-neighbor cells treated the same way:
-        # overflow into the successor color's range, top-to-bottom.
-        return (own, self.partition.ranges[x.successor][::-1])
+        ranges = self.partition.ranges
+        if len(succ) >= 2 and not pred:
+            return (ranges[x], ranges[x.predecessor])
+        return (ranges[x], ranges[x.successor][::-1])
 
 
 _SELECTOR_INT = re.compile(r"-?[0-9]+")

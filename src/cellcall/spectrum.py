@@ -20,7 +20,6 @@ class FrequencyConflictError(RuntimeError):
 class FrequencyPartition:
     """Disjoint contiguous color ranges over {1..omega}, plus an optional shared set."""
 
-    omega: int
     ranges: dict  # Color -> range, 1-based
     shared: Optional[range] = None
 
@@ -43,12 +42,7 @@ def make_partition_family(omega: int, x_share: int, y_share: int) -> FrequencyPa
         ranges[color] = range(lo, lo + per_color)
         lo += per_color
     shared = range(lo, omega + 1) if y_share else None
-    return FrequencyPartition(omega=omega, ranges=ranges, shared=shared)
-
-
-def make_partition_caco2(omega: int) -> FrequencyPartition:
-    """Equal thirds with no shared set; requires omega divisible by 3."""
-    return make_partition_family(omega, 1, 0)
+    return FrequencyPartition(ranges, shared)
 
 
 class AssignmentState:

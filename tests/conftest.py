@@ -7,6 +7,11 @@ from cellcall.hexnet import Network, hex_patch, is_triangle_free
 # 19-cell pool all random subnetworks are drawn from
 PATCH_CELLS = hex_patch(2).sorted_cells()
 
+# (0, 0) and three of its hex neighbors, with only the three centre edges: the
+# ring edges the hex grid has between the neighbors are left out
+_STAR_CELLS = [(0, 0), (1, 0), (0, 1), (-1, 1)]
+PARTIAL_HEX_STAR = Network.from_edges(_STAR_CELLS, [((0, 0), c) for c in _STAR_CELLS[1:]])
+
 
 def random_network(rng: random.Random, min_cells=1, max_cells=9, triangle_free=False) -> Network:
     while True:

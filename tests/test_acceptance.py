@@ -175,11 +175,11 @@ def test_criterion_4_upper_bound_sweeps(announce, caco_sweep, caco2_sweep):
 def test_criterion_5_certificates(announce, caco_sweep, caco2_sweep):
     ok = True
     for inst in caco_sweep[0]:
-        cert = caco_certificate(inst.trace, inst.opt, inst.omega)
+        cert = caco_certificate(inst.trace, inst.opt)
         ok = ok and cert.status == "pass" and len(cert.checks) == 5
     uncovered = 0
     for inst in caco2_sweep[0]:
-        cert = caco2_certificate(inst.trace, inst.opt, inst.omega)
+        cert = caco2_certificate(inst.trace, inst.opt)
         ok = ok and cert.status in ("pass", "uncovered")
         ok = ok and all(c.passed for c in cert.checks if c.name == "global_ratio_9_4")
         uncovered += cert.status == "uncovered"

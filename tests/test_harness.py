@@ -283,7 +283,7 @@ def test_failing_certificate_listed_in_text():
         total_opt=1,
         ratio=None,
         certificate=Certificate(
-            "caco", 21, frozenset(), {}, {}, [CheckResult("per_cell_ratio_7_3", False, ((0, 0),))], []
+            "caco", frozenset(), {}, {}, [CheckResult("per_cell_ratio_7_3", False, ((0, 0),))], []
         ),
     )
     text = emit_report(report, "text")

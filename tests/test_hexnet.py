@@ -4,11 +4,7 @@ from hypothesis import given, strategies as st
 from cellcall.hexnet import (
     AXIAL_DIRECTIONS,
     Color,
-    General,
-    Isolated,
     Network,
-    StructureA,
-    StructureB,
     UnknownCellError,
     classify_neighbor_config,
     color_of,
@@ -98,31 +94,54 @@ def test_neighbors_symmetric_and_degree_bound(cells):
 
 
 def test_classify_isolated():
-    assert classify_neighbor_config(Network([(0, 0)]), (0, 0)) == Isolated()
+    assert classify_neighbor_config(Network([(0, 0)]), (0, 0)) == ((), ())
 
 
 def test_classify_structure_a_three_same_color():
     net = Network([(0, 0), (-1, 1), (0, -1), (1, 0)])  # R center, G cross
-    assert classify_neighbor_config(net, (0, 0)) == StructureA(Color.G, 3)
+    assert classify_neighbor_config(net, (0, 0)) == (((-1, 1), (0, -1), (1, 0)), ())
 
 
 def test_classify_structure_b_two_colors():
     net = Network([(0, 0), (1, 0), (-1, 0)])  # R center, G and B neighbors
     assert is_triangle_free(net)
     config = classify_neighbor_config(net, (0, 0))
-    assert config == StructureB(Color.B, Color.G)
+    assert config == (((1, 0),), ((-1, 0),))
+    assert (config.successors, config.predecessors) == config
 
 
 def test_classify_single_neighbor_is_structure_a():
     net = Network([(0, 0), (1, 0)])
-    assert classify_neighbor_config(net, (0, 0)) == StructureA(Color.G, 1)
+    assert classify_neighbor_config(net, (0, 0)) == (((1, 0),), ())
+    assert classify_neighbor_config(net, (1, 0)) == ((), ((0, 0),))  # G's predecessor is R
 
 
 def test_classify_general_only_with_triangles():
     net = hex_patch(1)
     config = classify_neighbor_config(net, (0, 0))
-    assert config == General(degree=6)
+    assert config == (((-1, 1), (0, -1), (1, 0)), ((-1, 0), (0, 1), (1, -1)))
     assert not is_triangle_free(net)
+
+
+def test_classify_every_triangle_free_neighborhood():
+    # all 64 subsets of the six neighbors of (0, 0): on a triangle-free one the
+    # centre is isolated, one-sided with at most 3 cells (structure A), or has
+    # one cell on each side, opposite each other (structure B)
+    triangle_free = 0
+    for mask in range(64):
+        nbrs = [d for bit, d in enumerate(AXIAL_DIRECTIONS) if mask >> bit & 1]
+        net = Network([(0, 0), *nbrs])
+        if not is_triangle_free(net):
+            continue
+        triangle_free += 1
+        succ, pred = classify_neighbor_config(net, (0, 0))
+        assert sorted(succ + pred) == sorted(nbrs)
+        if succ and pred:
+            (cj,), (ck,) = succ, pred
+            assert (cj[0] + ck[0], cj[1] + ck[1]) == (0, 0)
+        else:
+            assert len(succ + pred) <= 3
+    assert triangle_free == 18  # the independent sets of the 6-cycle of neighbors
 
 
 def test_network_equality_and_containment():

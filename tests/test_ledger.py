@@ -13,7 +13,7 @@ from cellcall.ledger import (
     caco_certificate,
     ratio_report,
 )
-from cellcall.offline import OptimumWitness, exact_optimum
+from cellcall.offline import OptimumWitness, cycle_graph, exact_optimum
 from cellcall.online import (
     Caco2Algorithm,
     NotTriangleFreeError,
@@ -21,7 +21,7 @@ from cellcall.online import (
     make_algorithm,
     run_sequence,
 )
-from conftest import random_network, random_requests
+from conftest import PARTIAL_HEX_STAR, random_network, random_requests
 
 
 def caco_run(net, omega, seq):
@@ -34,7 +34,7 @@ def test_fig2_certificate_values():
     scenario = fig2_adversary(21)
     trace = run_duel(scenario, lambda n, o: make_algorithm("caco", n, o))
     opt = exact_optimum(trace.network, 21, dict(trace.demands))
-    cert = caco_certificate(trace, opt, 21)
+    cert = caco_certificate(trace, opt)
     assert STAR_CENTER in cert.donors
     assert cert.b_values[STAR_CENTER] == 0
     for c in STAR_OUTER:
@@ -48,7 +48,7 @@ def test_fig2_certificate_values():
 def test_empty_sequence_vacuous_pass():
     net = Network([(0, 0), (1, 0)])
     trace, opt = caco_run(net, 21, [])
-    cert = caco_certificate(trace, opt, 21)
+    cert = caco_certificate(trace, opt)
     assert cert.status == "pass"
     assert all(b == 0 for b in cert.b_values.values())
 
@@ -56,7 +56,7 @@ def test_empty_sequence_vacuous_pass():
 def test_single_cell_dangerous():
     net = Network([(0, 0)])
     trace, opt = caco_run(net, 21, [(0, 0)] * 21)
-    cert = caco_certificate(trace, opt, 21)
+    cert = caco_certificate(trace, opt)
     assert (0, 0) not in cert.donors  # O = 21 > 14
     assert trace.accepted_at((0, 0)) == 9  # 3*omega/7
     assert cert.b_values[(0, 0)] == 9
@@ -69,7 +69,7 @@ def test_caco_certificate_random_sweep():
         net = random_network(rng, max_cells=9)
         omega = rng.choice([7, 14, 21])
         trace, opt = caco_run(net, omega, random_requests(rng, net, rng.randint(0, 4 * omega)))
-        cert = caco_certificate(trace, opt, omega)
+        cert = caco_certificate(trace, opt)
         assert cert.status == "pass", [str(c) for c in cert.checks if not c.passed]
 
 
@@ -78,7 +78,7 @@ def test_network_mismatch_rejected():
     trace, _ = caco_run(net, 21, [(0, 0)])
     other = OptimumWitness(0, {(5, 5): 0}, {(5, 5): frozenset()})
     with pytest.raises(NetworkMismatchError):
-        caco_certificate(trace, other, 21)
+        caco_certificate(trace, other)
 
 
 def test_tampered_optimum_fails_with_cell_named():
@@ -86,7 +86,7 @@ def test_tampered_optimum_fails_with_cell_named():
     net = Network([(0, 0)])
     trace, opt = caco_run(net, 21, [(0, 0)] * 2)
     bad = OptimumWitness(22, {(0, 0): 22}, opt.assignment)
-    cert = caco_certificate(trace, bad, 21)
+    cert = caco_certificate(trace, bad)
     failing = [c for c in cert.checks if not c.passed]
     assert failing
     assert any((0, 0) in c.failing_cells for c in failing)
@@ -96,7 +96,7 @@ def assert_fails(cert, lines):
     """The certificate prints exactly `lines`, fails, and fails its report."""
     assert [str(c) for c in cert.checks] == lines
     assert cert.status == "fail"
-    report = RunReport("tampered", cert.kind, cert.omega, [], 0, 0, None, None, certificate=cert)
+    report = RunReport("tampered", cert.kind, 0, [], 0, 0, None, None, certificate=cert)
     assert not report.certificate_ok
 
 
@@ -104,7 +104,7 @@ def test_safe_cell_floor_fails_on_tampered_optimum():
     # O = 7 makes the cell safe (3*7 <= 2*21), yet it accepted 2 < 3O/7
     net = Network([(0, 0)])
     trace, _ = caco_run(net, 21, [(0, 0)] * 2)
-    cert = caco_certificate(trace, OptimumWitness(7, {(0, 0): 7}, {}), 21)
+    cert = caco_certificate(trace, OptimumWitness(7, {(0, 0): 7}, {}))
     assert_fails(cert, [
         "safe_cell_floor: FAIL at [(0, 0)]",
         "dangerous_separation: pass",
@@ -119,7 +119,7 @@ def test_adjacent_dangerous_cells_fail_separation():
     # negative (A_k - 3O_k/7)/3, and the amortized total goes negative
     net = Network([(0, 0), (1, 0)])
     trace, _ = caco_run(net, 21, [(0, 0), (0, 0), (1, 0)])
-    cert = caco_certificate(trace, OptimumWitness(30, {(0, 0): 15, (1, 0): 15}, {}), 21)
+    cert = caco_certificate(trace, OptimumWitness(30, {(0, 0): 15, (1, 0): 15}, {}))
     assert cert.h_values[((1, 0), (0, 0))] == Fraction(-38, 21)
     assert_fails(cert, [
         "safe_cell_floor: pass",
@@ -135,7 +135,7 @@ def test_greedy_trace_fails_shared_exhaustion():
     net = Network([(0, 0)])
     trace = run_sequence(make_algorithm("greedy", net, 7), net, 7, [(0, 0)] * 8)
     opt = exact_optimum(net, 7, dict(trace.demands))
-    assert_fails(caco_certificate(trace, opt, 7), [
+    assert_fails(caco_certificate(trace, opt), [
         "safe_cell_floor: pass",
         "dangerous_separation: pass",
         "shared_exhaustion_at_rejection: FAIL at [(0, 0)]",
@@ -156,7 +156,7 @@ def test_fig3_certificate_values():
     scenario = fig3_adversary(9)
     trace = run_duel(scenario, lambda n, o: make_algorithm("caco2", n, o))
     opt = exact_optimum(trace.network, 9, dict(trace.demands))
-    cert = caco2_certificate(trace, opt, 9)
+    cert = caco2_certificate(trace, opt)
     for c in STAR_OUTER:
         assert cert.h_values[(STAR_CENTER, c)] == 2
         assert cert.b_values[c] == 5  # 3 accepted + 2 compensation
@@ -168,13 +168,13 @@ def test_fig3_certificate_values():
 def test_caco2_empty_sequence():
     net = Network([(0, 0), (1, 0)])
     trace, opt = caco2_run(net, 9, [])
-    assert caco2_certificate(trace, opt, 9).status == "pass"
+    assert caco2_certificate(trace, opt).status == "pass"
 
 
 def test_caco2_single_isolated_cell():
     net = Network([(0, 0)])
     trace, opt = caco2_run(net, 9, [(0, 0)] * 9)
-    cert = caco2_certificate(trace, opt, 9)
+    cert = caco2_certificate(trace, opt)
     assert trace.accepted_at((0, 0)) == 9
     assert cert.b_values[(0, 0)] == 4  # 4*O/9 with O = 9
     assert Fraction(opt.per_cell[(0, 0)]) / cert.b_values[(0, 0)] == Fraction(9, 4)
@@ -188,7 +188,7 @@ def test_caco2_random_sweep_pass_or_uncovered():
         net = random_network(rng, max_cells=9, triangle_free=True)
         omega = rng.choice([3, 9, 21])
         trace, opt = caco2_run(net, omega, random_requests(rng, net, rng.randint(0, 4 * omega)))
-        cert = caco2_certificate(trace, opt, omega)
+        cert = caco2_certificate(trace, opt)
         assert cert.status in ("pass", "uncovered"), [str(c) for c in cert.checks]
         statuses.append(cert.status)
     assert "pass" in statuses
@@ -218,7 +218,7 @@ def structure_b_overflow_runs(omega):
 def test_caco2_structure_b_overflow_credit_found_by_search():
     omega = 3
     trace, opt, i, cj, ck = next(structure_b_overflow_runs(omega))
-    cert = caco2_certificate(trace, opt, omega)
+    cert = caco2_certificate(trace, opt)
     assert cert.h_values[(i, cj)] == Fraction(4 * opt.per_cell[cj], 9) - trace.accepted_at(cj)
     assert cert.h_values[(i, ck)] == Fraction(omega, 9)
     assert cert.status in ("pass", "uncovered")
@@ -228,7 +228,7 @@ def test_donor_budget_fails_on_tampered_optimum():
     # O = 30 at C_j makes its shortfall credit exceed the donor's spare
     trace, opt, i, cj, ck = next(structure_b_overflow_runs(3))
     per_cell = {**opt.per_cell, cj: 30}
-    cert = caco2_certificate(trace, OptimumWitness(sum(per_cell.values()), per_cell, opt.assignment), 3)
+    cert = caco2_certificate(trace, OptimumWitness(sum(per_cell.values()), per_cell, opt.assignment))
     assert (i, cj) == ((0, 0), (1, 0))
     assert cert.uncovered == [((0, 0), "compensation exceeds the donor's budget")]
     assert_fails(cert, [
@@ -245,7 +245,20 @@ def test_caco2_certificate_requires_triangle_free():
     trace.algorithm = "caco2"
     opt = exact_optimum(net, 9, {})
     with pytest.raises(NotTriangleFreeError):
-        caco2_certificate(trace, opt, 9)
+        caco2_certificate(trace, opt)
+
+
+@pytest.mark.parametrize(
+    "net, requests",
+    [(cycle_graph(4), []), (PARTIAL_HEX_STAR, [(0, 0)] * 3 + [(1, 0)] * 9)],
+    ids=["cycle4", "partial_star"],
+)
+def test_caco2_certificate_requires_hex_network(net, requests):
+    trace = run_sequence(make_algorithm("greedy", net, 9), net, 9, requests)
+    trace.algorithm = "caco2"
+    opt = exact_optimum(net, 9, dict(trace.demands))
+    with pytest.raises(NotTriangleFreeError, match="caco2 requires a triangle-free hex network"):
+        caco2_certificate(trace, opt)
 
 
 def test_caco2_flags_degenerate_structure_cells():

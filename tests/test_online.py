@@ -4,7 +4,8 @@ import tracemalloc
 import pytest
 
 from cellcall.adversary import UnknownAdversaryError, make_adversary
-from cellcall.hexnet import Network, flower_network, hex_patch
+from cellcall.hexnet import Network, flower_network, hex_patch, is_triangle_free
+from cellcall.offline import cycle_graph
 from cellcall.online import (
     Caco2Algorithm,
     GreedyAlgorithm,
@@ -18,7 +19,7 @@ from cellcall.online import (
     overflow_order_violations,
     run_sequence,
 )
-from conftest import random_network, random_requests
+from conftest import PARTIAL_HEX_STAR, random_network, random_requests
 
 STAR = Network([(0, 0), (-1, 1), (0, -1), (1, 0)])  # R center, G outer
 
@@ -121,6 +122,13 @@ def test_partition_3_1_single_cell():
 def test_caco2_requires_triangle_free():
     with pytest.raises(NotTriangleFreeError):
         Caco2Algorithm(hex_patch(1), 9)
+
+
+@pytest.mark.parametrize("net", [cycle_graph(4), PARTIAL_HEX_STAR], ids=["cycle4", "partial_star"])
+def test_caco2_requires_hex_network(net):
+    assert is_triangle_free(net)
+    with pytest.raises(NotTriangleFreeError, match="caco2 requires a triangle-free hex network"):
+        Caco2Algorithm(net, 9)
 
 
 def test_caco2_isolated_cell_uses_whole_spectrum():

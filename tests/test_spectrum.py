@@ -6,7 +6,6 @@ from cellcall.spectrum import (
     AssignmentState,
     FrequencyConflictError,
     PartitionError,
-    make_partition_caco2,
     make_partition_family,
 )
 
@@ -31,7 +30,7 @@ def test_caco_partition_divisibility():
 
 
 def test_caco2_partition_omega_9():
-    p = make_partition_caco2(9)
+    p = make_partition_family(9, 1, 0)
     assert list(p.ranges[Color.R]) == [1, 2, 3]
     assert list(p.ranges[Color.G]) == [4, 5, 6]
     assert list(p.ranges[Color.B]) == [7, 8, 9]
@@ -39,13 +38,13 @@ def test_caco2_partition_omega_9():
 
 
 def test_caco2_partition_singletons():
-    p = make_partition_caco2(3)
+    p = make_partition_family(3, 1, 0)
     assert [len(p.ranges[c]) for c in Color] == [1, 1, 1]
 
 
 def test_caco2_partition_divisibility():
     with pytest.raises(PartitionError):
-        make_partition_caco2(8)
+        make_partition_family(8, 1, 0)
 
 
 def test_partition_ratio_exact_up_to_10000():
