@@ -115,7 +115,7 @@ def phase_ratios(scenario: AdversaryScenario, algorithm_factory) -> list:
     ratios = []
 
     def record(trace: RunTrace) -> None:
-        opt = exact_optimum(scenario.network, scenario.omega, dict(trace.demands))
+        opt = exact_optimum(trace.network, trace.omega, dict(trace.demands))
         ratios.append(ratio_report(trace, opt).ratio)
 
     run_duel(scenario, algorithm_factory, record)
@@ -129,14 +129,14 @@ def run_duel(
 ) -> RunTrace:
     """Play the adversary against an algorithm; pure function of its inputs.
 
-    `algorithm_factory(network, omega)` builds the algorithm instance;
-    `on_phase(trace)`, when given, runs after each phase's requests.
+    `algorithm_factory(network, omega)` builds the algorithm, which the trace
+    runs on; `on_phase(trace)`, when given, runs after each phase's requests.
     """
     alg = algorithm_factory(scenario.network, scenario.omega)
-    trace = RunTrace.start(alg, scenario.network, scenario.omega)
+    trace = RunTrace.start(alg)
     phase = 0
     while True:
-        counts = {c: trace.state.count(c) for c in scenario.network.cells}
+        counts = {c: trace.state.count(c) for c in trace.network.cells}
         batch = scenario.next_batch(phase, counts)
         if batch is None:
             break

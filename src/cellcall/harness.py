@@ -98,8 +98,8 @@ def _adversary(selector: str, omega: int, network: Optional[Network] = None):
 
 
 def build_scenario(config: ScenarioConfig):
-    """Check a scenario and build what it runs: `(network, adversary, algorithm)`,
-    the adversary None for a request list. The only place a scenario is checked."""
+    """Check a scenario and build what it runs: `(adversary, algorithm)`, the
+    adversary None for a request list. The only place a scenario is checked."""
     if config.omega <= 0:
         raise ScenarioError(f"omega must be a positive integer, got {config.omega!r}")
     network = Network(config.cells)
@@ -121,7 +121,7 @@ def build_scenario(config: ScenarioConfig):
         algorithm = make_algorithm(config.algorithm, network, config.omega)
     except Exception as exc:
         raise ScenarioError(f"algorithm {config.algorithm!r}: {exc}") from exc
-    return network, adversary, algorithm
+    return adversary, algorithm
 
 
 def validate_scenario(config: ScenarioConfig) -> None:
@@ -169,16 +169,16 @@ def _certificate_for(trace: RunTrace, opt) -> Optional[Certificate]:
 
 
 def run_experiment(config: ScenarioConfig) -> RunReport:
-    network, adversary, algorithm = build_scenario(config)
+    adversary, algorithm = build_scenario(config)
     if adversary is None:
-        trace = run_sequence(algorithm, network, config.omega, config.traffic)
+        trace = run_sequence(algorithm, config.traffic)
     else:
         trace = run_duel(adversary, lambda net, om: algorithm)
 
     opt = error = None
     if config.compute_opt or config.verify_certificate:
         try:
-            opt = exact_optimum(network, config.omega, dict(trace.demands))
+            opt = exact_optimum(trace.network, trace.omega, dict(trace.demands))
         except InstanceTooLargeError as exc:
             error = f"optimum not computed: {exc}"
 
@@ -186,18 +186,11 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
     if config.verify_certificate and opt is not None:
         certificate = _certificate_for(trace, opt)
 
-    rows = []
-    for cell in sorted(network.cells):
-        rows.append(
-            (
-                cell[0],
-                cell[1],
-                color_of(cell).value,
-                trace.demands.get(cell, 0),
-                trace.accepted_at(cell),
-                opt.per_cell[cell] if opt is not None else None,
-            )
-        )
+    rows = [
+        (*cell, color_of(cell).value, trace.demands.get(cell, 0), trace.accepted_at(cell),
+         opt.per_cell[cell] if opt is not None else None)
+        for cell in trace.network.sorted_cells()
+    ]
     return RunReport(
         scenario_id=config.scenario_id,
         algorithm=trace.algorithm,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Tuple
 
@@ -62,7 +63,7 @@ class Network:
     def __init__(self, cells: Iterable[Cell]):
         own = {}
         for q, r in cells:
-            cell = (int(q), int(r))
+            cell = (operator.index(q), operator.index(r))
             own.setdefault(cell, cell)
         self._own = own
         self.cells = frozenset(own)

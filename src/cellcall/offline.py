@@ -10,6 +10,7 @@ set multiplicities; `exhaustive_oracle` is the brute-force cross-check and
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .hexnet import Network
@@ -60,7 +61,7 @@ def _demand_list(network: Network, demands: dict) -> tuple[list, list]:
     unknown = set(demands) - set(cells)
     if unknown:
         raise ValueError(f"demand given for cells outside the network: {sorted(unknown)}")
-    return cells, [int(demands.get(c, 0)) for c in cells]
+    return cells, [operator.index(demands.get(c, 0)) for c in cells]
 
 
 def _adjacency(cells: list, network: Network) -> list[int]:

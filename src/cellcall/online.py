@@ -2,13 +2,14 @@
 (CACO is the 2:1 member), and the triangle-free directional variant CACO2.
 
 The algorithms differ only in the order in which a cell tries frequencies:
-each is a `ScanAlgorithm` whose per-cell scan list drives the one
-`decide(state, cell) -> Outcome`; `run_sequence` feeds a request list through
-one and accumulates the trace.
+each is a `ScanAlgorithm`, built for one network and omega, whose per-cell
+scan list drives the one `decide(state, cell) -> Outcome`; `run_sequence`
+feeds a request list through one and accumulates the trace.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -23,9 +24,6 @@ from .spectrum import AssignmentState, FrequencyPartition, make_partition_family
 class Outcome:
     accepted: bool
     frequency: Optional[int] = None
-
-    def __str__(self) -> str:
-        return f"accept({self.frequency})" if self.accepted else "reject"
 
 
 REJECT = Outcome(accepted=False)
@@ -58,13 +56,13 @@ class RunTrace:
     demands: Counter = field(default_factory=Counter)  # R_i
 
     @staticmethod
-    def start(algorithm, network: Network, omega: int) -> RunTrace:
-        """Empty trace for `algorithm`, which supplies its name, partition and flagged cells."""
+    def start(algorithm) -> RunTrace:
+        """Empty trace on `algorithm`'s network and omega, with its name, partition and flagged cells."""
         return RunTrace(
             algorithm=algorithm.name,
-            network=network,
-            omega=omega,
-            state=AssignmentState(network, omega),
+            network=algorithm.network,
+            omega=algorithm.omega,
+            state=AssignmentState(algorithm.network, algorithm.omega),
             partition=algorithm.partition,
             flagged_cells=algorithm.flagged_cells,
         )
@@ -87,7 +85,7 @@ class RunTrace:
 
 
 class ScanAlgorithm:
-    """An online algorithm given by its per-cell scan list.
+    """An online algorithm for one network and omega, given by its per-cell scan list.
 
     `scans[cell]` is a tuple of frequency ranges tried in order, each in its
     own order (a descending scan is `r[::-1]`). A request takes the first
@@ -101,7 +99,8 @@ class ScanAlgorithm:
     partition: Optional[FrequencyPartition] = None
     flagged_cells: tuple = ()  # degenerate neighbor configs, see caco2
 
-    def __init__(self, omega: int):
+    def __init__(self, network: Network, omega: int):
+        self.network = network
         self.omega = omega
 
     def decide(self, state: AssignmentState, cell: Cell) -> Outcome:
@@ -118,35 +117,37 @@ class GreedyAlgorithm(ScanAlgorithm):
     name = "greedy"
 
     def __init__(self, network: Network, omega: int):
-        super().__init__(omega)
+        super().__init__(network, omega)
         self.scans = dict.fromkeys(network.cells, (range(1, omega + 1),))
+
+
+class ImproperColoringError(ValueError):
+    """The partition family needs `color_of` to colour the network properly."""
 
 
 class PartitionReserveAlgorithm(ScanAlgorithm):
     """The x:x:x:y partition family: own color range first, shared range second.
 
-    CACO is the 2:1 member. The own-range test reduces to a per-cell counter
-    because same-colored cells are never adjacent; this equivalence is asserted
-    on every decision.
+    CACO is the 2:1 member. The scan takes the own range iff the cell's count in
+    it is below its size, the paper's rule, because `color_of` colours the
+    network properly (true of every `Network(cells)`); `__init__` checks this.
     """
 
     def __init__(self, network: Network, omega: int, x_share: int, y_share: int):
-        super().__init__(omega)
+        try:
+            colors = {c: color_of(c) for c in network.cells}
+        except (TypeError, ValueError):  # cells that are not integer pairs
+            raise ImproperColoringError("the partition family needs integer-pair cells") from None
+        for c, color in colors.items():
+            for n in network.neighbors(c):
+                if colors[n] is color:
+                    raise ImproperColoringError(f"adjacent cells {c} and {n} are both colored {color}")
+        super().__init__(network, omega)
         self.partition = part = make_partition_family(omega, x_share, y_share)
         self.name = "caco" if (x_share, y_share) == (2, 1) else f"partition:{x_share}:{y_share}"
         shared = (part.shared,) if part.shared is not None else ()
         by_color = {color: (part.ranges[color],) + shared for color in Color}
-        self.scans = {c: by_color[color_of(c)] for c in network.cells}
-
-    def decide(self, state: AssignmentState, cell: Cell) -> Outcome:
-        outcome = super().decide(state, cell)
-        own = self.scans[cell][0]
-        # own is scanned first, so it had a free frequency iff the outcome took one from it
-        took_own = outcome.accepted and outcome.frequency in own
-        assert took_own == (state.count_in(cell, own) < len(own)), (
-            "own-color range blocked by a neighbor; coloring is not proper"
-        )
-        return outcome
+        self.scans = {c: by_color[color] for c, color in colors.items()}
 
 
 def caco_algorithm(network: Network, omega: int) -> PartitionReserveAlgorithm:
@@ -186,7 +187,7 @@ class Caco2Algorithm(ScanAlgorithm):
 
     def __init__(self, network: Network, omega: int):
         require_triangle_free_hex(network)
-        super().__init__(omega)
+        super().__init__(network, omega)
         self.partition = make_partition_family(omega, 1, 0)
         configs = {c: classify_neighbor_config(network, c) for c in network.cells}
         self.scans = {c: self._scan_for(c, *config) for c, config in configs.items()}
@@ -278,9 +279,10 @@ class UnknownRequestCellError(ValueError):
         self.cell = cell
 
 
-def run_sequence(algorithm, network: Network, omega: int, requests) -> RunTrace:
-    """Feed requests one at a time; deterministic for identical inputs."""
-    trace = RunTrace.start(algorithm, network, omega)
+def run_sequence(algorithm, requests) -> RunTrace:
+    """Feed requests one at a time on the algorithm's own network and omega;
+    deterministic for identical inputs."""
+    trace = RunTrace.start(algorithm)
     feed_requests(algorithm, trace, requests)
     return trace
 
@@ -288,12 +290,14 @@ def run_sequence(algorithm, network: Network, omega: int, requests) -> RunTrace:
 def feed_requests(algorithm, trace: RunTrace, requests) -> None:
     """Append a batch of requests to an in-progress trace (adversary phases).
 
-    A request may be any pair of integers, such as a `[q, r]` list; the trace
-    records the network's own cell for it, so it keeps no object per request.
+    A request is a pair of integers, such as a `[q, r]` list (anything else
+    raises); the trace records the network's own cell for it, so it keeps no
+    object per request.
     """
     own_cell = trace.network.own_cell
-    for request in requests:
-        key = (int(request[0]), int(request[1]))
+    index = operator.index
+    for q, r in requests:
+        key = (index(q), index(r))
         cell = own_cell(key)
         if cell is None:
             raise UnknownRequestCellError(len(trace.requests), key)

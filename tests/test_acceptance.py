@@ -67,7 +67,7 @@ def _sweep(seed, size, omegas, triangle_free, factory):
         net = random_network(rng, max_cells=9, triangle_free=triangle_free)
         omega = rng.choice(omegas)
         seq = random_requests(rng, net, rng.randint(0, 6 * omega))
-        trace = run_sequence(factory(net, omega), net, omega, seq)
+        trace = run_sequence(factory(net, omega), seq)
         opt = exact_optimum(net, omega, dict(trace.demands))
         instances.append(SweepInstance(net, omega, dict(trace.demands), trace, opt))
     return instances, time.perf_counter() - start

@@ -193,7 +193,7 @@ def test_single_batch_duel_matches_run_sequence(selector):
     net = star_network()
     scenario = random_adversary(21, seed=5, length=120, network=net)
     duel_trace = run_duel(scenario, lambda n, om: make_algorithm(selector, n, om))
-    seq_trace = run_sequence(make_algorithm(selector, net, 21), net, 21, scenario.next_batch(0, {}))
+    seq_trace = run_sequence(make_algorithm(selector, net, 21), scenario.next_batch(0, {}))
     assert duel_trace.requests == seq_trace.requests
     assert duel_trace.outcomes == seq_trace.outcomes
     assert duel_trace.demands == seq_trace.demands

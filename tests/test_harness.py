@@ -88,12 +88,17 @@ def test_unknown_algorithm_rejected():
         ("verify_certificate", 1),
         ("compute_opt", "true"),
         ("compute_opt", None),
+        ("cells", []),
+        ("cells", [[0, 0], [0, 0]]),
+        ("algorithm", 7),
+        ("traffic", {"fig2": True}),
     ],
 )
 def test_coerced_fields_rejected(field, value):
     data = {"omega": 7, "cells": [[0, 0], [1, 0]], "algorithm": "greedy", "traffic": [[1, 0]]}
     data[field] = value
-    with pytest.raises(ScenarioError, match={"cells": "cell must", "traffic": "request must"}.get(field, field)):
+    message = {"cells": "^cells? (must|contains)", "traffic": "^traffic (request )?must"}
+    with pytest.raises(ScenarioError, match=message.get(field, f"^{field} must")):
         parse_scenario(data, scenario_id="x")
 
 
@@ -263,6 +268,12 @@ def test_text_report_contains_exact_ratio():
     assert "totals: demand=84 online=27 opt=63" in text
 
 
+def test_unknown_report_format_rejected():
+    report = run_experiment(load_scenario(SCENARIOS / "fig2_caco.json"))
+    with pytest.raises(ValueError, match="unknown report format 'json'"):
+        emit_report(report, "json")
+
+
 def test_empty_run_header_only_csv():
     config = parse_scenario(
         {"omega": 7, "cells": [[0, 0]], "algorithm": "greedy", "traffic": []},
@@ -354,6 +365,16 @@ def test_cli_sweep():
         ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "omega=21|42"],
     )
     assert result.exit_code == 0, result.output
+    assert "min ratio 7/3, max ratio 7/3" in result.output
+
+
+def test_cli_sweep_failed_point_exits_nonzero():
+    result = CliRunner().invoke(
+        main,
+        ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "omega=20|21"],
+    )
+    assert result.exit_code == 1, result.output
+    assert "failed: sweep_template[omega=20]: algorithm 'caco': omega=20" in result.output
     assert "min ratio 7/3, max ratio 7/3" in result.output
 
 

@@ -21,6 +21,12 @@ def test_full_grid_center_has_six_neighbors():
     assert len(net.neighbors((0, 0))) == 6
 
 
+def test_cells_must_be_integer_pairs():
+    with pytest.raises(TypeError):
+        Network([(1.5, 0)])
+    assert Network([[1, 0]]).cells == {(1, 0)}
+
+
 def test_isolated_cell_has_no_neighbors():
     net = Network([(0, 0)])
     assert net.neighbors((0, 0)) == ()

@@ -25,7 +25,7 @@ from conftest import PARTIAL_HEX_STAR, random_network, random_requests
 
 
 def caco_run(net, omega, seq):
-    trace = run_sequence(caco_algorithm(net, omega), net, omega, seq)
+    trace = run_sequence(caco_algorithm(net, omega), seq)
     opt = exact_optimum(net, omega, dict(trace.demands))
     return trace, opt
 
@@ -133,7 +133,7 @@ def test_adjacent_dangerous_cells_fail_separation():
 def test_greedy_trace_fails_shared_exhaustion():
     # greedy has no shared range, so a rejection finds none of it in use
     net = Network([(0, 0)])
-    trace = run_sequence(make_algorithm("greedy", net, 7), net, 7, [(0, 0)] * 8)
+    trace = run_sequence(make_algorithm("greedy", net, 7), [(0, 0)] * 8)
     opt = exact_optimum(net, 7, dict(trace.demands))
     assert_fails(caco_certificate(trace, opt), [
         "safe_cell_floor: pass",
@@ -147,7 +147,7 @@ def test_greedy_trace_fails_shared_exhaustion():
 # caco2 certificates
 
 def caco2_run(net, omega, seq):
-    trace = run_sequence(Caco2Algorithm(net, omega), net, omega, seq)
+    trace = run_sequence(Caco2Algorithm(net, omega), seq)
     opt = exact_optimum(net, omega, dict(trace.demands))
     return trace, opt
 
@@ -241,7 +241,7 @@ def test_donor_budget_fails_on_tampered_optimum():
 
 def test_caco2_certificate_requires_triangle_free():
     net = hex_patch(1)
-    trace = run_sequence(make_algorithm("greedy", net, 9), net, 9, [])
+    trace = run_sequence(make_algorithm("greedy", net, 9), [])
     trace.algorithm = "caco2"
     opt = exact_optimum(net, 9, {})
     with pytest.raises(NotTriangleFreeError):
@@ -254,7 +254,7 @@ def test_caco2_certificate_requires_triangle_free():
     ids=["cycle4", "partial_star"],
 )
 def test_caco2_certificate_requires_hex_network(net, requests):
-    trace = run_sequence(make_algorithm("greedy", net, 9), net, 9, requests)
+    trace = run_sequence(make_algorithm("greedy", net, 9), requests)
     trace.algorithm = "caco2"
     opt = exact_optimum(net, 9, dict(trace.demands))
     with pytest.raises(NotTriangleFreeError, match="caco2 requires a triangle-free hex network"):
@@ -276,7 +276,7 @@ def test_ratio_fig2_values():
 
 def ratio_report_from_totals(alg_total, opt_total):
     net = Network([(0, 0)])
-    trace = run_sequence(make_algorithm("greedy", net, max(alg_total, 1)), net, max(alg_total, 1), [(0, 0)] * alg_total)
+    trace = run_sequence(make_algorithm("greedy", net, max(alg_total, 1)), [(0, 0)] * alg_total)
     opt = OptimumWitness(opt_total, {(0, 0): opt_total}, {(0, 0): frozenset(range(1, opt_total + 1))})
     return ratio_report(trace, opt).ratio
 
@@ -287,7 +287,7 @@ def test_ratio_empty_convention():
 
 def test_ratio_infinite():
     net = Network([(0, 0)])
-    trace = run_sequence(make_algorithm("greedy", net, 3), net, 3, [])
+    trace = run_sequence(make_algorithm("greedy", net, 3), [])
     opt = OptimumWitness(5, {(0, 0): 5}, {(0, 0): frozenset({1, 2, 3, 4, 5})})
     report = ratio_report(trace, opt)
     assert report.ratio is None
@@ -296,6 +296,6 @@ def test_ratio_infinite():
 
 def test_ratio_rendering():
     net = Network([(0, 0)])
-    trace = run_sequence(make_algorithm("greedy", net, 9), net, 9, [(0, 0)] * 3)
+    trace = run_sequence(make_algorithm("greedy", net, 9), [(0, 0)] * 3)
     opt = OptimumWitness(7, {(0, 0): 7}, {(0, 0): frozenset(range(1, 8))})
     assert ratio_report(trace, opt).render() == "7/3 (~2.3333)"

@@ -25,6 +25,11 @@ STAR = Network([(0, 0), (-1, 1), (0, -1), (1, 0)])
 PATCH = hex_patch(2)
 
 
+def test_demands_must_be_integers():
+    with pytest.raises(TypeError):
+        exact_optimum(Network([(0, 0)]), 7, {(0, 0): 2.9})
+
+
 def test_two_adjacent_cells_share_one_pool():
     net = Network([(0, 0), (1, 0)])
     opt = exact_optimum(net, 4, {(0, 0): 4, (1, 0): 4})

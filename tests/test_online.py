@@ -4,11 +4,12 @@ import tracemalloc
 import pytest
 
 from cellcall.adversary import UnknownAdversaryError, make_adversary
-from cellcall.hexnet import Network, flower_network, hex_patch, is_triangle_free
+from cellcall.hexnet import Color, Network, color_of, flower_network, hex_patch, is_triangle_free
 from cellcall.offline import cycle_graph
 from cellcall.online import (
     Caco2Algorithm,
     GreedyAlgorithm,
+    ImproperColoringError,
     NotTriangleFreeError,
     PartitionReserveAlgorithm,
     UnknownAlgorithmError,
@@ -19,6 +20,7 @@ from cellcall.online import (
     overflow_order_violations,
     run_sequence,
 )
+from cellcall.spectrum import AssignmentState
 from conftest import PARTIAL_HEX_STAR, random_network, random_requests
 
 STAR = Network([(0, 0), (-1, 1), (0, -1), (1, 0)])  # R center, G outer
@@ -36,14 +38,14 @@ def outcomes(trace):
 
 def test_greedy_accepts_minimum():
     net = Network([(0, 0)])
-    trace = run_sequence(GreedyAlgorithm(net, 7), net, 7, [(0, 0)])
+    trace = run_sequence(GreedyAlgorithm(net, 7), [(0, 0)])
     assert accepted_freqs(trace) == [1]
 
 
 def test_greedy_rejects_when_spectrum_blocked():
     net = Network([(0, 0), (1, 0)])
     seq = [(0, 0)] * 2 + [(1, 0)] * 2
-    trace = run_sequence(GreedyAlgorithm(net, 3), net, 3, seq + [(1, 0)])
+    trace = run_sequence(GreedyAlgorithm(net, 3), seq + [(1, 0)])
     # first cell takes 1,2; neighbor takes 3 then has nothing left
     assert accepted_freqs(trace) == [1, 2, 3]
     assert outcomes(trace) == [True, True, True, False, False]
@@ -51,7 +53,7 @@ def test_greedy_rejects_when_spectrum_blocked():
 
 def test_greedy_skips_neighbor_frequencies():
     net = Network([(0, 0), (1, 0)])
-    trace = run_sequence(GreedyAlgorithm(net, 7), net, 7, [(0, 0), (0, 0), (1, 0)])
+    trace = run_sequence(GreedyAlgorithm(net, 7), [(0, 0), (0, 0), (1, 0)])
     assert accepted_freqs(trace) == [1, 2, 3]
 
 
@@ -61,9 +63,7 @@ def test_greedy_rejections_are_forced():
     net = random_network(rng, max_cells=7)
     omega = 5
     seq = random_requests(rng, net, 80)
-    trace = run_sequence(GreedyAlgorithm(net, omega), net, omega, seq)
-    from cellcall.spectrum import AssignmentState
-
+    trace = run_sequence(GreedyAlgorithm(net, omega), seq)
     replay = AssignmentState(net, omega)
     for cell, out in zip(trace.requests, trace.outcomes, strict=True):
         if out.accepted:
@@ -76,21 +76,21 @@ def test_greedy_rejections_are_forced():
 
 def test_caco_single_cell_nine_then_reject():
     net = Network([(0, 0)])
-    trace = run_sequence(caco_algorithm(net, 21), net, 21, [(0, 0)] * 10)
+    trace = run_sequence(caco_algorithm(net, 21), [(0, 0)] * 10)
     assert accepted_freqs(trace) == [1, 2, 3, 4, 5, 6, 19, 20, 21]
     assert outcomes(trace)[-1] is False
 
 
 def test_caco_green_cell_overflows_to_shared():
     net = STAR
-    trace = run_sequence(caco_algorithm(net, 21), net, 21, [(1, 0)] * 7)
+    trace = run_sequence(caco_algorithm(net, 21), [(1, 0)] * 7)
     assert accepted_freqs(trace) == [7, 8, 9, 10, 11, 12, 19]
 
 
 def test_caco_rejects_when_shared_taken_by_neighbor():
     net = STAR
     seq = [(0, 0)] * 21 + [(1, 0)] * 7
-    trace = run_sequence(caco_algorithm(net, 21), net, 21, seq)
+    trace = run_sequence(caco_algorithm(net, 21), seq)
     # center used its 6 own + all 3 shared; outer gets its 6 own then rejects
     assert trace.accepted_at((1, 0)) == 6
     assert outcomes(trace)[-1] is False
@@ -100,21 +100,52 @@ def test_partition_2_1_identical_to_caco():
     rng = random.Random(7)
     net = random_network(rng, max_cells=8)
     seq = random_requests(rng, net, 100)
-    t1 = run_sequence(caco_algorithm(net, 21), net, 21, seq)
-    t2 = run_sequence(PartitionReserveAlgorithm(net, 21, 2, 1), net, 21, seq)
+    t1 = run_sequence(caco_algorithm(net, 21), seq)
+    t2 = run_sequence(PartitionReserveAlgorithm(net, 21, 2, 1), seq)
     assert [o.frequency for o in t1.outcomes] == [o.frequency for o in t2.outcomes]
 
 
 def test_partition_1_1_single_cell():
     net = Network([(0, 0)])
-    trace = run_sequence(PartitionReserveAlgorithm(net, 4, 1, 1), net, 4, [(0, 0)] * 4)
+    trace = run_sequence(PartitionReserveAlgorithm(net, 4, 1, 1), [(0, 0)] * 4)
     assert sum(outcomes(trace)) == 2  # one own + one shared
 
 
 def test_partition_3_1_single_cell():
     net = Network([(0, 0)])
-    trace = run_sequence(PartitionReserveAlgorithm(net, 10, 3, 1), net, 10, [(0, 0)] * 10)
+    trace = run_sequence(PartitionReserveAlgorithm(net, 10, 3, 1), [(0, 0)] * 10)
     assert sum(outcomes(trace)) == 4
+
+
+@pytest.mark.parametrize("x, y", [(2, 1), (1, 1), (3, 1), (1, 2)])
+def test_partition_own_range_matches_counter(x, y):
+    # the paper's rule: the own-color range is taken iff the cell's count in it
+    # is below the range's size, which the scan matches on a proper coloring
+    rng = random.Random(x * 10 + y)
+    omega = 2 * (3 * x + y)
+    took_own = set()
+    for _ in range(20):
+        net = random_network(rng)
+        trace = run_sequence(PartitionReserveAlgorithm(net, omega, x, y), random_requests(rng, net, 60))
+        replay = AssignmentState(net, omega)
+        for cell, out in zip(trace.requests, trace.outcomes, strict=True):
+            own = trace.partition.ranges[color_of(cell)]
+            took = out.accepted and out.frequency in own
+            assert took == (replay.count_in(cell, own) < len(own))
+            took_own.add(took)
+            if out.accepted:
+                replay.assign(cell, out.frequency)
+    assert took_own == {True, False}
+
+
+@pytest.mark.parametrize(
+    "net",
+    [Network.from_edges([(0, 0), (3, 0)], [((0, 0), (3, 0))]), cycle_graph(5)],
+    ids=["same_color_edge", "cycle5"],
+)
+def test_partition_requires_proper_coloring(net):
+    with pytest.raises(ImproperColoringError):
+        PartitionReserveAlgorithm(net, 21, 2, 1)
 
 
 # caco2
@@ -133,30 +164,45 @@ def test_caco2_requires_hex_network(net):
 
 def test_caco2_isolated_cell_uses_whole_spectrum():
     net = Network([(0, 0)])
-    trace = run_sequence(Caco2Algorithm(net, 9), net, 9, [(0, 0)] * 10)
+    trace = run_sequence(Caco2Algorithm(net, 9), [(0, 0)] * 10)
     assert accepted_freqs(trace) == list(range(1, 10))
     assert outcomes(trace)[-1] is False
 
 
 def test_caco2_structure_a_overflow_ascending():
     # R center, three G neighbors: overflow goes to F_B bottom-to-top
-    trace = run_sequence(Caco2Algorithm(STAR, 9), STAR, 9, [(0, 0)] * 7)
+    trace = run_sequence(Caco2Algorithm(STAR, 9), [(0, 0)] * 7)
     assert accepted_freqs(trace) == [1, 2, 3, 7, 8, 9]
 
 
 def test_caco2_structure_b_overflow_descending():
     net = Network([(0, 0), (1, 0), (-1, 0)])  # R center, G and B neighbors
-    trace = run_sequence(Caco2Algorithm(net, 9), net, 9, [(0, 0)] * 7)
+    trace = run_sequence(Caco2Algorithm(net, 9), [(0, 0)] * 7)
     assert accepted_freqs(trace) == [1, 2, 3, 6, 5, 4]
     assert outcomes(trace)[-1] is False
 
 
 def test_caco2_single_neighbor_acts_like_structure_b():
     net = Network([(0, 0), (1, 0)])  # G cell with single R neighbor
-    trace = run_sequence(Caco2Algorithm(net, 9), net, 9, [(1, 0)] * 7)
+    trace = run_sequence(Caco2Algorithm(net, 9), [(1, 0)] * 7)
     # G's own range then F_B top-to-bottom
     assert accepted_freqs(trace) == [4, 5, 6, 9, 8, 7]
     assert (1, 0) in trace.flagged_cells
+
+
+def test_overflow_order_violations_reports_interleaving():
+    net = Network([(0, 0), (1, 0)])  # R and G: both may overflow into F_B = 7..9
+    trace = run_sequence(Caco2Algorithm(net, 9), [])
+    for cell, f in (((0, 0), 7), ((1, 0), 8), ((0, 0), 9)):
+        trace.state.assign(cell, f)
+    assert overflow_order_violations(trace) == [((0, 0), (1, 0), Color.B)]
+
+
+def test_overflow_order_violations_empty_without_partition():
+    net = Network([(0, 0), (1, 0)])
+    trace = run_sequence(GreedyAlgorithm(net, 9), [(0, 0), (1, 0), (0, 0)] * 3)
+    assert trace.partition is None and trace.total_accepted() == 9
+    assert overflow_order_violations(trace) == []
 
 
 def test_caco2_opposite_end_consumption():
@@ -164,7 +210,7 @@ def test_caco2_opposite_end_consumption():
     for _ in range(30):
         net = random_network(rng, max_cells=9, triangle_free=True)
         seq = random_requests(rng, net, rng.randint(0, 60))
-        trace = run_sequence(Caco2Algorithm(net, 9), net, 9, seq)
+        trace = run_sequence(Caco2Algorithm(net, 9), seq)
         assert overflow_order_violations(trace) == []
 
 
@@ -172,37 +218,45 @@ def test_caco2_opposite_end_consumption():
 
 def test_empty_sequence_all_zero():
     net = flower_network()
-    trace = run_sequence(caco_algorithm(net, 21), net, 21, [])
+    trace = run_sequence(caco_algorithm(net, 21), [])
+    assert (trace.network, trace.omega) == (net, 21)  # the algorithm's own instance
     assert trace.total_accepted() == 0
     assert not trace.demands
 
 
 def test_fig2_center_phase_accepts_three_sevenths():
-    trace = run_sequence(caco_algorithm(STAR, 21), STAR, 21, [(0, 0)] * 21)
+    trace = run_sequence(caco_algorithm(STAR, 21), [(0, 0)] * 21)
     assert trace.accepted_at((0, 0)) == 9  # = 3*omega/7
 
 
 def test_fig2_full_run_total():
     seq = [(0, 0)] * 21 + [c for c in [(-1, 1), (0, -1), (1, 0)] for _ in range(21)]
-    trace = run_sequence(caco_algorithm(STAR, 21), STAR, 21, seq)
+    trace = run_sequence(caco_algorithm(STAR, 21), seq)
     assert trace.total_accepted() == 27
 
 
 def test_unknown_request_cell_reports_index():
     net = Network([(0, 0)])
     with pytest.raises(UnknownRequestCellError) as err:
-        run_sequence(GreedyAlgorithm(net, 7), net, 7, [(0, 0), (3, 3)])
+        run_sequence(GreedyAlgorithm(net, 7), [(0, 0), (3, 3)])
     assert err.value.index == 1
 
 
 def test_unknown_request_cell_index_counts_earlier_batches():
     net = Network([(0, 0)])
     alg = GreedyAlgorithm(net, 7)
-    trace = run_sequence(alg, net, 7, [(0, 0), (0, 0)])
+    trace = run_sequence(alg, [(0, 0), (0, 0)])
     with pytest.raises(UnknownRequestCellError) as err:
         feed_requests(alg, trace, [[0, 0], [3, 3]])
     assert (err.value.index, err.value.cell) == (3, (3, 3))
     assert len(trace.requests) == len(trace.outcomes) == 3
+
+
+@pytest.mark.parametrize("pair", [(0.9, 0.2), ("1", "0")])
+def test_request_must_be_integer_pair(pair):
+    net = Network([(0, 0), (1, 0)])
+    with pytest.raises(TypeError):
+        run_sequence(GreedyAlgorithm(net, 7), [pair])
 
 
 @pytest.mark.parametrize("as_lists", [False, True])
@@ -218,7 +272,7 @@ def test_trace_keeps_no_object_per_request(as_lists):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        trace = run_sequence(alg, net, 21, requests)
+        trace = run_sequence(alg, requests)
         growth = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -235,8 +289,8 @@ def test_determinism():
     net = random_network(rng, max_cells=8, triangle_free=True)
     seq = random_requests(rng, net, 60)
     for selector in ("greedy", "caco2"):
-        a = run_sequence(make_algorithm(selector, net, 9), net, 9, seq)
-        b = run_sequence(make_algorithm(selector, net, 9), net, 9, seq)
+        a = run_sequence(make_algorithm(selector, net, 9), seq)
+        b = run_sequence(make_algorithm(selector, net, 9), seq)
         assert a.requests == b.requests and a.outcomes == b.outcomes
 
 
@@ -298,7 +352,7 @@ def test_bad_selector_is_named(factory, error, selector, prefix):
 def test_trace_demand_counters():
     net = STAR
     seq = [(0, 0)] * 3 + [(1, 0)] * 2
-    trace = run_sequence(caco_algorithm(net, 21), net, 21, seq)
+    trace = run_sequence(caco_algorithm(net, 21), seq)
     assert trace.demands[(0, 0)] == 3
     assert trace.demands[(1, 0)] == 2
     for cell in net.sorted_cells():

@@ -131,6 +131,26 @@ def test_assign_in_neighbor_rejected():
         state.assign((1, 0), 5)
 
 
+@pytest.mark.parametrize("freq", [0, 8])
+def test_assign_outside_spectrum_rejected(freq):
+    state = AssignmentState(Network([(0, 0)]), 7)
+    with pytest.raises(FrequencyConflictError):
+        state.assign((0, 0), freq)
+    assert state.count((0, 0)) == 0
+
+
+@pytest.mark.parametrize(
+    "used", [{(0, 0): {5}, (1, 0): {5}}, {(0, 0): {0}}, {(1, 0): {8}}], ids=["shared", "zero", "omega+1"]
+)
+def test_interference_free_detects_corruption(used):
+    # written past `assign`, the only mutator, so only the full rescan can see it
+    state = AssignmentState(Network([(0, 0), (1, 0)]), 7)
+    assert state.interference_free()
+    for cell, freqs in used.items():
+        state._used[cell] |= freqs
+    assert not state.interference_free()
+
+
 @settings(max_examples=60)
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 9)), max_size=40))
 def test_interference_invariant_after_any_assign_sequence(ops):
