@@ -118,29 +118,25 @@ def phase_ratios(scenario: AdversaryScenario, algorithm_factory) -> list:
         opt = exact_optimum(trace.network, trace.omega, dict(trace.demands))
         ratios.append(ratio_report(trace, opt).ratio)
 
-    run_duel(scenario, algorithm_factory, record)
+    run_duel(scenario, algorithm_factory(scenario.network, scenario.omega), record)
     return ratios
 
 
 def run_duel(
     scenario: AdversaryScenario,
-    algorithm_factory,
+    algorithm,
     on_phase: Optional[Callable[[RunTrace], None]] = None,
 ) -> RunTrace:
-    """Play the adversary against an algorithm; pure function of its inputs.
-
-    `algorithm_factory(network, omega)` builds the algorithm, which the trace
-    runs on; `on_phase(trace)`, when given, runs after each phase's requests.
-    """
-    alg = algorithm_factory(scenario.network, scenario.omega)
-    trace = RunTrace.start(alg)
+    """Play the adversary against `algorithm` on its network; pure function of
+    its inputs. `on_phase(trace)`, when given, runs after each phase's requests."""
+    trace = RunTrace.start(algorithm)
     phase = 0
     while True:
         counts = {c: trace.state.count(c) for c in trace.network.cells}
         batch = scenario.next_batch(phase, counts)
         if batch is None:
             break
-        feed_requests(alg, trace, batch)
+        feed_requests(algorithm, trace, batch)
         if on_phase is not None:
             on_phase(trace)
         phase += 1

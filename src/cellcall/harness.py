@@ -173,7 +173,7 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
     if adversary is None:
         trace = run_sequence(algorithm, config.traffic)
     else:
-        trace = run_duel(adversary, lambda net, om: algorithm)
+        trace = run_duel(adversary, algorithm)
 
     opt = error = None
     if config.compute_opt or config.verify_certificate:
@@ -186,11 +186,18 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
     if config.verify_certificate and opt is not None:
         certificate = _certificate_for(trace, opt)
 
-    rows = [
-        (*cell, color_of(cell).value, trace.demands.get(cell, 0), trace.accepted_at(cell),
-         opt.per_cell[cell] if opt is not None else None)
-        for cell in trace.network.sorted_cells()
-    ]
+    rows = []
+    for cell in sorted(trace.network.cells):
+        rows.append(
+            (
+                cell[0],
+                cell[1],
+                color_of(cell).value,
+                trace.demands.get(cell, 0),
+                trace.accepted_at(cell),
+                opt.per_cell[cell] if opt is not None else None,
+            )
+        )
     return RunReport(
         scenario_id=config.scenario_id,
         algorithm=trace.algorithm,

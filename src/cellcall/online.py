@@ -138,10 +138,9 @@ class PartitionReserveAlgorithm(ScanAlgorithm):
             colors = {c: color_of(c) for c in network.cells}
         except (TypeError, ValueError):  # cells that are not integer pairs
             raise ImproperColoringError("the partition family needs integer-pair cells") from None
-        for c, color in colors.items():
-            for n in network.neighbors(c):
-                if colors[n] is color:
-                    raise ImproperColoringError(f"adjacent cells {c} and {n} are both colored {color}")
+        bad = next(((u, v) for u, v in network.edges() if colors[u] is colors[v]), None)
+        if bad is not None:
+            raise ImproperColoringError(f"adjacent cells {bad[0]} and {bad[1]} share a color")
         super().__init__(network, omega)
         self.partition = part = make_partition_family(omega, x_share, y_share)
         self.name = "caco" if (x_share, y_share) == (2, 1) else f"partition:{x_share}:{y_share}"
@@ -280,8 +279,7 @@ class UnknownRequestCellError(ValueError):
 
 
 def run_sequence(algorithm, requests) -> RunTrace:
-    """Feed requests one at a time on the algorithm's own network and omega;
-    deterministic for identical inputs."""
+    """Feed requests one at a time on the algorithm's network; deterministic."""
     trace = RunTrace.start(algorithm)
     feed_requests(algorithm, trace, requests)
     return trace
@@ -290,9 +288,8 @@ def run_sequence(algorithm, requests) -> RunTrace:
 def feed_requests(algorithm, trace: RunTrace, requests) -> None:
     """Append a batch of requests to an in-progress trace (adversary phases).
 
-    A request is a pair of integers, such as a `[q, r]` list (anything else
-    raises); the trace records the network's own cell for it, so it keeps no
-    object per request.
+    A request is a pair of integers, such as a `[q, r]` list; the trace
+    records the network's own cell for it, so it keeps no object per request.
     """
     own_cell = trace.network.own_cell
     index = operator.index

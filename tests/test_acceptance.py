@@ -89,7 +89,8 @@ def test_criterion_1_fig2_reproduction(announce):
         main, ["duel", "--adversary", "fig2", "--alg", "caco", "--omega", "21"]
     )
     elapsed = time.perf_counter() - start
-    trace = run_duel(fig2_adversary(21), lambda n, o: make_algorithm("caco", n, o))
+    scenario = fig2_adversary(21)
+    trace = run_duel(scenario, make_algorithm("caco", scenario.network, 21))
     opt = exact_optimum(trace.network, 21, dict(trace.demands))
     ok = (
         result.exit_code == 0
@@ -142,9 +143,8 @@ def test_criterion_3_fig3_reproduction(announce):
             if omega % (3 * x + y) == 0:
                 selectors.append(f"partition:{x}:{y}")
         for selector in selectors:
-            trace = run_duel(
-                fig3_adversary(omega), lambda n, o, s=selector: make_algorithm(s, n, o)
-            )
+            scenario = fig3_adversary(omega)
+            trace = run_duel(scenario, make_algorithm(selector, scenario.network, omega))
             opt = exact_optimum(trace.network, omega, dict(trace.demands))
             ok = ok and 3 * opt.total >= 5 * trace.total_accepted()
             checked += 1
@@ -213,7 +213,8 @@ def test_criterion_6_solver_correctness(announce, caco_sweep, caco2_sweep):
 
 
 def test_criterion_7_greedy_separation(announce):
-    trace = run_duel(fig2_adversary(21), lambda n, o: make_algorithm("greedy", n, o))
+    scenario = fig2_adversary(21)
+    trace = run_duel(scenario, make_algorithm("greedy", scenario.network, 21))
     opt = exact_optimum(trace.network, 21, dict(trace.demands))
     ratio = Fraction(opt.total, trace.total_accepted())
     ok = ratio == 3 and ratio > Fraction(7, 3)

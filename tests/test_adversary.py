@@ -24,7 +24,7 @@ from cellcall.online import make_algorithm, run_sequence
 
 
 def duel(adversary, selector):
-    trace = run_duel(adversary, lambda net, om: make_algorithm(selector, net, om))
+    trace = run_duel(adversary, make_algorithm(selector, adversary.network, adversary.omega))
     opt = exact_optimum(trace.network, trace.omega, dict(trace.demands))
     return trace, opt
 
@@ -165,8 +165,8 @@ def test_random_sequence_negative_length():
 
 def test_duel_replay_identical():
     scenario = fig3_adversary(9)
-    t1 = run_duel(scenario, lambda n, o: make_algorithm("caco2", n, o))
-    t2 = run_duel(scenario, lambda n, o: make_algorithm("caco2", n, o))
+    t1 = run_duel(scenario, make_algorithm("caco2", scenario.network, 9))
+    t2 = run_duel(scenario, make_algorithm("caco2", scenario.network, 9))
     assert t1.requests == t2.requests and t1.outcomes == t2.outcomes
 
 
@@ -192,7 +192,7 @@ def test_random_adversary_single_batch():
 def test_single_batch_duel_matches_run_sequence(selector):
     net = star_network()
     scenario = random_adversary(21, seed=5, length=120, network=net)
-    duel_trace = run_duel(scenario, lambda n, om: make_algorithm(selector, n, om))
+    duel_trace = run_duel(scenario, make_algorithm(selector, net, 21))
     seq_trace = run_sequence(make_algorithm(selector, net, 21), scenario.next_batch(0, {}))
     assert duel_trace.requests == seq_trace.requests
     assert duel_trace.outcomes == seq_trace.outcomes

@@ -32,7 +32,7 @@ def caco_run(net, omega, seq):
 
 def test_fig2_certificate_values():
     scenario = fig2_adversary(21)
-    trace = run_duel(scenario, lambda n, o: make_algorithm("caco", n, o))
+    trace = run_duel(scenario, make_algorithm("caco", scenario.network, scenario.omega))
     opt = exact_optimum(trace.network, 21, dict(trace.demands))
     cert = caco_certificate(trace, opt)
     assert STAR_CENTER in cert.donors
@@ -154,7 +154,7 @@ def caco2_run(net, omega, seq):
 
 def test_fig3_certificate_values():
     scenario = fig3_adversary(9)
-    trace = run_duel(scenario, lambda n, o: make_algorithm("caco2", n, o))
+    trace = run_duel(scenario, make_algorithm("caco2", scenario.network, scenario.omega))
     opt = exact_optimum(trace.network, 9, dict(trace.demands))
     cert = caco2_certificate(trace, opt)
     for c in STAR_OUTER:

@@ -194,7 +194,7 @@ def test_clique_bound_on_k4_uses_the_whole_clique():
 
 def test_clique_bound_flower_duel():
     scenario = make_adversary("random:2:126", 21)
-    trace = run_duel(scenario, lambda net, omega: make_algorithm("caco", net, omega))
+    trace = run_duel(scenario, make_algorithm("caco", scenario.network, 21))
     assert clique_upper_bound(scenario.network, 21, dict(trace.demands)) == 63
 
 
