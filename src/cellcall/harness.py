@@ -113,10 +113,9 @@ def build_scenario(config: ScenarioConfig):
                 f"but the scenario lists cells {sorted(network.cells)}"
             )
         network = adversary.network
-    else:
-        for i, cell in enumerate(config.traffic):
-            if cell not in network:
-                raise ScenarioError(f"traffic request {i} at cell {cell} is outside the network")
+    elif not network.cells.issuperset(config.traffic):
+        i, cell = next((i, c) for i, c in enumerate(config.traffic) if c not in network)
+        raise ScenarioError(f"traffic request {i} at cell {cell} is outside the network")
     try:
         algorithm = make_algorithm(config.algorithm, network, config.omega)
     except Exception as exc:

@@ -45,6 +45,14 @@ def color_of(cell: Cell) -> Color:
     return _BY_INDEX[(q - r) % 3]
 
 
+def as_integer(value, what: str) -> int:
+    """`operator.index(value)`, except that a bool raises TypeError too, so
+    True is never read as 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, not {value!r}")
+    return operator.index(value)
+
+
 class UnknownCellError(KeyError):
     """A cell outside the network was referenced."""
 
@@ -63,7 +71,7 @@ class Network:
     def __init__(self, cells: Iterable[Cell]):
         own = {}
         for q, r in cells:
-            cell = (operator.index(q), operator.index(r))
+            cell = (as_integer(q, "a cell coordinate"), as_integer(r, "a cell coordinate"))
             own.setdefault(cell, cell)
         self._own = own
         self.cells = frozenset(own)
@@ -143,6 +151,23 @@ def is_triangle_free(network: Network) -> bool:
         if set(network.neighbors(u)) & set(network.neighbors(v)):
             return False
     return True
+
+
+class ImproperColoringError(ValueError):
+    """`color_of` does not colour the network properly."""
+
+
+def proper_coloring(network: Network) -> dict:
+    """Each cell's `color_of`; raises ImproperColoringError on cells that are
+    not integer pairs or on an edge whose two cells share a color."""
+    try:
+        colors = {c: color_of(c) for c in network.cells}
+    except (TypeError, ValueError):  # cells that are not integer pairs
+        raise ImproperColoringError("color_of needs integer-pair cells") from None
+    bad = next(((u, v) for u, v in network.edges() if colors[u] is colors[v]), None)
+    if bad is not None:
+        raise ImproperColoringError(f"adjacent cells {bad[0]} and {bad[1]} share a color")
+    return colors
 
 
 class NeighborConfig(NamedTuple):

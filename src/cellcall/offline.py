@@ -2,7 +2,8 @@
 
 The offline problem assigns each of the omega frequencies to an independent
 set of cells; cell i serves min(R_i, m_i) requests where m_i counts the sets
-containing it. `exact_optimum` runs branch-and-bound over maximal independent
+containing it. `exact_optimum` first tries a three-colour witness that serves
+every demand, and otherwise runs branch-and-bound over maximal independent
 set multiplicities; `exhaustive_oracle` is the brute-force cross-check and
 `clique_upper_bound` the cheap relaxation used for pruning and sanity checks.
 """
@@ -10,10 +11,10 @@ set multiplicities; `exhaustive_oracle` is the brute-force cross-check and
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
+from typing import Optional
 
-from .hexnet import Network
+from .hexnet import Color, ImproperColoringError, Network, as_integer, proper_coloring
 
 
 class InstanceTooLargeError(ValueError):
@@ -61,7 +62,7 @@ def _demand_list(network: Network, demands: dict) -> tuple[list, list]:
     unknown = set(demands) - set(cells)
     if unknown:
         raise ValueError(f"demand given for cells outside the network: {sorted(unknown)}")
-    return cells, [operator.index(demands.get(c, 0)) for c in cells]
+    return cells, [as_integer(demands.get(c, 0), f"the demand at cell {c}") for c in cells]
 
 
 def _adjacency(cells: list, network: Network) -> list[int]:
@@ -216,11 +217,47 @@ def _build_witness(cells: list, r: list[int], sets: list[int], mults: list[int])
     return OptimumWitness(total=sum(per_cell.values()), per_cell=per_cell, assignment=assignment)
 
 
+def _serve_every_demand(network: Network, omega: int, cells: list, r: list[int]) -> Optional[OptimumWitness]:
+    """A witness serving every demand in full, or None when this colouring finds none.
+
+    Needs `color_of` to colour the network properly. With one colour in the
+    middle, a low-colour cell takes frequencies 1..R_i, a high-colour cell
+    omega-R_i+1..omega, and a middle cell the R_i frequencies just above its
+    low neighbours' largest demand. That fits iff every cell has
+    R_i + (largest low-neighbour demand) + (largest high-neighbour demand)
+    <= omega, which does not depend on which side is low, so trying each
+    colour in the middle tries all six role orders. The borrowing idea is
+    Narayanan & Shende's (Static frequency assignment in cellular networks,
+    Algorithmica 29, 2001). No optimum exceeds the total demand, so O = R is
+    then the only optimal per-cell vector.
+    """
+    try:
+        color = proper_coloring(network)
+    except ImproperColoringError:
+        return None
+    demand = dict(zip(cells, r))
+    # each cell's largest neighbour demand per colour; its own colour stays 0
+    peak = {c: dict.fromkeys(Color, 0) for c in cells}
+    for c in cells:
+        for n in network.neighbors(c):
+            peak[c][color[n]] = max(peak[c][color[n]], demand[n])
+    for middle in Color:
+        low, high = (k for k in Color if k is not middle)
+        if all(demand[c] + peak[c][low] + peak[c][high] <= omega for c in cells):
+            assignment = {}
+            for c in cells:
+                start = 0 if color[c] is low else omega - demand[c] if color[c] is high else peak[c][low]
+                assignment[c] = frozenset(range(start + 1, start + demand[c] + 1))
+            return OptimumWitness(sum(r), demand, assignment)
+    return None
+
+
 def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness:
     """Exact offline optimum with a realizing assignment.
 
-    Branches on multiplicities of maximal independent sets in lexicographic
-    order, pruning with a disjoint-clique bound; returns the first optimum
+    Returns `_serve_every_demand`'s witness when it finds one. Otherwise
+    branches on multiplicities of maximal independent sets in lexicographic
+    order, pruning with a disjoint-clique bound, and returns the first optimum
     found under that deterministic order.
     """
     cells, r = _demand_list(network, demands)
@@ -232,6 +269,9 @@ def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness
         )
     if n == 0 or omega == 0 or not any(r):
         return OptimumWitness(0, {c: 0 for c in cells}, {c: frozenset() for c in cells})
+    served = _serve_every_demand(network, omega, cells, r)
+    if served is not None:
+        return served
 
     components = _components(cells, network)
     if len(components) > 1:

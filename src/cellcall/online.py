@@ -16,7 +16,16 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional
 
-from .hexnet import Cell, Color, Network, classify_neighbor_config, color_of, is_triangle_free
+from .hexnet import (
+    Cell,
+    Color,
+    ImproperColoringError,
+    Network,
+    classify_neighbor_config,
+    color_of,
+    is_triangle_free,
+    proper_coloring,
+)
 from .spectrum import AssignmentState, FrequencyPartition, make_partition_family
 
 
@@ -121,26 +130,17 @@ class GreedyAlgorithm(ScanAlgorithm):
         self.scans = dict.fromkeys(network.cells, (range(1, omega + 1),))
 
 
-class ImproperColoringError(ValueError):
-    """The partition family needs `color_of` to colour the network properly."""
-
-
 class PartitionReserveAlgorithm(ScanAlgorithm):
     """The x:x:x:y partition family: own color range first, shared range second.
 
     CACO is the 2:1 member. The scan takes the own range iff the cell's count in
     it is below its size, the paper's rule, because `color_of` colours the
-    network properly (true of every `Network(cells)`); `__init__` checks this.
+    network properly (true of every `Network(cells)`); `__init__` checks this
+    and raises ImproperColoringError otherwise.
     """
 
     def __init__(self, network: Network, omega: int, x_share: int, y_share: int):
-        try:
-            colors = {c: color_of(c) for c in network.cells}
-        except (TypeError, ValueError):  # cells that are not integer pairs
-            raise ImproperColoringError("the partition family needs integer-pair cells") from None
-        bad = next(((u, v) for u, v in network.edges() if colors[u] is colors[v]), None)
-        if bad is not None:
-            raise ImproperColoringError(f"adjacent cells {bad[0]} and {bad[1]} share a color")
+        colors = proper_coloring(network)
         super().__init__(network, omega)
         self.partition = part = make_partition_family(omega, x_share, y_share)
         self.name = "caco" if (x_share, y_share) == (2, 1) else f"partition:{x_share}:{y_share}"
@@ -288,12 +288,15 @@ def run_sequence(algorithm, requests) -> RunTrace:
 def feed_requests(algorithm, trace: RunTrace, requests) -> None:
     """Append a batch of requests to an in-progress trace (adversary phases).
 
-    A request is a pair of integers, such as a `[q, r]` list; the trace
-    records the network's own cell for it, so it keeps no object per request.
+    A request is a pair of integers, such as a `[q, r]` list, and not of
+    booleans; the trace records the network's own cell for it, so it keeps no
+    object per request.
     """
     own_cell = trace.network.own_cell
     index = operator.index
     for q, r in requests:
+        if type(q) is bool or type(r) is bool:  # index(True) is 1
+            raise TypeError(f"request {len(trace.requests)} has a boolean coordinate: ({q!r}, {r!r})")
         key = (index(q), index(r))
         cell = own_cell(key)
         if cell is None:

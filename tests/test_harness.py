@@ -114,6 +114,13 @@ def test_malformed_fields_rejected(field, value, message):
         parse_scenario(data, scenario_id="x")
 
 
+def test_traffic_outside_network_names_first_request():
+    data = {"omega": 7, "cells": [[0, 0], [1, 0]], "algorithm": "greedy"}
+    data["traffic"] = [[1, 0], [0, 0], [5, 5], [6, 6]]
+    with pytest.raises(ScenarioError, match=r"^traffic request 2 at cell \(5, 5\) is outside the network$"):
+        parse_scenario(data, scenario_id="x")
+
+
 json_values = st.recursive(
     st.none()
     | st.booleans()

@@ -27,6 +27,11 @@ def test_cells_must_be_integer_pairs():
     assert Network([[1, 0]]).cells == {(1, 0)}
 
 
+def test_boolean_coordinates_rejected():
+    with pytest.raises(TypeError, match="^a cell coordinate must be an integer, not True$"):
+        Network([(True, 0), (0, 0)])
+
+
 def test_isolated_cell_has_no_neighbors():
     net = Network([(0, 0)])
     assert net.neighbors((0, 0)) == ()

@@ -1,17 +1,22 @@
 import itertools
 import random
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from cellcall import offline
 from cellcall.adversary import fig2_adversary, make_adversary, phase_ratios, run_duel
 from cellcall.hexnet import Network, hex_patch
 from cellcall.offline import (
     InstanceTooLargeError,
     _adjacency,
+    _demand_list,
     _independent_sets,
     _maximal_independent_sets,
+    _serve_every_demand,
     clique_upper_bound,
     cycle_graph,
     exact_optimum,
@@ -28,6 +33,12 @@ PATCH = hex_patch(2)
 def test_demands_must_be_integers():
     with pytest.raises(TypeError):
         exact_optimum(Network([(0, 0)]), 7, {(0, 0): 2.9})
+
+
+def test_boolean_demand_rejected():
+    net = Network([(0, 0), (1, 0)])
+    with pytest.raises(TypeError, match=r"^the demand at cell \(1, 0\) must be an integer, not True$"):
+        exact_optimum(net, 3, {(1, 0): True})
 
 
 def test_two_adjacent_cells_share_one_pool():
@@ -209,3 +220,91 @@ def test_maximal_independent_sets_are_complement_cliques(cells):
         if all(m >> i & 1 or adj[i] & m for i in range(len(ordered)))
     ]
     assert [sum(1 << i for i in s) for s in _maximal_independent_sets(adj)] == maximal
+
+
+def branch_and_bound(net, omega, demands):
+    """`exact_optimum` with the served-in-full fast path switched off."""
+    with mock.patch.object(offline, "_serve_every_demand", return_value=None):
+        return exact_optimum(net, omega, demands)
+
+
+def fast_path(net, omega, demands):
+    return _serve_every_demand(net, omega, *_demand_list(net, demands))
+
+
+def test_fast_path_serves_the_slow_sweep_instance():
+    # instance 314 of the seed-2025 triangle-free sweep with omega drawn from
+    # (9, 18); branch-and-bound alone spends over a minute proving that every
+    # request can be served
+    cells = [(-2, 2), (-1, -1), (-1, 1), (0, -1), (0, 0), (0, 2), (1, 0), (1, 1), (2, -1)]
+    net = Network(cells)
+    demands = dict(zip(cells, (7, 7, 6, 6, 4, 8, 8, 9, 8)))
+    start = time.perf_counter()
+    opt = exact_optimum(net, 18, demands)
+    elapsed = time.perf_counter() - start
+    assert opt.total == sum(demands.values()) == 63
+    assert opt.per_cell == demands
+    validate_witness(net, 18, demands, opt)
+    assert elapsed < 0.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.sampled_from(PATCH_CELLS), min_size=1, max_size=9), st.integers(1, 21), st.data())
+def test_fast_path_witness_is_the_branch_and_bound_vector(cells, omega, data):
+    net = Network(cells)
+    demands = {c: data.draw(st.integers(0, omega)) for c in net.sorted_cells()}
+    fast = fast_path(net, omega, demands)
+    if fast is not None:
+        validate_witness(net, omega, demands, fast)
+        assert fast.per_cell == branch_and_bound(net, omega, demands).per_cell
+
+
+def test_fast_path_tries_each_colour_in_the_middle():
+    # the line B-R-G-B at omega 6: R in the middle needs 3 + 3 + 3 at (0, 0),
+    # G in the middle the same at (1, 0); only B in the middle fits
+    net = Network([(-1, 0), (0, 0), (1, 0), (2, 0)])
+    demands = dict.fromkeys(net.cells, 3)
+    fast = fast_path(net, 6, demands)
+    validate_witness(net, 6, demands, fast)
+    assert fast.per_cell == demands
+    assert fast_path(net, 5, demands) is None
+
+
+def test_graphs_without_a_proper_colouring_take_branch_and_bound():
+    c5 = cycle_graph(5)  # cells are not integer pairs
+    k4 = Network.from_edges(range(4), itertools.combinations(range(4), 2))
+    # two same-colour cells joined by an edge: a witness from colour roles
+    # would give both the same frequencies and claim 4
+    same = Network.from_edges([(0, 0), (3, 0)], [((0, 0), (3, 0))])
+    cases = [
+        (c5, 2, {i: 2 for i in range(5)}, {0: 2, 1: 0, 2: 2, 3: 0, 4: 0}),
+        (c5, 5, {i: 2 for i in range(5)}, {i: 2 for i in range(5)}),  # served in full
+        (k4, 6, {i: 1 for i in range(4)}, {i: 1 for i in range(4)}),
+        (k4, 6, {i: 6 for i in range(4)}, {0: 6, 1: 0, 2: 0, 3: 0}),
+        (same, 3, {(0, 0): 2, (3, 0): 2}, {(0, 0): 2, (3, 0): 1}),
+    ]
+    for net, omega, demands, per_cell in cases:
+        assert fast_path(net, omega, demands) is None
+        opt = exact_optimum(net, omega, demands)
+        assert opt.per_cell == per_cell == branch_and_bound(net, omega, demands).per_cell
+        validate_witness(net, omega, demands, opt)
+
+
+def test_fast_path_per_component():
+    # the (0, 0)-(1, 0) pair cannot serve its 8 requests at omega 4, the
+    # path from (3, 3) can serve all of its 5
+    net = Network([(0, 0), (1, 0), (3, 3), (4, 3), (5, 3)])
+    demands = {(0, 0): 4, (1, 0): 4, (3, 3): 1, (4, 3): 3, (5, 3): 1}
+    served = []
+
+    def recording(*args):
+        served.append(_serve_every_demand(*args))
+        return served[-1]
+
+    with mock.patch.object(offline, "_serve_every_demand", recording):
+        opt = exact_optimum(net, 4, demands)
+    # the whole network, then each component in turn
+    assert [witness is not None for witness in served] == [False, False, True]
+    assert opt.per_cell == branch_and_bound(net, 4, demands).per_cell
+    assert opt.total == 4 + 5
+    validate_witness(net, 4, demands, opt)

@@ -259,6 +259,12 @@ def test_request_must_be_integer_pair(pair):
         run_sequence(GreedyAlgorithm(net, 7), [pair])
 
 
+def test_boolean_request_rejected():
+    net = Network([(0, 0), (1, 0)])
+    with pytest.raises(TypeError, match=r"^request 0 has a boolean coordinate: \(True, False\)$"):
+        run_sequence(GreedyAlgorithm(net, 3), [(True, False)])
+
+
 @pytest.mark.parametrize("as_lists", [False, True])
 def test_trace_keeps_no_object_per_request(as_lists):
     net = hex_patch(4)
