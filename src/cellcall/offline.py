@@ -2,9 +2,10 @@
 
 The offline problem assigns each of the omega frequencies to an independent
 set of cells; cell i serves min(R_i, m_i) requests where m_i counts the sets
-containing it. `exact_optimum` first tries a three-colour witness that serves
-every demand, and otherwise runs branch-and-bound over maximal independent
-set multiplicities; `exhaustive_oracle` is the brute-force cross-check and
+containing it, so no cell serves more than omega. `exact_optimum` caps each
+demand at omega, first tries a three-colour witness that serves every capped
+demand, and otherwise runs branch-and-bound over maximal independent set
+multiplicities; `exhaustive_oracle` is the brute-force cross-check and
 `clique_upper_bound` the cheap relaxation used for pruning and sanity checks.
 """
 
@@ -62,7 +63,11 @@ def _demand_list(network: Network, demands: dict) -> tuple[list, list]:
     unknown = set(demands) - set(cells)
     if unknown:
         raise ValueError(f"demand given for cells outside the network: {sorted(unknown)}")
-    return cells, [as_integer(demands.get(c, 0), f"the demand at cell {c}") for c in cells]
+    r = [as_integer(demands.get(c, 0), f"the demand at cell {c}") for c in cells]
+    for c, d in zip(cells, r):
+        if d < 0:
+            raise ValueError(f"the demand at cell {c} must be nonnegative, not {d}")
+    return cells, r
 
 
 def _adjacency(cells: list, network: Network) -> list[int]:
@@ -110,12 +115,12 @@ def _maximal_cliques(adj: list[int]) -> list[tuple[int, ...]]:
     return cliques
 
 
-def _clique_partition(adj: list[int]) -> list[tuple[int, ...]]:
+def _clique_partition(cliques: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Greedy partition of the cells into disjoint cliques (for the B&B bound);
     every cell lies in some maximal clique, so every cell is covered."""
     taken = set()
     parts = []
-    for clique in sorted(_maximal_cliques(adj), key=lambda k: (-len(k), k)):
+    for clique in sorted(cliques, key=lambda k: (-len(k), k)):
         members = tuple(i for i in clique if i not in taken)
         if members:
             parts.append(members)
@@ -125,12 +130,20 @@ def _clique_partition(adj: list[int]) -> list[tuple[int, ...]]:
 
 def clique_upper_bound(network: Network, omega: int, demands: dict) -> int:
     """Exact optimum of: max sum x_i, 0 <= x_i <= R_i, sum over each maximal
-    clique <= omega. Always >= the true optimum; loose on odd cycles."""
+    clique <= omega. Always >= the true optimum; loose on odd cycles.
+
+    Every cell lies in some maximal clique, so x_i <= omega anyway: the
+    search runs on the demands capped at omega, with the same value.
+    """
     cells, r = _demand_list(network, demands)
-    n = len(cells)
-    if n == 0:
+    if not cells:
         return 0
-    cliques = _maximal_cliques(_adjacency(cells, network))
+    return _clique_bound(omega, [min(d, omega) for d in r], _maximal_cliques(_adjacency(cells, network)))
+
+
+def _clique_bound(omega: int, r: list[int], cliques: list[tuple[int, ...]]) -> int:
+    """`clique_upper_bound` over cell indices, given the maximal cliques."""
+    n = len(r)
     touching = [[k for k, K in enumerate(cliques) if i in K] for i in range(n)]
     # The search from cell i on sees the caps only through the cliques with
     # members on both sides of i, and a cap above the demand still to come
@@ -217,6 +230,9 @@ def _build_witness(cells: list, r: list[int], sets: list[int], mults: list[int])
     return OptimumWitness(total=sum(per_cell.values()), per_cell=per_cell, assignment=assignment)
 
 
+_COLOR_INDEX = {k: i for i, k in enumerate(Color)}
+
+
 def _serve_every_demand(network: Network, omega: int, cells: list, r: list[int]) -> Optional[OptimumWitness]:
     """A witness serving every demand in full, or None when this colouring finds none.
 
@@ -235,30 +251,41 @@ def _serve_every_demand(network: Network, omega: int, cells: list, r: list[int])
         color = proper_coloring(network)
     except ImproperColoringError:
         return None
-    demand = dict(zip(cells, r))
-    # each cell's largest neighbour demand per colour; its own colour stays 0
-    peak = {c: dict.fromkeys(Color, 0) for c in cells}
-    for c in cells:
+    kind = [_COLOR_INDEX[color[c]] for c in cells]
+    position = {c: i for i, c in enumerate(cells)}
+    # each cell's largest neighbour demand per colour index; its own colour stays 0
+    peak = [[0, 0, 0] for _ in cells]
+    for c, top in zip(cells, peak):
         for n in network.neighbors(c):
-            peak[c][color[n]] = max(peak[c][color[n]], demand[n])
-    for middle in Color:
-        low, high = (k for k in Color if k is not middle)
-        if all(demand[c] + peak[c][low] + peak[c][high] <= omega for c in cells):
+            j = position[n]
+            if r[j] > top[kind[j]]:
+                top[kind[j]] = r[j]
+    for middle in range(3):
+        low, high = (k for k in range(3) if k != middle)
+        if all(d + top[low] + top[high] <= omega for d, top in zip(r, peak)):
             assignment = {}
-            for c in cells:
-                start = 0 if color[c] is low else omega - demand[c] if color[c] is high else peak[c][low]
-                assignment[c] = frozenset(range(start + 1, start + demand[c] + 1))
-            return OptimumWitness(sum(r), demand, assignment)
+            for c, d, k, top in zip(cells, r, kind, peak):
+                start = 0 if k == low else omega - d if k == high else top[low]
+                assignment[c] = frozenset(range(start + 1, start + d + 1))
+            return OptimumWitness(sum(r), dict(zip(cells, r)), assignment)
     return None
 
 
 def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness:
     """Exact offline optimum with a realizing assignment.
 
-    Returns `_serve_every_demand`'s witness when it finds one. Otherwise
-    branches on multiplicities of maximal independent sets in lexicographic
-    order, pruning with a disjoint-clique bound, and returns the first optimum
-    found under that deterministic order.
+    Caps each demand at omega, which no cell can serve past; that changes
+    neither the optimum nor the clique bound, only how early the search may
+    stop. Returns `_serve_every_demand`'s witness when it finds one for the
+    capped demands: O = min(R, omega) is then the only optimal per-cell
+    vector. Otherwise branches on multiplicities of maximal independent sets
+    in lexicographic order, pruning with a disjoint-clique bound, and returns
+    the first optimum found under that deterministic order. The maximal
+    cliques are enumerated once, for that bound and for the clique-bound
+    ceiling. A first search aims at the ceiling: it prunes every subtree that
+    cannot reach it and stops at the first node that does, which is the node
+    the plain search returns. Only when no node reaches the ceiling (a loose
+    bound, as on `cycle_graph(5)`) does the plain search run.
     """
     cells, r = _demand_list(network, demands)
     n = len(cells)
@@ -267,8 +294,9 @@ def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness
             f"instance with {n} cells, omega={omega} exceeds limits ({MAX_CELLS} cells, "
             f"omega {MAX_OMEGA} past {ANY_OMEGA_CELLS} cells)"
         )
-    if n == 0 or omega == 0 or not any(r):
+    if n == 0 or omega <= 0 or not any(r):
         return OptimumWitness(0, {c: 0 for c in cells}, {c: frozenset() for c in cells})
+    r = [min(d, omega) for d in r]
     served = _serve_every_demand(network, omega, cells, r)
     if served is not None:
         return served
@@ -286,16 +314,32 @@ def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness
 
     adj = _adjacency(cells, network)
     members = _maximal_independent_sets(adj)
-    sets = [sum(1 << i for i in m) for m in members]
-    parts = _clique_partition(adj)
-    ceiling = clique_upper_bound(network, omega, demands)
+    cliques = _maximal_cliques(adj)
+    parts = _clique_partition(cliques)
+    ceiling = _clique_bound(omega, r, cliques)
+    mults = _branch_and_bound(r, members, parts, omega, ceiling, ceiling - 1)
+    if mults is None:
+        mults = _branch_and_bound(r, members, parts, omega, ceiling, -1)
+    return _build_witness(cells, r, [sum(1 << i for i in m) for m in members], mults)
 
-    best_value = -1
-    best_mults: list[int] = []
 
-    # max set size among sets[j:], for the trivial per-frequency bound
-    maxsize_from = [0] * (len(sets) + 1)
-    for j in range(len(sets) - 1, -1, -1):
+def _branch_and_bound(
+    r: list[int], members: list[tuple], parts: list[tuple], omega: int, ceiling: int, floor: int
+) -> Optional[list[int]]:
+    """Multiplicities of the maximal independent sets `members` that reach the
+    best value above `floor`, the first such in DFS order, or None when no
+    assignment beats `floor`. Stops at the first node that reaches `ceiling`.
+
+    A subtree is pruned only when no node in it beats the incumbent, so the
+    nodes that raise the incumbent, and the first node of the best value,
+    do not depend on `floor` as long as `floor` is below that value.
+    """
+    best_value = floor
+    best_mults = None
+
+    # max set size among members[j:], for the trivial per-frequency bound
+    maxsize_from = [0] * (len(members) + 1)
+    for j in range(len(members) - 1, -1, -1):
         maxsize_from[j] = max(maxsize_from[j + 1], len(members[j]))
 
     def bound(j: int, cov: list[int], rem: int) -> int:
@@ -312,10 +356,10 @@ def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness
         value = _value(r, cov)
         if value > best_value:
             best_value = value
-            best_mults = mults[:j] + [0] * (len(sets) - j)
+            best_mults = mults[:j] + [0] * (len(members) - j)
         if best_value >= ceiling:
             return
-        if j == len(sets) or rem == 0:
+        if j == len(members) or rem == 0:
             return
         if value + bound(j, cov, rem) <= best_value:
             return
@@ -334,9 +378,9 @@ def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness
             if best_value >= ceiling:
                 return
 
-    mults = [0] * len(sets)
-    dfs(0, omega, [0] * n)
-    return _build_witness(cells, r, sets, best_mults)
+    mults = [0] * len(members)
+    dfs(0, omega, [0] * len(r))
+    return best_mults
 
 
 def exhaustive_oracle(network: Network, omega: int, demands: dict) -> OptimumWitness:

@@ -6,6 +6,7 @@ sweeps are built once per module and shared by the bound, certificate,
 solver, and invariant checks.
 """
 
+import hashlib
 import random
 import time
 from dataclasses import dataclass
@@ -210,6 +211,18 @@ def test_criterion_6_solver_correctness(announce, caco_sweep, caco2_sweep):
     ok = ok and exact_optimum(c5, 2, demands5).total == 4
     ok = ok and clique_upper_bound(c5, 2, demands5) == 5
     verdict(announce, 6, "exact solver matches oracle, bounds ordered", ok)
+
+
+# sha256 over both sweeps' per-cell optimum vectors: reports print O, so a
+# solver change that alters any of them fails here
+SWEEP_OPTIMA_SHA256 = "f23eaeff32d9f01de889c59fc145605b2682ccdd493d84735f6f57dd38313b48"
+
+
+def test_sweep_optima_are_pinned(caco_sweep, caco2_sweep):
+    digest = hashlib.sha256()
+    for inst in caco_sweep[0] + caco2_sweep[0]:
+        digest.update(repr(sorted(inst.opt.per_cell.items())).encode() + b"\n")
+    assert digest.hexdigest() == SWEEP_OPTIMA_SHA256
 
 
 def test_criterion_7_greedy_separation(announce):

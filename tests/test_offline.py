@@ -13,8 +13,12 @@ from cellcall.hexnet import Network, hex_patch
 from cellcall.offline import (
     InstanceTooLargeError,
     _adjacency,
+    _branch_and_bound,
+    _clique_bound,
+    _clique_partition,
     _demand_list,
     _independent_sets,
+    _maximal_cliques,
     _maximal_independent_sets,
     _serve_every_demand,
     clique_upper_bound,
@@ -41,6 +45,27 @@ def test_boolean_demand_rejected():
         exact_optimum(net, 3, {(1, 0): True})
 
 
+def test_negative_demand_rejected_by_exact_optimum():
+    net = Network([(0, 0), (1, 0)])
+    with pytest.raises(ValueError, match=r"^the demand at cell \(0, 0\) must be nonnegative, not -1$"):
+        exact_optimum(net, 3, {(0, 0): -1})
+    # checked before the cap at omega and before the early exits
+    with pytest.raises(ValueError, match=r"cell \(1, 0\)"):
+        exact_optimum(net, 0, {(1, 0): -5})
+
+
+def test_negative_demand_rejected_by_clique_upper_bound():
+    # a bound of 0 against an optimum of 3 if it were let through
+    net = Network([(0, 0), (1, 0)])
+    with pytest.raises(ValueError, match=r"^the demand at cell \(0, 0\) must be nonnegative, not -3$"):
+        clique_upper_bound(net, 3, {(0, 0): -3, (1, 0): 5})
+
+
+def test_negative_demand_rejected_by_exhaustive_oracle():
+    with pytest.raises(ValueError, match=r"^the demand at cell \(1, 0\) must be nonnegative, not -2$"):
+        exhaustive_oracle(Network([(0, 0), (1, 0)]), 2, {(0, 0): 1, (1, 0): -2})
+
+
 def test_two_adjacent_cells_share_one_pool():
     net = Network([(0, 0), (1, 0)])
     opt = exact_optimum(net, 4, {(0, 0): 4, (1, 0): 4})
@@ -50,6 +75,16 @@ def test_two_adjacent_cells_share_one_pool():
 def test_single_cell_capacity_bound():
     net = Network([(0, 0)])
     assert exact_optimum(net, 4, {(0, 0): 10}).total == 4
+
+
+def test_demand_past_omega_takes_the_fast_path():
+    # capped at omega the demand is served in full, so no branch-and-bound runs
+    net = Network([(0, 0)])
+    no_search = AssertionError("branch-and-bound ran")
+    with mock.patch.object(offline, "_maximal_independent_sets", side_effect=no_search):
+        opt = exact_optimum(net, 7, {(0, 0): 14})
+    assert opt.per_cell == {(0, 0): 7}
+    validate_witness(net, 7, {(0, 0): 14}, opt)
 
 
 def test_fig2_star_optimum():
@@ -66,6 +101,24 @@ def test_five_cycle_needs_exact_solver():
     demands = {i: 2 for i in range(5)}
     assert exact_optimum(c5, 2, demands).total == 4
     assert clique_upper_bound(c5, 2, demands) == 5
+
+
+def test_search_falls_back_when_the_ceiling_is_loose():
+    # the ceiling is 5 and the optimum 4, so the pass aimed at the ceiling
+    # finds nothing and the plain search runs
+    c5 = cycle_graph(5)
+    demands = {i: 2 for i in range(5)}
+    floors = []
+
+    def recording(*args):
+        floors.append((args[-1], _branch_and_bound(*args)))
+        return floors[-1][1]
+
+    with mock.patch.object(offline, "_branch_and_bound", recording):
+        opt = exact_optimum(c5, 2, demands)
+    assert [(floor, mults is not None) for floor, mults in floors] == [(4, False), (-1, True)]
+    assert opt.per_cell == {0: 2, 1: 0, 2: 2, 3: 0, 4: 0}
+    validate_witness(c5, 2, demands, opt)
 
 
 def test_size_limits_enforced():
@@ -136,6 +189,8 @@ def test_empty_and_zero_demand():
     net = Network([(0, 0), (1, 0)])
     assert exact_optimum(net, 5, {}).total == 0
     assert exact_optimum(net, 5, {(0, 0): 0}).total == 0
+    # no frequencies to give: the cap at omega must not turn demands negative
+    assert exact_optimum(net, -1, {(0, 0): 2}).per_cell == {(0, 0): 0, (1, 0): 0}
 
 
 def test_unknown_demand_cell_rejected():
@@ -148,6 +203,57 @@ def test_witness_trims_to_demand():
     opt = exact_optimum(net, 5, {(0, 0): 2, (2, 2): 1})
     assert opt.per_cell == {(0, 0): 2, (2, 2): 1}
     assert len(opt.assignment[(0, 0)]) == 2
+
+
+K4 = Network.from_edges(range(4), itertools.combinations(range(4), 2))
+
+
+@st.composite
+def instances(draw, max_cells=8, max_omega=21):
+    """A random hex subnetwork of at most `max_cells` cells, or the 5-cycle or
+    K4, with omega and demands up to twice omega."""
+    net = draw(
+        st.one_of(
+            st.sets(st.sampled_from(PATCH_CELLS), min_size=1, max_size=max_cells).map(Network),
+            st.sampled_from([cycle_graph(5), K4]),
+        )
+    )
+    omega = draw(st.integers(1, max_omega))
+    demands = {c: draw(st.integers(0, 2 * omega)) for c in net.sorted_cells()}
+    return net, omega, demands
+
+
+@pytest.mark.parametrize("max_cells, max_omega", [(8, 21), (4, 6)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_raising_a_demand_past_omega_changes_nothing(max_cells, max_omega, data):
+    net, omega, demands = data.draw(instances(max_cells, max_omega))
+    raised = {c: d + data.draw(st.integers(0, omega)) if d >= omega else d for c, d in demands.items()}
+    opt, more = exact_optimum(net, omega, demands), exact_optimum(net, omega, raised)
+    assert (more.per_cell, more.total) == (opt.per_cell, opt.total)
+    bound = clique_upper_bound(net, omega, demands)
+    assert clique_upper_bound(net, omega, raised) == bound
+    validate_witness(net, omega, raised, more)
+    if len(net) <= 4 and omega <= 6:
+        assert exhaustive_oracle(net, omega, demands).total == opt.total
+        assert exhaustive_oracle(net, omega, raised).total == opt.total
+        assert bound >= opt.total
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(max_cells=7, max_omega=14))
+def test_search_aimed_at_the_ceiling_finds_the_plain_search_node(instance):
+    net, omega, demands = instance
+    cells, r = _demand_list(net, demands)
+    r = [min(d, omega) for d in r]
+    adj = _adjacency(cells, net)
+    members = _maximal_independent_sets(adj)
+    cliques = _maximal_cliques(adj)
+    parts = _clique_partition(cliques)
+    ceiling = _clique_bound(omega, r, cliques)
+    aimed = _branch_and_bound(r, members, parts, omega, ceiling, ceiling - 1)
+    plain = _branch_and_bound(r, members, parts, omega, ceiling, -1)
+    assert aimed is None or aimed == plain
 
 
 def brute_clique_bound(net, omega, demands):
@@ -197,10 +303,9 @@ def test_clique_bound_matches_brute_force_randomized():
 
 
 def test_clique_bound_on_k4_uses_the_whole_clique():
-    k4 = Network.from_edges(range(4), itertools.combinations(range(4), 2))
     demands = {i: 6 for i in range(4)}
-    assert clique_upper_bound(k4, 6, demands) == 6
-    assert exact_optimum(k4, 6, demands).total == 6
+    assert clique_upper_bound(K4, 6, demands) == 6
+    assert exact_optimum(K4, 6, demands).total == 6
 
 
 def test_clique_bound_flower_duel():
@@ -272,15 +377,14 @@ def test_fast_path_tries_each_colour_in_the_middle():
 
 def test_graphs_without_a_proper_colouring_take_branch_and_bound():
     c5 = cycle_graph(5)  # cells are not integer pairs
-    k4 = Network.from_edges(range(4), itertools.combinations(range(4), 2))
     # two same-colour cells joined by an edge: a witness from colour roles
     # would give both the same frequencies and claim 4
     same = Network.from_edges([(0, 0), (3, 0)], [((0, 0), (3, 0))])
     cases = [
         (c5, 2, {i: 2 for i in range(5)}, {0: 2, 1: 0, 2: 2, 3: 0, 4: 0}),
         (c5, 5, {i: 2 for i in range(5)}, {i: 2 for i in range(5)}),  # served in full
-        (k4, 6, {i: 1 for i in range(4)}, {i: 1 for i in range(4)}),
-        (k4, 6, {i: 6 for i in range(4)}, {0: 6, 1: 0, 2: 0, 3: 0}),
+        (K4, 6, {i: 1 for i in range(4)}, {i: 1 for i in range(4)}),
+        (K4, 6, {i: 6 for i in range(4)}, {0: 6, 1: 0, 2: 0, 3: 0}),
         (same, 3, {(0, 0): 2, (3, 0): 2}, {(0, 0): 2, (3, 0): 1}),
     ]
     for net, omega, demands, per_cell in cases:
