@@ -62,8 +62,7 @@ class Network:
 
     Immutable after construction. `Network(cells)` derives hex adjacency from
     the cell set; `from_edges` takes an explicit edge list, for interference
-    graphs the hex grid cannot realize (a chordless 5-cycle, K4), and
-    `restrict` keeps the adjacency among a subset of the cells. There is one
+    graphs the hex grid cannot realize (a chordless 5-cycle, K4). There is one
     tuple object per cell: the cell set and every neighbor tuple share it, and
     `own_cell` returns it, so records of many requests hold no copies.
     """
@@ -87,14 +86,6 @@ class Network:
         }
 
     @classmethod
-    def _from_adjacency(cls, adj: dict) -> "Network":
-        network = cls.__new__(cls)
-        own = network._own = {c: c for c in adj}
-        network.cells = frozenset(own)
-        network._adj = {c: tuple(own[n] for n in ns) for c, ns in adj.items()}
-        return network
-
-    @classmethod
     def from_edges(cls, cells: Iterable, edges: Iterable) -> "Network":
         adj = {c: set() for c in cells}
         for u, v in edges:
@@ -102,14 +93,11 @@ class Network:
                 raise ValueError(f"bad edge ({u}, {v})")
             adj[u].add(v)
             adj[v].add(u)
-        return cls._from_adjacency({c: tuple(sorted(ns)) for c, ns in adj.items()})
-
-    def restrict(self, cells: Iterable[Cell]) -> "Network":
-        """The subgraph induced by `cells`, which must all be in the network."""
-        keep = frozenset(cells)
-        return self._from_adjacency(
-            {c: tuple(n for n in self.neighbors(c) if n in keep) for c in keep}
-        )
+        network = cls.__new__(cls)
+        own = network._own = {c: c for c in adj}
+        network.cells = frozenset(own)
+        network._adj = {c: tuple(sorted(own[n] for n in ns)) for c, ns in adj.items()}
+        return network
 
     def __contains__(self, cell: Cell) -> bool:
         return cell in self.cells

@@ -45,20 +45,31 @@ class OptimumWitness:
 
 
 def validate_witness(network: Network, omega: int, demands: dict, witness: OptimumWitness) -> None:
-    """Independent re-check of a witness: interference-free, in range, within demand."""
+    """Independent re-check of a witness: interference-free, in range, within
+    demand. Raises AssertionError itself rather than by `assert`, so the check
+    also runs under `python -O`."""
     for cell, freqs in witness.assignment.items():
-        assert cell in network, f"witness cell {cell} not in network"
-        assert len(freqs) == witness.per_cell[cell]
-        assert len(freqs) <= demands.get(cell, 0), f"cell {cell} exceeds its demand"
-        assert all(1 <= f <= omega for f in freqs)
+        if cell not in network:
+            raise AssertionError(f"witness cell {cell} not in network")
+        if len(freqs) != witness.per_cell[cell]:
+            raise AssertionError(f"cell {cell} has {len(freqs)} frequencies, not its O")
+        if len(freqs) > demands.get(cell, 0):
+            raise AssertionError(f"cell {cell} exceeds its demand")
+        if not all(1 <= f <= omega for f in freqs):
+            raise AssertionError(f"cell {cell} has a frequency outside 1..{omega}")
         for n in network.neighbors(cell):
-            assert not freqs & witness.assignment.get(n, frozenset()), (
-                f"cells {cell} and {n} share a frequency"
-            )
-    assert witness.total == sum(witness.per_cell.values())
+            if freqs & witness.assignment.get(n, frozenset()):
+                raise AssertionError(f"cells {cell} and {n} share a frequency")
+    if witness.total != sum(witness.per_cell.values()):
+        raise AssertionError(f"witness total {witness.total} is not the sum of its per-cell O")
 
 
-def _demand_list(network: Network, demands: dict) -> tuple[list, list]:
+def _demand_list(network: Network, omega: int, demands: dict) -> tuple[list, list, int]:
+    """The sorted cells, their demands and omega, each checked to be a
+    nonnegative integer."""
+    omega = as_integer(omega, "omega")
+    if omega < 0:
+        raise ValueError(f"omega must be nonnegative, not {omega}")
     cells = network.sorted_cells()
     unknown = set(demands) - set(cells)
     if unknown:
@@ -67,7 +78,7 @@ def _demand_list(network: Network, demands: dict) -> tuple[list, list]:
     for c, d in zip(cells, r):
         if d < 0:
             raise ValueError(f"the demand at cell {c} must be nonnegative, not {d}")
-    return cells, r
+    return cells, r, omega
 
 
 def _adjacency(cells: list, network: Network) -> list[int]:
@@ -135,7 +146,7 @@ def clique_upper_bound(network: Network, omega: int, demands: dict) -> int:
     Every cell lies in some maximal clique, so x_i <= omega anyway: the
     search runs on the demands capped at omega, with the same value.
     """
-    cells, r = _demand_list(network, demands)
+    cells, r, omega = _demand_list(network, omega, demands)
     if not cells:
         return 0
     return _clique_bound(omega, [min(d, omega) for d in r], _maximal_cliques(_adjacency(cells, network)))
@@ -233,23 +244,24 @@ def _build_witness(cells: list, r: list[int], sets: list[int], mults: list[int])
 _COLOR_INDEX = {k: i for i, k in enumerate(Color)}
 
 
-def _serve_every_demand(network: Network, omega: int, cells: list, r: list[int]) -> Optional[OptimumWitness]:
-    """A witness serving every demand in full, or None when this colouring finds none.
+def _serve_every_demand(
+    network: Network, omega: int, cells: list, r: list[int], color: Optional[dict]
+) -> Optional[OptimumWitness]:
+    """A witness serving every demand of `cells` in full, or None when this
+    colouring finds none; `cells` hold every neighbour of their cells.
 
-    Needs `color_of` to colour the network properly. With one colour in the
-    middle, a low-colour cell takes frequencies 1..R_i, a high-colour cell
-    omega-R_i+1..omega, and a middle cell the R_i frequencies just above its
-    low neighbours' largest demand. That fits iff every cell has
-    R_i + (largest low-neighbour demand) + (largest high-neighbour demand)
-    <= omega, which does not depend on which side is low, so trying each
-    colour in the middle tries all six role orders. The borrowing idea is
-    Narayanan & Shende's (Static frequency assignment in cellular networks,
-    Algorithmica 29, 2001). No optimum exceeds the total demand, so O = R is
-    then the only optimal per-cell vector.
+    `color` is the network's `proper_coloring`, or None when `color_of` does
+    not colour it properly. With one colour in the middle, a low-colour cell
+    takes frequencies 1..R_i, a high-colour cell omega-R_i+1..omega, and a
+    middle cell the R_i frequencies just above its low neighbours' largest
+    demand. That fits iff every cell has R_i + (largest low-neighbour demand)
+    + (largest high-neighbour demand) <= omega, which does not depend on which
+    side is low, so trying each colour in the middle tries all six role
+    orders. The borrowing idea is Narayanan & Shende's (Static frequency
+    assignment in cellular networks, Algorithmica 29, 2001). No optimum
+    exceeds the total demand, so O = R is then the only optimal vector.
     """
-    try:
-        color = proper_coloring(network)
-    except ImproperColoringError:
+    if color is None:
         return None
     kind = [_COLOR_INDEX[color[c]] for c in cells]
     position = {c: i for i, c in enumerate(cells)}
@@ -278,49 +290,56 @@ def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness
     neither the optimum nor the clique bound, only how early the search may
     stop. Returns `_serve_every_demand`'s witness when it finds one for the
     capped demands: O = min(R, omega) is then the only optimal per-cell
-    vector. Otherwise branches on multiplicities of maximal independent sets
-    in lexicographic order, pruning with a disjoint-clique bound, and returns
-    the first optimum found under that deterministic order. The maximal
-    cliques are enumerated once, for that bound and for the clique-bound
-    ceiling. A first search aims at the ceiling: it prunes every subtree that
-    cannot reach it and stops at the first node that does, which is the node
-    the plain search returns. Only when no node reaches the ceiling (a loose
-    bound, as on `cycle_graph(5)`) does the plain search run.
+    vector. Otherwise each connected component, with the full spectrum, tries
+    that witness (when there are several) and then branches on multiplicities
+    of maximal independent sets in lexicographic order, pruning with a
+    disjoint-clique bound; the first optimum under that deterministic order is
+    kept. The maximal cliques are enumerated once, for that bound and for the
+    clique-bound ceiling. A first search aims at the ceiling: it prunes every
+    subtree that cannot reach it and stops at the first node that does, which
+    is the node the plain search returns. Only when no node reaches the
+    ceiling (a loose bound, as on `cycle_graph(5)`) does the plain search run.
     """
-    cells, r = _demand_list(network, demands)
+    cells, r, omega = _demand_list(network, omega, demands)
     n = len(cells)
     if n > MAX_CELLS or (omega > MAX_OMEGA and n > ANY_OMEGA_CELLS):
         raise InstanceTooLargeError(
             f"instance with {n} cells, omega={omega} exceeds limits ({MAX_CELLS} cells, "
             f"omega {MAX_OMEGA} past {ANY_OMEGA_CELLS} cells)"
         )
-    if n == 0 or omega <= 0 or not any(r):
+    if n == 0 or omega == 0 or not any(r):
         return OptimumWitness(0, {c: 0 for c in cells}, {c: frozenset() for c in cells})
     r = [min(d, omega) for d in r]
-    served = _serve_every_demand(network, omega, cells, r)
+    try:
+        color = proper_coloring(network)
+    except ImproperColoringError:
+        color = None
+    served = _serve_every_demand(network, omega, cells, r, color)
     if served is not None:
         return served
 
+    demand = dict(zip(cells, r))
     components = _components(cells, network)
-    if len(components) > 1:
-        # no interference across components, so each gets the full spectrum
-        per_cell: dict = {}
-        assignment: dict = {}
-        for comp in components:
-            sub = exact_optimum(network.restrict(comp), omega, {c: demands.get(c, 0) for c in comp})
-            per_cell.update(sub.per_cell)
-            assignment.update(sub.assignment)
-        return OptimumWitness(sum(per_cell.values()), per_cell, assignment)
-
-    adj = _adjacency(cells, network)
-    members = _maximal_independent_sets(adj)
-    cliques = _maximal_cliques(adj)
-    parts = _clique_partition(cliques)
-    ceiling = _clique_bound(omega, r, cliques)
-    mults = _branch_and_bound(r, members, parts, omega, ceiling, ceiling - 1)
-    if mults is None:
-        mults = _branch_and_bound(r, members, parts, omega, ceiling, -1)
-    return _build_witness(cells, r, [sum(1 << i for i in m) for m in members], mults)
+    per_cell: dict = {}
+    assignment: dict = {}
+    for comp in components:
+        # a component holds every neighbour of its cells: no subnetwork needed
+        cells = sorted(comp)
+        r = [demand[c] for c in cells]
+        sub = _serve_every_demand(network, omega, cells, r, color) if len(components) > 1 else None
+        if sub is None:
+            adj = _adjacency(cells, network)
+            members = _maximal_independent_sets(adj)
+            cliques = _maximal_cliques(adj)
+            parts = _clique_partition(cliques)
+            ceiling = _clique_bound(omega, r, cliques)
+            mults = _branch_and_bound(r, members, parts, omega, ceiling, ceiling - 1)
+            if mults is None:
+                mults = _branch_and_bound(r, members, parts, omega, ceiling, -1)
+            sub = _build_witness(cells, r, [sum(1 << i for i in m) for m in members], mults)
+        per_cell.update(sub.per_cell)
+        assignment.update(sub.assignment)
+    return OptimumWitness(sum(per_cell.values()), per_cell, assignment)
 
 
 def _branch_and_bound(
@@ -386,7 +405,7 @@ def _branch_and_bound(
 def exhaustive_oracle(network: Network, omega: int, demands: dict) -> OptimumWitness:
     """Brute-force optimum by enumerating every multiset of independent sets
     (including non-maximal and empty); test-time cross-check for exact_optimum."""
-    cells, r = _demand_list(network, demands)
+    cells, r, omega = _demand_list(network, omega, demands)
     n = len(cells)
     if n > ORACLE_MAX_CELLS or omega > ORACLE_MAX_OMEGA:
         raise InstanceTooLargeError(

@@ -175,17 +175,11 @@ def test_from_edges_equality_compares_adjacency():
     assert path.edges() == [(0, 1), (1, 2)]
 
 
-@given(st.sets(st.sampled_from(hex_patch(2).sorted_cells())))
-def test_restrict_matches_hex_adjacency(cells):
-    assert hex_patch(2).restrict(cells) == Network(cells)
-
-
 def test_neighbors_are_the_networks_own_cells():
     cells = hex_patch(3).sorted_cells()
     for net in (
         Network([(q, r) for q, r in cells]),
         Network.from_edges([(q, r) for q, r in cells], [((0, 0), (q, r)) for q, r in cells[:5]]),
-        hex_patch(3).restrict([(q, r) for q, r in cells[::2]]),
     ):
         own = {c: c for c in net.cells}
         for c in net.cells:

@@ -130,6 +130,22 @@ def test_adjacent_dangerous_cells_fail_separation():
     ])
 
 
+def test_crowded_safe_cell_fails_separation():
+    # a safe centre with four pairwise non-adjacent dangerous leaves; no hex
+    # cell has more than three such neighbours, so the star is built by edges
+    leaves = [(1, 0), (2, 0), (4, 0), (5, 0)]
+    net = Network.from_edges([(0, 0)] + leaves, [((0, 0), c) for c in leaves])
+    trace, _ = caco_run(net, 7, [(0, 0)] * 2 + [c for c in leaves for _ in range(2)])
+    cert = caco_certificate(trace, OptimumWitness(28, {(0, 0): 0, **dict.fromkeys(leaves, 7)}, {}))
+    assert_fails(cert, [
+        "safe_cell_floor: pass",
+        "dangerous_separation: FAIL at [(0, 0)]",
+        "shared_exhaustion_at_rejection: pass",
+        "amortized_total: FAIL sum B = 32/3, sum A = 10",
+        "per_cell_ratio_7_3: FAIL at [(1, 0), (2, 0), (4, 0), (5, 0)]",
+    ])
+
+
 def test_greedy_trace_fails_shared_exhaustion():
     # greedy has no shared range, so a rejection finds none of it in use
     net = Network([(0, 0)])

@@ -1,7 +1,11 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from cellcall import offline
 from cellcall.adversary import fig2_adversary, make_adversary, phase_ratios, run_duel
-from cellcall.hexnet import Network, hex_patch
+from cellcall.hexnet import ImproperColoringError, Network, hex_patch, proper_coloring
 from cellcall.offline import (
     InstanceTooLargeError,
     _adjacency,
@@ -29,6 +33,8 @@ from cellcall.offline import (
 )
 from cellcall.online import caco_algorithm, make_algorithm
 from conftest import PATCH_CELLS, random_network
+
+ROOT = Path(__file__).resolve().parent.parent
 
 STAR = Network([(0, 0), (-1, 1), (0, -1), (1, 0)])
 PATCH = hex_patch(2)
@@ -190,7 +196,39 @@ def test_empty_and_zero_demand():
     assert exact_optimum(net, 5, {}).total == 0
     assert exact_optimum(net, 5, {(0, 0): 0}).total == 0
     # no frequencies to give: the cap at omega must not turn demands negative
-    assert exact_optimum(net, -1, {(0, 0): 2}).per_cell == {(0, 0): 0, (1, 0): 0}
+    assert exact_optimum(net, 0, {(0, 0): 2}).per_cell == {(0, 0): 0, (1, 0): 0}
+    with pytest.raises(ValueError, match=r"^omega must be nonnegative, not -1$"):
+        exact_optimum(net, -1, {(0, 0): 2})
+
+
+@pytest.mark.parametrize("solver", [exact_optimum, clique_upper_bound, exhaustive_oracle])
+def test_every_solver_checks_omega_alike(solver):
+    net = Network([(0, 0), (1, 0)])
+    demands = {(0, 0): 2}
+    with pytest.raises(ValueError, match=r"^omega must be nonnegative, not -1$"):
+        solver(net, -1, demands)
+    with pytest.raises(TypeError, match=r"^'float' object cannot be interpreted as an integer$"):
+        solver(net, 7.0, demands)
+    with pytest.raises(TypeError, match=r"^omega must be an integer, not True$"):
+        solver(net, True, demands)
+    # omega 0 stays valid: nothing is served
+    result = solver(net, 0, demands)
+    assert (result if solver is clique_upper_bound else result.total) == 0
+
+
+def test_validate_witness_checks_under_python_optimize():
+    # two neighbours sharing frequency 1; `assert` statements would let it pass under -O
+    code = (
+        "from cellcall.hexnet import Network\n"
+        "from cellcall.offline import OptimumWitness, validate_witness\n"
+        "one = frozenset({1})\n"
+        "witness = OptimumWitness(2, {(0, 0): 1, (1, 0): 1}, {(0, 0): one, (1, 0): one})\n"
+        "validate_witness(Network([(0, 0), (1, 0)]), 3, {(0, 0): 1, (1, 0): 1}, witness)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stderr.endswith("AssertionError: cells (0, 0) and (1, 0) share a frequency\n")
 
 
 def test_unknown_demand_cell_rejected():
@@ -244,7 +282,7 @@ def test_raising_a_demand_past_omega_changes_nothing(max_cells, max_omega, data)
 @given(instances(max_cells=7, max_omega=14))
 def test_search_aimed_at_the_ceiling_finds_the_plain_search_node(instance):
     net, omega, demands = instance
-    cells, r = _demand_list(net, demands)
+    cells, r, omega = _demand_list(net, omega, demands)
     r = [min(d, omega) for d in r]
     adj = _adjacency(cells, net)
     members = _maximal_independent_sets(adj)
@@ -334,7 +372,12 @@ def branch_and_bound(net, omega, demands):
 
 
 def fast_path(net, omega, demands):
-    return _serve_every_demand(net, omega, *_demand_list(net, demands))
+    cells, r, omega = _demand_list(net, omega, demands)
+    try:
+        color = proper_coloring(net)
+    except ImproperColoringError:
+        color = None
+    return _serve_every_demand(net, omega, cells, r, color)
 
 
 def test_fast_path_serves_the_slow_sweep_instance():
@@ -412,3 +455,67 @@ def test_fast_path_per_component():
     assert opt.per_cell == branch_and_bound(net, 4, demands).per_cell
     assert opt.total == 4 + 5
     validate_witness(net, 4, demands, opt)
+
+
+def test_one_check_and_one_colouring_per_instance():
+    # the whole-network try fails on the (0, 0)-(1, 0) pair; the loop over
+    # the three components reuses the checked demands and the colouring
+    net = Network([(0, 0), (1, 0), (3, 3), (6, 6)])
+    demands = {(0, 0): 4, (1, 0): 4, (3, 3): 2, (6, 6): 3}
+    with mock.patch.object(offline, "_demand_list", wraps=_demand_list) as checked, \
+            mock.patch.object(offline, "proper_coloring", wraps=proper_coloring) as coloured, \
+            mock.patch.object(offline, "exact_optimum", wraps=exact_optimum) as reentered:
+        opt = exact_optimum(net, 4, demands)
+    assert (checked.call_count, coloured.call_count, reentered.call_count) == (1, 1, 0)
+    assert opt.per_cell == {(0, 0): 4, (1, 0): 0, (3, 3): 2, (6, 6): 3}
+    validate_witness(net, 4, demands, opt)
+
+
+def components_of(net):
+    """The connected components of `net`, each as its own network."""
+    remaining = set(net.cells)
+    parts = []
+    while remaining:
+        frontier = [remaining.pop()]
+        part = set(frontier)
+        while frontier:
+            for n in net.neighbors(frontier.pop()):
+                if n in remaining:
+                    remaining.remove(n)
+                    part.add(n)
+                    frontier.append(n)
+        parts.append(part)
+    return parts
+
+
+C5_AND_K4 = Network.from_edges(
+    range(9),
+    [(i, (i + 1) % 5) for i in range(5)] + list(itertools.combinations(range(5, 9), 2)),
+)
+
+
+@st.composite
+def clustered_instances(draw):
+    """Two or three far-apart hex clusters, or the 5-cycle beside K4, with
+    omega and demands up to twice omega."""
+    k = draw(st.integers(2, 3))
+    cluster = st.sets(st.sampled_from(PATCH_CELLS), min_size=1, max_size=12 // k)
+    clusters = draw(st.lists(cluster, min_size=k, max_size=k))
+    hex_net = Network([(q + 10 * i, r) for i, cluster in enumerate(clusters) for q, r in cluster])
+    net = draw(st.sampled_from([hex_net, C5_AND_K4]))
+    omega = draw(st.integers(1, 14))
+    demands = {c: draw(st.integers(0, 2 * omega)) for c in net.sorted_cells()}
+    return net, omega, demands
+
+
+@settings(max_examples=40, deadline=None)
+@given(clustered_instances())
+def test_components_are_solved_as_their_own_networks(instance):
+    net, omega, demands = instance
+    opt = exact_optimum(net, omega, demands)
+    validate_witness(net, omega, demands, opt)
+    alone = {}
+    for part in components_of(net):
+        sub = Network.from_edges(part, [(u, v) for u, v in net.edges() if u in part])
+        alone.update(exact_optimum(sub, omega, {c: demands[c] for c in part}).per_cell)
+    assert opt.per_cell == alone
