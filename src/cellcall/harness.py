@@ -26,7 +26,7 @@ class ScenarioError(ValueError):
 class ScenarioConfig:
     scenario_id: str
     omega: int
-    cells: tuple  # sorted tuple of Cell
+    cells: tuple  # sorted tuple of Cell; () with a selector: the adversary's own network
     algorithm: str
     traffic: Union[tuple, str]  # explicit request tuple or adversary selector
     verify_certificate: bool = False
@@ -105,9 +105,10 @@ def build_scenario(config: ScenarioConfig):
     network = Network(config.cells)
     adversary = None
     if isinstance(config.traffic, str):
-        # fig2 and fig3 run on their own star, so the scenario must list exactly its cells
-        adversary = _adversary(config.traffic, config.omega, network)
-        if adversary.network.cells != network.cells:
+        # fig2 and fig3 run on their own star, so the scenario must list exactly
+        # its cells; a scenario with no cells runs on the adversary's own network
+        adversary = _adversary(config.traffic, config.omega, network if config.cells else None)
+        if config.cells and adversary.network.cells != network.cells:
             raise ScenarioError(
                 f"adversary {config.traffic!r} runs on cells {sorted(adversary.network.cells)}, "
                 f"but the scenario lists cells {sorted(network.cells)}"
@@ -310,14 +311,14 @@ def sweep(template: ScenarioConfig, grid: dict) -> SweepSummary:
 
 
 def duel_config(adversary: str, algorithm: str, omega: int) -> ScenarioConfig:
-    """Config for an adversary duel on the adversary's own network, with the
-    optimum and the certificate requested; `run_experiment` checks a
-    certificate only when the algorithm resolves to caco or caco2."""
-    scenario = _adversary(adversary, omega)
+    """Config for an adversary duel on the adversary's own network (no cells
+    listed), with the optimum and the certificate requested; `run_experiment`
+    builds the adversary, and checks a certificate only when the algorithm
+    resolves to caco or caco2."""
     return ScenarioConfig(
         scenario_id=f"duel:{adversary}:{algorithm}:{omega}",
         omega=omega,
-        cells=tuple(scenario.network.sorted_cells()),
+        cells=(),
         algorithm=algorithm,
         traffic=adversary,
         verify_certificate=True,

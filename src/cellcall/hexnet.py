@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import operator
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Tuple
 
 Cell = Tuple[int, int]  # axial (q, r)
@@ -131,6 +132,16 @@ class Network:
 
     def edges(self) -> list[tuple[Cell, Cell]]:
         return [(u, v) for u in self.sorted_cells() for v in self._adj[u] if u < v]
+
+    @cached_property
+    def triangle_free_hex(self) -> bool:
+        """True iff the network has the hex adjacency of its own cells and no
+        triangle. Computed once per network, which is immutable."""
+        try:
+            is_hex = self == Network(self.cells)
+        except (TypeError, ValueError):  # cells that are not integer pairs
+            return False
+        return is_hex and is_triangle_free(self)
 
 
 def is_triangle_free(network: Network) -> bool:

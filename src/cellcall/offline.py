@@ -5,8 +5,10 @@ set of cells; cell i serves min(R_i, m_i) requests where m_i counts the sets
 containing it, so no cell serves more than omega. `exact_optimum` caps each
 demand at omega, first tries a three-colour witness that serves every capped
 demand, and otherwise runs branch-and-bound over maximal independent set
-multiplicities; `exhaustive_oracle` is the brute-force cross-check and
-`clique_upper_bound` the cheap relaxation used for pruning and sanity checks.
+multiplicities, aimed at a ceiling from an exact integer simplex over the
+clique LP whose dual is checked before use; `exhaustive_oracle` is the
+brute-force cross-check and `clique_upper_bound` the integer optimum of the
+clique relaxation, found by its own memoized search, for sanity checks.
 """
 
 from __future__ import annotations
@@ -201,6 +203,72 @@ def _clique_bound(omega: int, r: list[int], cliques: list[tuple[int, ...]]) -> i
     return best
 
 
+def _lp_ceiling(omega: int, r: list[int], cliques: list[tuple[int, ...]]) -> int:
+    """floor of the clique LP: max sum x_i, 0 <= x_i <= r_i, each clique in
+    `cliques` summing to at most omega. Never below `_clique_bound`, its
+    integer optimum.
+
+    An exact simplex in integers: a dense tableau with one slack per row, so
+    the origin is a feasible start; Bland's rule; and integer-preserving
+    pivots, which keep every entry times the basis determinant d, the last
+    pivot, so each update (a*p - f*q) // d divides exactly. The value is
+    `_dual_floor` of the dual read off the objective row: checked feasible,
+    that dual bounds every feasible x by weak duality, whatever the pivots
+    did.
+    """
+    n = len(r)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows += [[int(j in clique) for j in range(n)] for clique in cliques]
+    b = list(r) + [omega] * len(cliques)
+    m = len(rows)
+    # row i is A_i | e_i | b_i; the last row, the objective, starts at -1 per x
+    tab = [a + [int(i == k) for k in range(m)] + [bi] for i, (a, bi) in enumerate(zip(rows, b))]
+    tab.append([-1] * n + [0] * (m + 1))
+    objective = tab[m]
+    basis = list(range(n, n + m))
+    d = 1
+    while True:
+        s = next((j for j, v in enumerate(objective[:-1]) if v < 0), None)
+        if s is None:
+            break
+        # smallest ratio b_i / a_is over a_is > 0, ties to the smallest basic variable
+        pivot = None
+        for i in range(m):
+            a = tab[i][s]
+            if a > 0:
+                if pivot is None:
+                    pivot = i
+                    continue
+                lhs, rhs = tab[i][-1] * tab[pivot][s], tab[pivot][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot]):
+                    pivot = i
+        prow = tab[pivot]
+        p = prow[s]
+        for i, row in enumerate(tab):
+            if i != pivot:
+                f = row[s]
+                tab[i] = [(a * p - f * q) // d for a, q in zip(row, prow)]
+        objective = tab[m]
+        basis[pivot] = s
+        d = p
+    return _dual_floor(omega, r, cliques, objective[n:-1], d)
+
+
+def _dual_floor(omega: int, r: list[int], cliques: list[tuple[int, ...]], y: list[int], d: int) -> int:
+    """floor(b.y / d) for y / d, a dual of the clique LP with one entry per
+    row (the rows x_i <= r_i, then the cliques), once checked in integers to
+    be feasible: y >= 0, and y covers every column, sum_i A_ij y_i >= d.
+    Raises AssertionError itself when it is not, as `validate_witness` does.
+    """
+    n = len(r)
+    if any(v < 0 for v in y):
+        raise AssertionError(f"clique LP dual {y} has a negative entry")
+    for j in range(n):
+        if y[j] + sum(y[n + k] for k, clique in enumerate(cliques) if j in clique) < d:
+            raise AssertionError(f"clique LP dual {y} does not cover cell index {j}")
+    return (sum(a * v for a, v in zip(r, y)) + omega * sum(y[n:])) // d
+
+
 def _components(cells: list, network: Network) -> list[frozenset]:
     remaining = set(cells)
     comps = []
@@ -295,7 +363,8 @@ def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness
     of maximal independent sets in lexicographic order, pruning with a
     disjoint-clique bound; the first optimum under that deterministic order is
     kept. The maximal cliques are enumerated once, for that bound and for the
-    clique-bound ceiling. A first search aims at the ceiling: it prunes every
+    ceiling, `_lp_ceiling`: the floor of the clique LP, proven by its
+    integer-checked dual. A first search aims at the ceiling: it prunes every
     subtree that cannot reach it and stops at the first node that does, which
     is the node the plain search returns. Only when no node reaches the
     ceiling (a loose bound, as on `cycle_graph(5)`) does the plain search run.
@@ -332,7 +401,7 @@ def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness
             members = _maximal_independent_sets(adj)
             cliques = _maximal_cliques(adj)
             parts = _clique_partition(cliques)
-            ceiling = _clique_bound(omega, r, cliques)
+            ceiling = _lp_ceiling(omega, r, cliques)
             mults = _branch_and_bound(r, members, parts, omega, ceiling, ceiling - 1)
             if mults is None:
                 mults = _branch_and_bound(r, members, parts, omega, ceiling, -1)

@@ -23,7 +23,6 @@ from .hexnet import (
     Network,
     classify_neighbor_config,
     color_of,
-    is_triangle_free,
     proper_coloring,
 )
 from .spectrum import AssignmentState, FrequencyPartition, make_partition_family
@@ -160,11 +159,7 @@ class NotTriangleFreeError(ValueError):
 def require_triangle_free_hex(network: Network) -> None:
     """Raise NotTriangleFreeError unless `network` has the hex adjacency of its
     own cells and no triangle, the networks the 9/4 proof covers."""
-    try:
-        is_hex = network == Network(network.cells)
-    except (TypeError, ValueError):  # cells that are not integer pairs
-        is_hex = False
-    if not (is_hex and is_triangle_free(network)):
+    if not network.triangle_free_hex:
         raise NotTriangleFreeError("caco2 requires a triangle-free hex network")
 
 

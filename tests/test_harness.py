@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
-from cellcall import adversary, harness
+from cellcall import adversary, harness, hexnet
 from cellcall.adversary import MAX_RANDOM_LENGTH
 from cellcall.cli import main
 from cellcall.hexnet import hex_patch
@@ -485,7 +485,20 @@ def test_cli_duel_builds_algorithm_once(monkeypatch):
         main, ["duel", "--adversary", "fig2", "--alg", "caco", "--omega", "21"]
     )
     assert result.exit_code == 0, result.output
-    assert calls["make_algorithm"] == 1 and calls["make_adversary"] <= 2
+    assert calls["make_algorithm"] == 1 and calls["make_adversary"] == 1
+
+
+def test_certified_caco2_duel_checks_its_network_once(monkeypatch):
+    # once when caco2 is built and once in its certificate, for one network
+    checked = []
+    real = hexnet.is_triangle_free
+    monkeypatch.setattr(hexnet, "is_triangle_free", lambda net: checked.append(net) or real(net))
+    result = CliRunner().invoke(
+        main, ["duel", "--adversary", "fig3", "--alg", "caco2", "--omega", "9"]
+    )
+    assert result.exit_code == 0, result.output
+    assert "certificate (caco2):" in result.output and "status: pass" in result.output
+    assert len(checked) == 1
 
 
 def test_cli_unknown_adversary():

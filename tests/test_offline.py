@@ -9,7 +9,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cellcall import offline
 from cellcall.adversary import fig2_adversary, make_adversary, phase_ratios, run_duel
@@ -21,7 +21,9 @@ from cellcall.offline import (
     _clique_bound,
     _clique_partition,
     _demand_list,
+    _dual_floor,
     _independent_sets,
+    _lp_ceiling,
     _maximal_cliques,
     _maximal_independent_sets,
     _serve_every_demand,
@@ -278,9 +280,10 @@ def test_raising_a_demand_past_omega_changes_nothing(max_cells, max_omega, data)
         assert bound >= opt.total
 
 
+@pytest.mark.parametrize("ceiling_of", [_clique_bound, _lp_ceiling], ids=["clique_bound", "lp_ceiling"])
 @settings(max_examples=40, deadline=None)
 @given(instances(max_cells=7, max_omega=14))
-def test_search_aimed_at_the_ceiling_finds_the_plain_search_node(instance):
+def test_search_aimed_at_the_ceiling_finds_the_plain_search_node(ceiling_of, instance):
     net, omega, demands = instance
     cells, r, omega = _demand_list(net, omega, demands)
     r = [min(d, omega) for d in r]
@@ -288,10 +291,78 @@ def test_search_aimed_at_the_ceiling_finds_the_plain_search_node(instance):
     members = _maximal_independent_sets(adj)
     cliques = _maximal_cliques(adj)
     parts = _clique_partition(cliques)
-    ceiling = _clique_bound(omega, r, cliques)
+    ceiling = ceiling_of(omega, r, cliques)
     aimed = _branch_and_bound(r, members, parts, omega, ceiling, ceiling - 1)
     plain = _branch_and_bound(r, members, parts, omega, ceiling, -1)
     assert aimed is None or aimed == plain
+
+
+@st.composite
+def explicit_instances(draw, max_cells=7, max_omega=14):
+    """A random `Network.from_edges` graph on at most `max_cells` vertices,
+    with omega and demands up to twice omega."""
+    n = draw(st.integers(1, max_cells))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    net = Network.from_edges(range(n), edges)
+    omega = draw(st.integers(1, max_omega))
+    demands = {c: draw(st.integers(0, 2 * omega)) for c in net.sorted_cells()}
+    return net, omega, demands
+
+
+def ceiling_inputs(net, omega, demands):
+    """`(omega, r, cliques)` as `exact_optimum` hands them to its ceiling."""
+    cells, r, omega = _demand_list(net, omega, demands)
+    return omega, [min(d, omega) for d in r], _maximal_cliques(_adjacency(cells, net))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(instances(max_cells=8, max_omega=21), explicit_instances()))
+@example((cycle_graph(5), 2, {i: 2 for i in range(5)}))
+@example((cycle_graph(5), 1, {i: 1 for i in range(5)}))
+@example((K4, 6, {i: 6 for i in range(4)}))
+def test_lp_ceiling_bounds_the_clique_bound_and_the_optimum(instance):
+    net, omega, demands = instance
+    args = ceiling_inputs(net, omega, demands)
+    ceiling = _lp_ceiling(*args)
+    assert ceiling >= _clique_bound(*args)
+    assert ceiling >= exact_optimum(net, omega, demands).total
+
+
+def test_lp_ceiling_values():
+    c5 = cycle_graph(5)
+    # x = 1 everywhere is integral; at omega 1 the LP's 5/2 floors to 2
+    assert _lp_ceiling(*ceiling_inputs(c5, 2, {i: 2 for i in range(5)})) == 5
+    assert _lp_ceiling(*ceiling_inputs(c5, 1, {i: 1 for i in range(5)})) == 2
+    assert _lp_ceiling(*ceiling_inputs(K4, 6, {i: 6 for i in range(4)})) == 6
+    assert _lp_ceiling(*ceiling_inputs(STAR, 315, {c: 315 for c in STAR.cells})) == 945
+    assert _lp_ceiling(*ceiling_inputs(Network([(0, 0)]), 4, {(0, 0): 0})) == 0
+
+
+def test_dual_check_rejects_an_infeasible_dual():
+    # one edge at omega 3 with demands 2 and 2; rows x0 <= 2, x1 <= 2, x0 + x1 <= 3
+    edge = [(0, 1)]
+    assert _dual_floor(3, [2, 2], edge, [0, 0, 1], 1) == 3
+    assert _dual_floor(3, [2, 2], edge, [1, 1, 1], 2) == 3  # (2 + 2 + 3) / 2, floored
+    with pytest.raises(AssertionError, match="negative"):
+        _dual_floor(3, [2, 2], edge, [2, 2, -1], 1)
+    # would claim 2, below the optimum 3: x0 is not covered
+    with pytest.raises(AssertionError, match="does not cover cell index 0"):
+        _dual_floor(3, [2, 2], edge, [0, 1, 0], 1)
+    with pytest.raises(AssertionError, match="does not cover"):
+        _dual_floor(3, [2, 2], edge, [0, 0, 1], 2)
+
+
+def test_flower_duel_optimum_at_omega_42_is_fast():
+    scenario = make_adversary("random:1:252", 42)
+    trace = run_duel(scenario, make_algorithm("greedy", scenario.network, 42))
+    demands = dict(trace.demands)
+    start = time.perf_counter()
+    opt = exact_optimum(scenario.network, 42, demands)
+    elapsed = time.perf_counter() - start
+    assert opt.total == 126
+    validate_witness(scenario.network, 42, demands, opt)
+    assert elapsed < 0.1
 
 
 def brute_clique_bound(net, omega, demands):

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from cellcall import hexnet
 from cellcall.adversary import UnknownAdversaryError, make_adversary
 from cellcall.hexnet import Color, Network, color_of, flower_network, hex_patch, is_triangle_free
 from cellcall.offline import cycle_graph
@@ -160,6 +161,24 @@ def test_caco2_requires_hex_network(net):
     assert is_triangle_free(net)
     with pytest.raises(NotTriangleFreeError, match="caco2 requires a triangle-free hex network"):
         Caco2Algorithm(net, 9)
+
+
+def test_triangle_free_hex_is_checked_once_per_network(monkeypatch):
+    checked = []
+    real = hexnet.is_triangle_free
+    monkeypatch.setattr(hexnet, "is_triangle_free", lambda net: checked.append(net) or real(net))
+    pair = Network([(0, 0), (1, 0)])
+    Caco2Algorithm(pair, 9)
+    Caco2Algorithm(pair, 9)
+    assert checked == [pair]
+    # the same cells without their edge are not hex: no triangle check needed
+    with pytest.raises(NotTriangleFreeError):
+        Caco2Algorithm(Network.from_edges(pair.cells, []), 9)
+    # two equal flowers are two networks, each checked once
+    for _ in range(2):
+        with pytest.raises(NotTriangleFreeError):
+            Caco2Algorithm(flower_network(), 9)
+    assert len(checked) == 3
 
 
 def test_caco2_isolated_cell_uses_whole_spectrum():
