@@ -96,6 +96,8 @@ def sweep_cmd(template: str, grid_specs: tuple, out: str | None, fmt: str) -> No
         name, _, raw = spec.partition("=")
         if name not in ("algorithm", "omega", "traffic"):
             raise click.ClickException(f"cannot sweep field {name!r}")
+        if name in grid:
+            raise click.ClickException(f"grid field {name!r} given twice; join its values with |")
         values = raw.split("|")
         if name == "omega":
             try:

@@ -55,9 +55,17 @@ def _as_cell(value, what: str) -> Cell:
     return (value[0], value[1])
 
 
+_FIELDS = ("omega", "cells", "algorithm", "traffic", "verify_certificate", "compute_opt")
+
+
 def parse_scenario(data: dict, scenario_id: str) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
+    unknown = sorted(set(data) - set(_FIELDS), key=str)
+    if unknown:
+        raise ScenarioError(
+            f"unknown scenario fields {unknown}; a scenario has only {', '.join(_FIELDS)}"
+        )
     omega = data.get("omega")
     if not _is_int(omega):
         raise ScenarioError(f"omega must be a positive integer, got {omega!r}")
@@ -132,7 +140,9 @@ def validate_scenario(config: ScenarioConfig) -> None:
 def load_scenario(path) -> ScenarioConfig:
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text: byte {exc.start} cannot be decoded") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     return parse_scenario(data, scenario_id=path.stem)

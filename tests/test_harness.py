@@ -68,6 +68,17 @@ def test_parse_error_reports_line(tmp_path):
         load_scenario(path)
 
 
+def test_non_utf8_file_is_named_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(ScenarioError, match="not UTF-8") as info:
+        load_scenario(path)
+    assert str(path) in str(info.value)
+    result = CliRunner().invoke(main, ["run", str(path)])
+    assert result.exit_code == 1 and "Error:" in result.output, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+
+
 def test_unknown_algorithm_rejected():
     with pytest.raises(ScenarioError, match="algorithm"):
         parse_scenario(
@@ -105,6 +116,7 @@ def test_coerced_fields_rejected(field, value):
         ("cells", [[0, 0], [0, 0]], "^cells contains"),
         ("algorithm", 7, "^algorithm must"),
         ("traffic", {"fig2": True}, "^traffic must"),
+        ("verify_certifcate", True, r"^unknown scenario fields \['verify_certifcate'\]"),
     ],
 )
 def test_malformed_fields_rejected(field, value, message):
@@ -532,6 +544,7 @@ def test_cli_duel_certificate_by_resolved_name():
         ["duel", "--adversary", "fig2", "--alg", "partition: 2:1", "--omega", "21"],
         ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "omega"],
         ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "cells=1"],
+        ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "omega=7", "--grid", "omega=21"],
     ],
 )
 def test_cli_bad_input_is_named_error(args):
