@@ -23,7 +23,10 @@ from .harness import (
 
 def _write(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise click.ClickException(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         click.echo(text, nl=False)
 

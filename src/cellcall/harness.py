@@ -12,7 +12,7 @@ from typing import Optional, Union
 
 from . import __version__
 from .adversary import make_adversary, run_duel
-from .hexnet import Cell, Network, color_of
+from .hexnet import COLORS, Cell, Network, color_of
 from .ledger import Certificate, RatioReport, caco2_certificate, caco_certificate, ratio_report
 from .offline import InstanceTooLargeError, exact_optimum
 from .online import RunTrace, make_algorithm, run_sequence
@@ -101,7 +101,7 @@ def parse_scenario(data: dict, scenario_id: str) -> ScenarioConfig:
 def _adversary(selector: str, omega: int, network: Optional[Network] = None):
     try:
         return make_adversary(selector, omega, network)
-    except Exception as exc:
+    except ValueError as exc:
         raise ScenarioError(f"traffic selector {selector!r}: {exc}") from exc
 
 
@@ -127,7 +127,7 @@ def build_scenario(config: ScenarioConfig):
         raise ScenarioError(f"traffic request {i} at cell {cell} is outside the network")
     try:
         algorithm = make_algorithm(config.algorithm, network, config.omega)
-    except Exception as exc:
+    except ValueError as exc:
         raise ScenarioError(f"algorithm {config.algorithm!r}: {exc}") from exc
     return adversary, algorithm
 
@@ -137,10 +137,20 @@ def validate_scenario(config: ScenarioConfig) -> None:
     build_scenario(config)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """`json.loads` object hook: a key given twice is an error, not the last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ScenarioError(f"scenario key {key!r} is given twice")
+        data[key] = value
+    return data
+
+
 def load_scenario(path) -> ScenarioConfig:
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: not UTF-8 text: byte {exc.start} cannot be decoded") from exc
     except json.JSONDecodeError as exc:
@@ -202,7 +212,7 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
             (
                 cell[0],
                 cell[1],
-                color_of(cell).value,
+                COLORS[color_of(cell)],
                 trace.demands.get(cell, 0),
                 trace.accepted_at(cell),
                 opt.per_cell[cell] if opt is not None else None,
@@ -290,7 +300,8 @@ class SweepSummary:
 def sweep(template: ScenarioConfig, grid: dict) -> SweepSummary:
     """Run the template once per grid point (cartesian product, given order).
 
-    Failing points are recorded and the sweep continues.
+    Points the scenario checks reject are recorded and the sweep continues;
+    any other exception is a bug and propagates.
     """
     if not grid:
         return SweepSummary(reports=[], ratio_range={}, failures=[])
@@ -305,7 +316,7 @@ def sweep(template: ScenarioConfig, grid: dict) -> SweepSummary:
         try:
             config = replace(template, scenario_id=point_id, **overrides)
             reports.append(run_experiment(config))
-        except Exception as exc:
+        except ScenarioError as exc:
             failures.append((point_id, str(exc)))
     ratio_range: dict = {}
     for r in reports:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import operator
-from enum import Enum
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Tuple
 
@@ -13,37 +12,19 @@ Cell = Tuple[int, int]  # axial (q, r)
 AXIAL_DIRECTIONS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
 
-class Color(Enum):
-    R = "R"
-    G = "G"
-    B = "B"
-
-    @property
-    def successor(self) -> "Color":
-        """Cyclic order R -> G -> B -> R."""
-        return _SUCC[self]
-
-    @property
-    def predecessor(self) -> "Color":
-        return _PRED[self]
-
-    def __str__(self) -> str:
-        return self.value
+# A colour is an index 0, 1, 2, named by its letter only where a report prints it.
+COLORS = "RGB"
 
 
-_SUCC = {Color.R: Color.G, Color.G: Color.B, Color.B: Color.R}
-_PRED = {v: k for k, v in _SUCC.items()}
-_BY_INDEX = (Color.R, Color.G, Color.B)
-
-
-def color_of(cell: Cell) -> Color:
-    """Canonical proper 3-coloring of the hex grid: (q - r) mod 3 -> R, G, B.
+def color_of(cell: Cell) -> int:
+    """Canonical proper 3-coloring of the hex grid: the colour index (q - r) mod 3.
 
     Every axial step changes (q - r) by +-1 or +2, all nonzero mod 3, so
-    adjacent cells always get distinct colors.
+    adjacent cells always get distinct colors. A colour x has the cyclic
+    successor (x + 1) % 3 and predecessor (x - 1) % 3.
     """
     q, r = cell
-    return _BY_INDEX[(q - r) % 3]
+    return (q - r) % 3
 
 
 def as_integer(value, what: str) -> int:
@@ -163,15 +144,15 @@ def proper_coloring(network: Network) -> dict:
         colors = {c: color_of(c) for c in network.cells}
     except (TypeError, ValueError):  # cells that are not integer pairs
         raise ImproperColoringError("color_of needs integer-pair cells") from None
-    bad = next(((u, v) for u, v in network.edges() if colors[u] is colors[v]), None)
+    bad = next(((u, v) for u, v in network.edges() if colors[u] == colors[v]), None)
     if bad is not None:
         raise ImproperColoringError(f"adjacent cells {bad[0]} and {bad[1]} share a color")
     return colors
 
 
 class NeighborConfig(NamedTuple):
-    """A cell's neighbors split by color, relative to the cell's own color X:
-    `successors` have color X.successor, `predecessors` X.predecessor, each
+    """A cell's neighbors split by color, relative to the cell's own color x:
+    `successors` have color (x + 1) % 3, `predecessors` (x - 1) % 3, each
     sorted. Isolated: both empty. Structure A (every neighbor one color): one
     empty, k the size of the other. Structure B: one cell in each.
     """
@@ -184,8 +165,8 @@ def classify_neighbor_config(network: Network, cell: Cell) -> NeighborConfig:
     x = color_of(cell)
     nbrs = network.neighbors(cell)
     return NeighborConfig(
-        tuple(n for n in nbrs if color_of(n) is x.successor),
-        tuple(n for n in nbrs if color_of(n) is x.predecessor),
+        tuple(n for n in nbrs if color_of(n) == (x + 1) % 3),
+        tuple(n for n in nbrs if color_of(n) == (x - 1) % 3),
     )
 
 

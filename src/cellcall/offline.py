@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .hexnet import Color, ImproperColoringError, Network, as_integer, proper_coloring
+from .hexnet import ImproperColoringError, Network, as_integer, proper_coloring
 
 
 class InstanceTooLargeError(ValueError):
@@ -263,9 +263,6 @@ def _build_witness(cells: list, r: list[int], sets: list[int], mults: list[int])
     return OptimumWitness(total=sum(per_cell.values()), per_cell=per_cell, assignment=assignment)
 
 
-_COLOR_INDEX = {k: i for i, k in enumerate(Color)}
-
-
 def _serve_every_demand(
     network: Network, omega: int, cells: list, r: list[int], color: Optional[dict]
 ) -> Optional[OptimumWitness]:
@@ -285,9 +282,9 @@ def _serve_every_demand(
     """
     if color is None:
         return None
-    kind = [_COLOR_INDEX[color[c]] for c in cells]
+    kind = [color[c] for c in cells]
     position = {c: i for i, c in enumerate(cells)}
-    # each cell's largest neighbour demand per colour index; its own colour stays 0
+    # each cell's largest neighbour demand per colour; its own colour stays 0
     peak = [[0, 0, 0] for _ in cells]
     for c, top in zip(cells, peak):
         for n in network.neighbors(c):

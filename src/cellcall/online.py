@@ -18,7 +18,6 @@ from typing import Optional
 
 from .hexnet import (
     Cell,
-    Color,
     ImproperColoringError,
     Network,
     classify_neighbor_config,
@@ -144,7 +143,7 @@ class PartitionReserveAlgorithm(ScanAlgorithm):
         self.partition = part = make_partition_family(omega, x_share, y_share)
         self.name = "caco" if (x_share, y_share) == (2, 1) else f"partition:{x_share}:{y_share}"
         shared = (part.shared,) if part.shared is not None else ()
-        by_color = {color: (part.ranges[color],) + shared for color in Color}
+        by_color = [(rng,) + shared for rng in part.ranges]
         self.scans = {c: by_color[color] for c, color in colors.items()}
 
 
@@ -195,8 +194,8 @@ class Caco2Algorithm(ScanAlgorithm):
         x = color_of(cell)
         ranges = self.partition.ranges
         if len(succ) >= 2 and not pred:
-            return (ranges[x], ranges[x.predecessor])
-        return (ranges[x], ranges[x.successor][::-1])
+            return (ranges[x], ranges[(x - 1) % 3])
+        return (ranges[x], ranges[(x + 1) % 3][::-1])
 
 
 _SELECTOR_INT = re.compile(r"-?[0-9]+")
@@ -256,7 +255,7 @@ def overflow_order_violations(trace: RunTrace) -> list:
         return []
     violations = []
     for u, v in trace.network.edges():
-        for color, rng in part.ranges.items():
+        for color, rng in enumerate(part.ranges):
             if color in (color_of(u), color_of(v)):
                 continue
             fu = sorted(f for f in trace.state.used(u) if f in rng)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .hexnet import Cell, Color, Network
+from .hexnet import Cell, Network
 
 
 class PartitionError(ValueError):
@@ -20,7 +20,7 @@ class FrequencyConflictError(RuntimeError):
 class FrequencyPartition:
     """Disjoint contiguous color ranges over {1..omega}, plus an optional shared set."""
 
-    ranges: dict  # Color -> range, 1-based
+    ranges: tuple  # range per colour index, 1-based
     shared: Optional[range] = None
 
 
@@ -36,12 +36,8 @@ def make_partition_family(omega: int, x_share: int, y_share: int) -> FrequencyPa
         )
     unit = omega // parts
     per_color = x_share * unit
-    ranges = {}
-    lo = 1
-    for color in (Color.R, Color.G, Color.B):
-        ranges[color] = range(lo, lo + per_color)
-        lo += per_color
-    shared = range(lo, omega + 1) if y_share else None
+    ranges = tuple(range(1 + x * per_color, 1 + (x + 1) * per_color) for x in range(3))
+    shared = range(1 + 3 * per_color, omega + 1) if y_share else None
     return FrequencyPartition(ranges, shared)
 
 

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
-from cellcall import adversary, harness, hexnet
+from cellcall import adversary, harness, hexnet, online
 from cellcall.adversary import MAX_RANDOM_LENGTH
 from cellcall.cli import main
 from cellcall.hexnet import hex_patch
@@ -76,6 +76,17 @@ def test_non_utf8_file_is_named_error(tmp_path):
     assert str(path) in str(info.value)
     result = CliRunner().invoke(main, ["run", str(path)])
     assert result.exit_code == 1 and "Error:" in result.output, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+
+
+def test_repeated_scenario_key_is_named_error(tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text('{"omega": 7, "cells": [[0, 0]], "algorithm": "greedy", "traffic": [], "omega": 8}')
+    with pytest.raises(ScenarioError, match="^scenario key 'omega' is given twice$"):
+        load_scenario(path)
+    result = CliRunner().invoke(main, ["run", str(path)])
+    assert result.exit_code == 1, result.output
+    assert "Error: scenario key 'omega' is given twice" in result.output
     assert isinstance(result.exception, SystemExit), result.exception
 
 
@@ -292,6 +303,20 @@ def test_csv_columns_and_totals_roundtrip():
     assert [(r["q"], r["r"]) for r in rows] == sorted((r["q"], r["r"]) for r in rows)
 
 
+def test_reports_name_colours_r_g_b():
+    # colour index (q - r) mod 3 is printed as R, G, B in text and CSV alike
+    config = parse_scenario(
+        {"omega": 7, "cells": [[0, 0], [1, 0], [1, -1]], "algorithm": "greedy", "traffic": []},
+        scenario_id="colours",
+    )
+    report = run_experiment(config)
+    expected = {(0, 0): "R", (1, 0): "G", (1, -1): "B"}
+    rows = csv.DictReader(io.StringIO(emit_report(report, "csv")))
+    assert {(int(r["q"]), int(r["r"])): r["color"] for r in rows} == expected
+    table = emit_report(report, "text").split("\n\n")[1].splitlines()[1:]
+    assert {(int(q), int(r)): color for q, r, color, *_ in map(str.split, table)} == expected
+
+
 def test_text_report_contains_exact_ratio():
     report = run_experiment(load_scenario(SCENARIOS / "fig2_caco.json"))
     text = emit_report(report, "text")
@@ -355,6 +380,24 @@ def test_sweep_continues_past_failures():
     assert "omega=10" in summary.failures[0][0]
 
 
+def _bug(*args, **kwargs):
+    raise KeyError("a bug")
+
+
+@pytest.mark.parametrize(
+    "target, name",
+    [(online.PartitionReserveAlgorithm, "__init__"), (harness, "make_adversary")],
+)
+def test_bug_is_not_reported_as_bad_input(monkeypatch, target, name):
+    # only ValueError (every named input error) becomes a ScenarioError
+    monkeypatch.setattr(target, name, _bug)
+    config = duel_config("fig2", "caco", 21)
+    with pytest.raises(KeyError, match="a bug"):
+        run_experiment(config)
+    with pytest.raises(KeyError, match="a bug"):
+        sweep(config, {"omega": [21]})
+
+
 def test_duel_config_includes_certificate():
     config = duel_config("fig2", "caco", 21)
     assert config.verify_certificate and config.compute_opt
@@ -382,6 +425,22 @@ def test_cli_run_csv(tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert out.read_text().startswith("q,r,color,demand")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", str(SCENARIOS / "fig2_caco.json")],
+        ["duel", "--adversary", "fig2", "--alg", "caco", "--omega", "21"],
+        ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "omega=21"],
+    ],
+)
+def test_cli_out_into_missing_directory_is_named_error(tmp_path, args):
+    out = tmp_path / "missing" / "x.txt"
+    result = CliRunner().invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert f"Error: cannot write {out}: " in result.output
+    assert isinstance(result.exception, SystemExit), result.exception
 
 
 def test_cli_verify_exit_zero():

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from cellcall.hexnet import (
     AXIAL_DIRECTIONS,
-    Color,
+    COLORS,
     Network,
     UnknownCellError,
     classify_neighbor_config,
@@ -55,24 +55,29 @@ def test_neighbors_sorted_deterministically():
 
 
 def test_color_anchors():
-    assert color_of((0, 0)) is Color.R
-    assert color_of((1, 0)) is Color.G
-    assert color_of((1, -1)) is Color.B
+    assert [color_of(c) for c in ((0, 0), (1, 0), (1, -1))] == [0, 1, 2]
+    assert type(color_of((4, -7))) is int
+    assert COLORS == "RGB"
 
 
 def test_color_cyclic_order():
-    assert Color.R.successor is Color.G
-    assert Color.G.successor is Color.B
-    assert Color.B.successor is Color.R
-    for c in Color:
-        assert c.successor.predecessor is c
+    # successors have colour (x + 1) % 3 and predecessors (x - 1) % 3,
+    # and between them they hold every neighbour of another colour
+    net = hex_patch(2)
+    for cell in net.sorted_cells():
+        x = color_of(cell)
+        succ, pred = classify_neighbor_config(net, cell)
+        nbrs = net.neighbors(cell)
+        assert succ == tuple(n for n in nbrs if color_of(n) == (x + 1) % 3)
+        assert pred == tuple(n for n in nbrs if color_of(n) == (x - 1) % 3)
+        assert sorted(succ + pred) == sorted(nbrs)
 
 
 @given(cells_st)
 def test_coloring_proper_on_all_neighbors(cell):
     q, r = cell
     for dq, dr in AXIAL_DIRECTIONS:
-        assert color_of((q, r)) is not color_of((q + dq, r + dr))
+        assert color_of((q, r)) != color_of((q + dq, r + dr))
 
 
 def test_triangle_detected():

@@ -219,8 +219,8 @@ def structure_b_overflow_runs(omega):
     for q, r in AXIAL_DIRECTIONS[:3]:
         net = Network([centre, (q, r), (-q, -r)])  # opposite neighbours: two colours, no triangle
         x = color_of(centre)
-        cj = next(n for n in net.neighbors(centre) if color_of(n) is x.successor)
-        ck = next(n for n in net.neighbors(centre) if color_of(n) is x.predecessor)
+        cj = next(n for n in net.neighbors(centre) if color_of(n) == (x + 1) % 3)
+        ck = next(n for n in net.neighbors(centre) if color_of(n) == (x - 1) % 3)
         for order in itertools.permutations(net.sorted_cells()):
             for counts in itertools.product(range(omega + 1), repeat=3):
                 seq = [c for c, m in zip(order, counts) for _ in range(m)]

@@ -5,7 +5,7 @@ import pytest
 
 from cellcall import hexnet
 from cellcall.adversary import UnknownAdversaryError, make_adversary
-from cellcall.hexnet import Color, Network, color_of, flower_network, hex_patch, is_triangle_free
+from cellcall.hexnet import Network, color_of, flower_network, hex_patch, is_triangle_free
 from cellcall.offline import cycle_graph
 from cellcall.online import (
     Caco2Algorithm,
@@ -214,7 +214,7 @@ def test_overflow_order_violations_reports_interleaving():
     trace = run_sequence(Caco2Algorithm(net, 9), [])
     for cell, f in (((0, 0), 7), ((1, 0), 8), ((0, 0), 9)):
         trace.state.assign(cell, f)
-    assert overflow_order_violations(trace) == [((0, 0), (1, 0), Color.B)]
+    assert overflow_order_violations(trace) == [((0, 0), (1, 0), 2)]
 
 
 def test_overflow_order_violations_empty_without_partition():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellcall.hexnet import Color, Network, flower_network
+from cellcall.hexnet import Network, flower_network
 from cellcall.spectrum import (
     AssignmentState,
     FrequencyConflictError,
@@ -12,15 +12,15 @@ from cellcall.spectrum import (
 
 def test_caco_partition_omega_21():
     p = make_partition_family(21, 2, 1)
-    assert list(p.ranges[Color.R]) == list(range(1, 7))
-    assert list(p.ranges[Color.G]) == list(range(7, 13))
-    assert list(p.ranges[Color.B]) == list(range(13, 19))
+    assert list(p.ranges[0]) == list(range(1, 7))
+    assert list(p.ranges[1]) == list(range(7, 13))
+    assert list(p.ranges[2]) == list(range(13, 19))
     assert list(p.shared) == [19, 20, 21]
 
 
 def test_caco_partition_smallest():
     p = make_partition_family(7, 2, 1)
-    assert list(p.ranges[Color.R]) == [1, 2]
+    assert list(p.ranges[0]) == [1, 2]
     assert list(p.shared) == [7]
 
 
@@ -31,15 +31,15 @@ def test_caco_partition_divisibility():
 
 def test_caco2_partition_omega_9():
     p = make_partition_family(9, 1, 0)
-    assert list(p.ranges[Color.R]) == [1, 2, 3]
-    assert list(p.ranges[Color.G]) == [4, 5, 6]
-    assert list(p.ranges[Color.B]) == [7, 8, 9]
+    assert list(p.ranges[0]) == [1, 2, 3]
+    assert list(p.ranges[1]) == [4, 5, 6]
+    assert list(p.ranges[2]) == [7, 8, 9]
     assert p.shared is None
 
 
 def test_caco2_partition_singletons():
     p = make_partition_family(3, 1, 0)
-    assert [len(p.ranges[c]) for c in Color] == [1, 1, 1]
+    assert [len(rng) for rng in p.ranges] == [1, 1, 1]
 
 
 def test_caco2_partition_divisibility():
@@ -50,7 +50,7 @@ def test_caco2_partition_divisibility():
 def test_partition_ratio_exact_up_to_10000():
     for omega in range(7, 10001, 7):
         p = make_partition_family(omega, 2, 1)
-        sizes = [len(p.ranges[c]) for c in Color] + [len(p.shared)]
+        sizes = [len(rng) for rng in p.ranges] + [len(p.shared)]
         assert sizes == [2 * omega // 7] * 3 + [omega // 7]
         # disjoint cover of {1..omega}
         assert sum(sizes) == omega
@@ -59,7 +59,7 @@ def test_partition_ratio_exact_up_to_10000():
 def test_partition_ranges_disjoint_cover():
     p = make_partition_family(30, 3, 1)
     seen = set()
-    for rng in [*p.ranges.values(), p.shared]:
+    for rng in [*p.ranges, p.shared]:
         assert not (seen & set(rng))
         seen |= set(rng)
     assert seen == set(range(1, 31))
