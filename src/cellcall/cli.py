@@ -19,6 +19,7 @@ from .harness import (
     run_experiment,
     sweep,
 )
+from .online import parse_int
 
 
 def _write(text: str, out: str | None) -> None:
@@ -104,7 +105,7 @@ def sweep_cmd(template: str, grid_specs: tuple, out: str | None, fmt: str) -> No
         values = raw.split("|")
         if name == "omega":
             try:
-                values = [int(v) for v in values]
+                values = [parse_int(v) for v in values]
             except ValueError:
                 raise click.ClickException(f"bad grid spec {spec!r}; omega values must be integers")
         grid[name] = values

@@ -155,6 +155,8 @@ def load_scenario(path) -> ScenarioConfig:
         raise ScenarioError(f"{path}: not UTF-8 text: byte {exc.start} cannot be decoded") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(f"{path}: JSON nested too deeply to decode") from exc
     return parse_scenario(data, scenario_id=path.stem)
 
 

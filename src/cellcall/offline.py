@@ -6,9 +6,11 @@ containing it, so no cell serves more than omega. `exact_optimum` caps each
 demand at omega, first tries a three-colour witness that serves every capped
 demand, and otherwise runs branch-and-bound over maximal independent set
 multiplicities, aimed at a ceiling: the floor of the clique LP, solved by an
-exact integer simplex whose dual is checked before use. `clique_upper_bound`
-is that floor for any network, never below the integer clique bound and equal
-to it wherever measured; `exhaustive_oracle` is the brute-force cross-check.
+exact bounded-variable simplex in integers, one tableau row per maximal
+clique and each bound x_i <= R_i kept by complementing x_i rather than by a
+row, whose dual is checked before use. `clique_upper_bound` is that floor for
+any network, never below the integer clique bound and equal to it wherever
+measured; `exhaustive_oracle` is the brute-force cross-check.
 """
 
 from __future__ import annotations
@@ -162,50 +164,78 @@ def _lp_ceiling(omega: int, r: list[int], cliques: list[tuple[int, ...]]) -> int
     that relaxation, and equal to it on every instance measured (both
     acceptance sweeps and thousands of random small networks).
 
-    An exact simplex in integers: a dense tableau with one slack per row, so
-    the origin is a feasible start; Bland's rule; and integer-preserving
-    pivots, which keep every entry times the basis determinant d, the last
-    pivot, so each update (a*p - f*q) // d divides exactly. The value is
-    `_dual_floor` of the dual read off the objective row: checked feasible,
-    that dual bounds every feasible x by weak duality, whatever the pivots
-    did.
+    An exact bounded-variable simplex in integers on a condensed (Tucker)
+    tableau: one row per clique, holding a basic variable, and one column per
+    nonbasic variable, plus the right-hand side. Variable j < n is x_j and
+    n + k is clique k's slack, so the origin, with every slack basic, is a
+    feasible start. The bounds x_j <= r_j take no rows: a variable that
+    reaches its bound is complemented, standing for r_j - x_j from then on.
+    An entering x_j whose own bound is the smallest step just flips (a tie
+    with a row goes to the flip, so a column of bound 0 never enters the
+    basis); a basic x_j that would pass its bound is complemented, then
+    pivoted out. Bland's rule picks the smallest entering variable and, among
+    tied rows, the smallest leaving one. Pivots are integer-preserving: every
+    entry is kept times the basis determinant d, the last pivot, so each
+    update (a*p - f*q) // d divides exactly. The value is `_dual_floor` of the
+    dual read off the objective row: checked feasible, that dual bounds every
+    feasible x by weak duality, whatever the pivots did.
     """
-    n = len(r)
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    rows += [[int(j in clique) for j in range(n)] for clique in cliques]
-    b = list(r) + [omega] * len(cliques)
-    m = len(rows)
-    # row i is A_i | e_i | b_i; the last row, the objective, starts at -1 per x
-    tab = [a + [int(i == k) for k in range(m)] + [bi] for i, (a, bi) in enumerate(zip(rows, b))]
-    tab.append([-1] * n + [0] * (m + 1))
-    objective = tab[m]
-    basis = list(range(n, n + m))
+    n, m = len(r), len(cliques)
+    # row k: clique k's slack = omega - its x; the last row, the objective,
+    # has its value in the right-hand side and starts at -1 per x
+    tab = [[int(j in clique) for j in range(n)] + [omega] for clique in cliques]
+    tab.append([-1] * n + [0])
+    basis = list(range(n, n + m))  # the variable of each row
+    column = list(range(n))  # the variable of each column
+    flipped = [False] * n  # x_j stands for r_j - x_j
     d = 1
     while True:
-        s = next((j for j, v in enumerate(objective[:-1]) if v < 0), None)
+        s = min((j for j in range(n) if tab[m][j] < 0), key=column.__getitem__, default=None)
         if s is None:
             break
-        # smallest ratio b_i / a_is over a_is > 0, ties to the smallest basic variable
-        pivot = None
-        for i in range(m):
-            a = tab[i][s]
+        # the smallest step: a basic variable reaching 0 (a > 0) or its
+        # bound (a < 0), ties to the smallest basic variable
+        pivot, num, den = None, 0, 1
+        for i, (row, v) in enumerate(zip(tab, basis)):
+            a = row[s]
             if a > 0:
-                if pivot is None:
-                    pivot = i
-                    continue
-                lhs, rhs = tab[i][-1] * tab[pivot][s], tab[pivot][-1] * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot]):
-                    pivot = i
+                step = row[n], a
+            elif a < 0 and v < n:
+                step = r[v] * d - row[n], -a
+            else:
+                continue
+            lhs, rhs = step[0] * den, num * step[1]
+            if pivot is None or lhs < rhs or (lhs == rhs and v < basis[pivot]):
+                pivot, (num, den) = i, step
+        v = column[s]
+        if v < n and (pivot is None or r[v] * den <= num):
+            for row in tab:
+                row[n] -= row[s] * r[v]
+                row[s] = -row[s]
+            flipped[v] = not flipped[v]
+            continue
         prow = tab[pivot]
+        if prow[s] < 0:
+            prow = tab[pivot] = [-a for a in prow]
+            prow[n] += r[basis[pivot]] * d
+            flipped[basis[pivot]] = not flipped[basis[pivot]]
         p = prow[s]
         for i, row in enumerate(tab):
             if i != pivot:
                 f = row[s]
                 tab[i] = [(a * p - f * q) // d for a, q in zip(row, prow)]
-        objective = tab[m]
-        basis[pivot] = s
+                tab[i][s] = -f
+        prow[s] = d
+        basis[pivot], column[s] = v, basis[pivot]
         d = p
-    return _dual_floor(omega, r, cliques, objective[n:-1], d)
+    # clique k's dual is its slack's objective entry while the slack is
+    # nonbasic; x_j's bound row's is x_j's entry while x_j is nonbasic and
+    # flipped; every other entry is 0
+    y = [0] * (n + m)
+    for j, v in enumerate(column):
+        if v >= n or flipped[v]:
+            y[v] = tab[m][j]
+    return _dual_floor(omega, r, cliques, y, d)
 
 
 def _dual_floor(omega: int, r: list[int], cliques: list[tuple[int, ...]], y: list[int], d: int) -> int:
@@ -217,8 +247,12 @@ def _dual_floor(omega: int, r: list[int], cliques: list[tuple[int, ...]], y: lis
     n = len(r)
     if any(v < 0 for v in y):
         raise AssertionError(f"clique LP dual {y} has a negative entry")
+    cover = y[:n]
+    for k, clique in enumerate(cliques):
+        for j in clique:
+            cover[j] += y[n + k]
     for j in range(n):
-        if y[j] + sum(y[n + k] for k, clique in enumerate(cliques) if j in clique) < d:
+        if cover[j] < d:
             raise AssertionError(f"clique LP dual {y} does not cover cell index {j}")
     return (sum(a * v for a, v in zip(r, y)) + omega * sum(y[n:])) // d
 

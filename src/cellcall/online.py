@@ -198,15 +198,25 @@ class Caco2Algorithm(ScanAlgorithm):
         return (ranges[x], ranges[(x + 1) % 3][::-1])
 
 
-_SELECTOR_INT = re.compile(r"-?[0-9]+")
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """`text` as an ASCII decimal integer, `-?[0-9]+`: the one integer rule
+    for selector arguments and `--grid omega=` values. Raises ValueError on
+    "+3", " 3", "1_000", non-ASCII digits, and more digits than the
+    interpreter converts, all of which `int` would take or coerce."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"not an ASCII decimal integer: {text!r}")
+    return int(text)
 
 
 def parse_selector(selector: str, kind: str, arity: dict, error: type) -> tuple[str, tuple[int, ...]]:
     """Split a selector into its name and integer arguments.
 
     A selector is a name from `arity`, followed by ":<int>" once per argument
-    that `arity[name]` asks for; each argument is an ASCII decimal integer
-    (`-?[0-9]+`), so "+3", " 3", "1_000" and non-ASCII digits are refused.
+    that `arity[name]` asks for; each argument must pass `parse_int`, so "+3",
+    " 3", "1_000" and non-ASCII digits are refused.
     An unknown name, or arguments on a name that takes none (or none on one
     that does), raises `error("unknown <kind> selector ...")`; malformed or
     miscounted arguments raise `error("bad <name> selector ...")`.
@@ -215,11 +225,11 @@ def parse_selector(selector: str, kind: str, arity: dict, error: type) -> tuple[
     if name not in arity or bool(colon) != (arity[name] > 0):
         raise error(f"unknown {kind} selector {selector!r}")
     args = rest.split(":") if colon else []
-    try:
-        if len(args) == arity[name] and all(_SELECTOR_INT.fullmatch(a) for a in args):
-            return name, tuple(int(a) for a in args)
-    except ValueError:  # more digits than the interpreter converts
-        pass
+    if len(args) == arity[name]:
+        try:
+            return name, tuple(parse_int(a) for a in args)
+        except ValueError:
+            pass
     raise error(f"bad {name} selector {selector!r}")
 
 

@@ -79,6 +79,35 @@ def test_non_utf8_file_is_named_error(tmp_path):
     assert isinstance(result.exception, SystemExit), result.exception
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100000 + "]" * 100000,
+        '{"omega": 7, "cells": [[0, 0]], "algorithm": "greedy", "traffic": '
+        + "[" * 5000 + "]" * 5000 + "}",
+    ],
+    ids=["bare", "in-traffic"],
+)
+def test_deeply_nested_file_is_named_error(tmp_path, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(ScenarioError, match="nested too deeply") as info:
+        load_scenario(path)
+    assert str(path) in str(info.value)
+    result = CliRunner().invoke(main, ["run", str(path)])
+    assert result.exit_code == 1, result.output
+    assert result.output.count("Error:") == 1 and "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+
+
+def test_grid_omegas_take_the_selector_integer_rule():
+    template = str(SCENARIOS / "sweep_template.json")
+    result = CliRunner().invoke(main, ["sweep", template, "--grid", "omega=1_4| \u0662\u0661"])
+    assert result.exit_code == 1, result.output
+    assert "Error: bad grid spec 'omega=1_4| \u0662\u0661'; omega values must be integers" in result.output
+    assert "t[omega=14]" not in result.output
+
+
 def test_repeated_scenario_key_is_named_error(tmp_path):
     path = tmp_path / "dup.json"
     path.write_text('{"omega": 7, "cells": [[0, 0]], "algorithm": "greedy", "traffic": [], "omega": 8}')
@@ -604,6 +633,10 @@ def test_cli_duel_certificate_by_resolved_name():
         ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "omega"],
         ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "cells=1"],
         ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "omega=7", "--grid", "omega=21"],
+        ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "omega=1_4"],
+        ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "omega=+7"],
+        ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "omega= 7"],
+        ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "omega=\u0662\u0661"],
     ],
 )
 def test_cli_bad_input_is_named_error(args):

@@ -1,9 +1,11 @@
+import inspect
 import itertools
 import os
 import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -417,6 +419,130 @@ def test_clique_bound_flower_duel():
     scenario = make_adversary("random:2:126", 21)
     trace = run_duel(scenario, make_algorithm("caco", scenario.network, 21))
     assert clique_upper_bound(scenario.network, 21, dict(trace.demands)) == 63
+
+
+# the statement `_lp_ceiling` runs once per step of each kind
+STEP_LINES = {
+    "flip": "flipped[v] = not flipped[v]",
+    "pivot": "p = prow[s]",
+    "leave at bound": "flipped[basis[pivot]] = not flipped[basis[pivot]]",
+}
+
+
+def lp_steps(omega, r, cliques, limit=10_000):
+    """`_lp_ceiling`'s value, the dual (y, d) it hands `_dual_floor`, and how
+    often it ran each step kind, seen by a line tracer. A flip of a column
+    whose bound is 0 counts as "zero flip", and "leave at 0" is every pivot
+    whose leaving variable was not first complemented at its bound. Past
+    `limit` steps it raises AssertionError inside the kernel, so a cycling
+    kernel fails the test instead of hanging it."""
+    source, first = inspect.getsourcelines(offline._lp_ceiling)
+    kinds = {stmt: kind for kind, stmt in STEP_LINES.items()}
+    lines = {first + i: kinds[text.strip()] for i, text in enumerate(source) if text.strip() in kinds}
+    assert len(lines) == len(STEP_LINES)
+    code = offline._lp_ceiling.__code__
+    steps = Counter()
+
+    def on_line(frame, event, arg):
+        kind = lines.get(frame.f_lineno) if event == "line" else None
+        if kind == "flip" and frame.f_locals["r"][frame.f_locals["v"]] == 0:
+            kind = "zero flip"
+        if kind:
+            steps[kind] += 1
+            if steps["flip"] + steps["zero flip"] + steps["pivot"] > limit:
+                raise AssertionError(f"no optimum after {limit} steps")
+        return on_line
+
+    duals = []
+
+    def dual_floor(*args):
+        duals.append(args[3:])
+        return real_dual_floor(*args)
+
+    real_dual_floor = offline._dual_floor
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
+    try:
+        with mock.patch.object(offline, "_dual_floor", dual_floor):
+            value = offline._lp_ceiling(omega, r, cliques)
+    finally:
+        sys.settrace(previous)
+    steps["leave at 0"] = steps["pivot"] - steps["leave at bound"]
+    (dual,) = duals
+    return value, dual, steps
+
+
+def dual_value(omega, r, cliques, dual):
+    y, d = dual
+    return Fraction(sum(a * v for a, v in zip(r, y)) + omega * sum(y[len(r):]), d)
+
+
+FLOWER = hex_patch(1)
+
+
+@pytest.mark.parametrize(
+    "net, omega, demands, kinds",
+    [
+        # x stops at its own bound 2 below the clique's 5
+        (Network([(0, 0)]), 5, {(0, 0): 2}, {"flip"}),
+        # x0 flips to 3, then x1 enters and the slack leaves at 0
+        (Network.from_edges(range(2), [(0, 1)]), 3, {0: 3, 1: 3}, {"flip", "leave at 0"}),
+        # the centre flips to 2 and each leaf enters at 0 in place of a slack;
+        # lowering the centre again raises both leaves to their bound 1, and
+        # the first of them leaves at that bound
+        (
+            Network.from_edges(range(3), [(0, 1), (0, 2)]), 2, {0: 2, 1: 1, 2: 1},
+            {"flip", "leave at 0", "leave at bound"},
+        ),
+        # a column of demand 0 flips at step 0
+        (Network([(0, 0), (1, 0)]), 3, {(0, 0): 0, (1, 0): 2}, {"zero flip", "flip"}),
+        (Network([(0, 0), (1, 0), (2, 0)]), 4, {(0, 0): 3, (1, 0): 0, (2, 0): 4}, {"zero flip", "flip"}),
+        # every demand omega: every clique row ties at every step
+        (STAR, 3, {c: 3 for c in STAR.cells}, {"flip", "leave at 0"}),
+        (FLOWER, 2, {c: 2 for c in FLOWER.cells}, {"flip", "leave at 0"}),
+        (FLOWER, 3, {c: 3 for c in FLOWER.cells}, {"flip", "leave at 0"}),
+    ],
+    ids=[
+        "bound-flip", "leave-at-0", "leave-at-bound", "zero-demand", "zero-demand-between",
+        "star", "flower-2", "flower-3",
+    ],
+)
+def test_lp_ceiling_step_kinds(net, omega, demands, kinds):
+    inputs = ceiling_inputs(net, omega, demands)
+    value, dual, steps = lp_steps(*inputs)
+    assert {kind for kind in steps if steps[kind]} - {"pivot"} == kinds, steps
+    assert value == brute_clique_bound(net, omega, demands)
+    # the kernel's own dual passes the check, and the LP is integral here
+    assert offline._dual_floor(*inputs, *dual) == value == dual_value(*inputs, dual)
+
+
+def test_lp_ceiling_degenerate_ties_terminate_at_any_omega():
+    for omega in (1, 21, 315):
+        for net in (STAR, FLOWER):
+            inputs = ceiling_inputs(net, omega, {c: omega for c in net.cells})
+            value, dual, steps = lp_steps(*inputs)
+            assert value == dual_value(*inputs, dual) == 3 * omega, steps
+
+
+def test_lp_ceiling_reads_the_fractional_optimum_of_c5():
+    # at omega 1 the LP's optimum is x = 1/2 everywhere, 5/2 in all
+    inputs = ceiling_inputs(cycle_graph(5), 1, {i: 1 for i in range(5)})
+    value, dual, steps = lp_steps(*inputs)
+    assert dual_value(*inputs, dual) == Fraction(5, 2)
+    assert value == offline._dual_floor(*inputs, *dual) == 2
+    assert steps["pivot"] >= 1
+
+
+def test_lp_ceiling_duals_pass_the_check_randomized():
+    rng = random.Random(45)
+    for _ in range(60):
+        net = connected_network(rng, max_cells=6)
+        omega = rng.randint(1, 5)
+        demands = {c: rng.choice([0, omega, rng.randint(0, 2 * omega)]) for c in net.cells}
+        inputs = ceiling_inputs(net, omega, demands)
+        value, dual, steps = lp_steps(*inputs)
+        assert offline._dual_floor(*inputs, *dual) == value == brute_clique_bound(net, omega, demands)
+        assert dual_value(*inputs, dual) >= value
 
 
 @given(st.sets(st.sampled_from(PATCH_CELLS), min_size=1, max_size=12))
