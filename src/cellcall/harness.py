@@ -6,6 +6,7 @@ import csv
 import io
 import itertools
 import json
+import reprlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Union
@@ -20,6 +21,21 @@ from .online import RunTrace, make_algorithm, run_sequence
 
 class ScenarioError(ValueError):
     """A scenario file failed validation; message pinpoints the offending field."""
+
+
+# echoes a scenario value in an error message, cut short however large or
+# deeply nested it is: `_brief.repr([[[[[0]]]]])` is '[[[[...]]]]'
+_brief = reprlib.Repr()
+_brief.maxlevel = 3
+_brief.maxlist = _brief.maxtuple = 12
+_brief.maxstring = 80
+
+
+def _clip(exc: ValueError) -> str:
+    """The message of a selector parser's error, which may echo the selector
+    whole, cut to at most 160 characters."""
+    text = str(exc)
+    return text if len(text) <= 160 else f"{text[:157]}..."
 
 
 @dataclass(frozen=True)
@@ -41,7 +57,7 @@ def _is_int(value) -> bool:
 def _as_flag(data: dict, name: str) -> bool:
     value = data.get(name, False)
     if not isinstance(value, bool):
-        raise ScenarioError(f"{name} must be true or false, got {value!r}")
+        raise ScenarioError(f"{name} must be true or false, got {_brief.repr(value)}")
     return value
 
 
@@ -51,7 +67,7 @@ def _as_cell(value, what: str) -> Cell:
         or len(value) != 2
         or not all(_is_int(v) for v in value)
     ):
-        raise ScenarioError(f"{what} must be an integer pair [q, r], got {value!r}")
+        raise ScenarioError(f"{what} must be an integer pair [q, r], got {_brief.repr(value)}")
     return (value[0], value[1])
 
 
@@ -64,11 +80,12 @@ def parse_scenario(data: dict, scenario_id: str) -> ScenarioConfig:
     unknown = sorted(set(data) - set(_FIELDS), key=str)
     if unknown:
         raise ScenarioError(
-            f"unknown scenario fields {unknown}; a scenario has only {', '.join(_FIELDS)}"
+            f"unknown scenario fields {_brief.repr(unknown)}; "
+            f"a scenario has only {', '.join(_FIELDS)}"
         )
     omega = data.get("omega")
     if not _is_int(omega):
-        raise ScenarioError(f"omega must be a positive integer, got {omega!r}")
+        raise ScenarioError(f"omega must be a positive integer, got {_brief.repr(omega)}")
     raw_cells = data.get("cells")
     if not isinstance(raw_cells, list) or not raw_cells:
         raise ScenarioError("cells must be a non-empty list of [q, r] pairs")
@@ -102,14 +119,14 @@ def _adversary(selector: str, omega: int, network: Optional[Network] = None):
     try:
         return make_adversary(selector, omega, network)
     except ValueError as exc:
-        raise ScenarioError(f"traffic selector {selector!r}: {exc}") from exc
+        raise ScenarioError(f"traffic selector {_brief.repr(selector)}: {_clip(exc)}") from exc
 
 
 def build_scenario(config: ScenarioConfig):
     """Check a scenario and build what it runs: `(adversary, algorithm)`, the
     adversary None for a request list. The only place a scenario is checked."""
     if config.omega <= 0:
-        raise ScenarioError(f"omega must be a positive integer, got {config.omega!r}")
+        raise ScenarioError(f"omega must be a positive integer, got {_brief.repr(config.omega)}")
     network = Network(config.cells)
     adversary = None
     if isinstance(config.traffic, str):
@@ -118,8 +135,9 @@ def build_scenario(config: ScenarioConfig):
         adversary = _adversary(config.traffic, config.omega, network if config.cells else None)
         if config.cells and adversary.network.cells != network.cells:
             raise ScenarioError(
-                f"adversary {config.traffic!r} runs on cells {sorted(adversary.network.cells)}, "
-                f"but the scenario lists cells {sorted(network.cells)}"
+                f"adversary {_brief.repr(config.traffic)} runs on cells "
+                f"{_brief.repr(sorted(adversary.network.cells))}, "
+                f"but the scenario lists cells {_brief.repr(sorted(network.cells))}"
             )
         network = adversary.network
     elif not network.cells.issuperset(config.traffic):
@@ -128,7 +146,7 @@ def build_scenario(config: ScenarioConfig):
     try:
         algorithm = make_algorithm(config.algorithm, network, config.omega)
     except ValueError as exc:
-        raise ScenarioError(f"algorithm {config.algorithm!r}: {exc}") from exc
+        raise ScenarioError(f"algorithm {_brief.repr(config.algorithm)}: {_clip(exc)}") from exc
     return adversary, algorithm
 
 
@@ -142,7 +160,7 @@ def _unique_keys(pairs: list) -> dict:
     data = {}
     for key, value in pairs:
         if key in data:
-            raise ScenarioError(f"scenario key {key!r} is given twice")
+            raise ScenarioError(f"scenario key {_brief.repr(key)} is given twice")
         data[key] = value
     return data
 

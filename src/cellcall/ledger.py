@@ -1,6 +1,15 @@
 """Mechanical checkers for the amortized accounting behind the 7/3 and 9/4
-competitive bounds. Every pass/fail decision uses exact integer/rational
-arithmetic; floats appear only in decimal renderings."""
+competitive bounds.
+
+Each proof is checked in plain integers on one fixed scale L: a value x of
+its ledger (a credit h, a charge B) is held as the integer L*x. The caco
+proof (floor 3/7, credits divided by 3) uses L = 21, so its credit
+(A_k - 3O_k/7)/3 is 7A_k - 3O_k and a donor's B = 3O/7 is 9O. The caco2
+proof (floor 4/9, a spare split over at most 3 neighbors, omega/9 credits)
+uses L = 54, so a spare (9A - 4O)/9 is 54A - 24O and omega/9 is 6*omega.
+Every pass/fail decision is an integer comparison. Fractions are built only
+for `Certificate.b_values` and `h_values` and the `sum B` detail text;
+floats appear only in decimal renderings of ratios."""
 
 from __future__ import annotations
 
@@ -11,6 +20,8 @@ from typing import Optional
 from .hexnet import Cell, classify_neighbor_config
 from .offline import OptimumWitness
 from .online import RunTrace, require_triangle_free_hex
+
+SCALE = {"caco": 21, "caco2": 54}  # L per certificate kind
 
 
 class NetworkMismatchError(ValueError):
@@ -38,15 +49,25 @@ class Certificate:
     Donor cells are charged B = floor * O; every other cell is charged its own
     A plus the credits h[(giver, receiver)] it receives. The run is certified
     when sum B <= sum A and O <= B / floor at every cell, along with the
-    preconditions of its proof.
+    preconditions of its proof. B and h are stored scaled by `SCALE[kind]`.
     """
 
     kind: str  # "caco" or "caco2"
     donors: frozenset  # cells charged floor * O
-    b_values: dict  # Cell -> Fraction
-    h_values: dict  # (Cell, Cell) -> Fraction, giver -> receiver
+    b_scaled: dict  # Cell -> int, L * B
+    h_scaled: dict  # (Cell, Cell) -> int, L * h, giver -> receiver
     checks: list
     uncovered: list  # (cell, reason) the proof's case tree does not cover
+
+    @property
+    def b_values(self) -> dict:
+        """Cell -> B as an exact Fraction."""
+        return {c: Fraction(v, SCALE[self.kind]) for c, v in self.b_scaled.items()}
+
+    @property
+    def h_values(self) -> dict:
+        """(giver, receiver) -> h as an exact Fraction."""
+        return {k: Fraction(v, SCALE[self.kind]) for k, v in self.h_scaled.items()}
 
     @property
     def status(self) -> str:
@@ -70,26 +91,27 @@ def _tallies(trace: RunTrace, opt: OptimumWitness) -> tuple:
     return cells, {c: opt.per_cell[c] for c in cells}, {c: trace.accepted_at(c) for c in cells}
 
 
-def _balance(cells, O, A, donors, h, floor: Fraction, checks: list) -> dict:
-    """B per cell, appending the amortized_total and per-cell ratio checks for
-    `floor` (3/7 checks the 7/3 ratio, 4/9 the 9/4 ratio)."""
+def _balance(cells, O, A, donors, h, scale: int, floor: tuple, checks: list) -> dict:
+    """L * B per cell, with L = `scale`, appending the amortized_total and
+    per-cell ratio checks for `floor` = (num, den): (3, 7) checks the 7/3
+    ratio, (4, 9) the 9/4 ratio. `h` holds L * h."""
+    rate = scale * floor[0] // floor[1]  # L * floor
     received = dict.fromkeys(cells, 0)
     for (_, receiver), amount in h.items():
         received[receiver] += amount
-    b = {c: floor * O[c] if c in donors else A[c] + received[c] for c in cells}
+    b = {c: rate * O[c] if c in donors else scale * A[c] + received[c] for c in cells}
     total_b = sum(b.values())
     total_a = sum(A.values())
     checks.append(
         CheckResult(
             "amortized_total",
-            total_b <= total_a,
-            detail=f"sum B = {total_b}, sum A = {total_a}",
+            total_b <= scale * total_a,
+            detail=f"sum B = {Fraction(total_b, scale)}, sum A = {total_a}",
         )
     )
-    # O <= B / floor, and B = 0 forces O = 0
-    bad = tuple(c for c in cells if (O[c] > 0 if b[c] == 0 else floor * O[c] > b[c]))
-    name = f"per_cell_ratio_{floor.denominator}_{floor.numerator}"
-    checks.append(CheckResult(name, not bad, bad))
+    # O <= B / floor, so B = 0 forces O = 0
+    bad = tuple(c for c in cells if rate * O[c] > b[c])
+    checks.append(CheckResult(f"per_cell_ratio_{floor[1]}_{floor[0]}", not bad, bad))
     return b
 
 
@@ -106,10 +128,9 @@ def caco_certificate(trace: RunTrace, opt: OptimumWitness) -> Certificate:
     """
     cells, O, A = _tallies(trace, opt)
     net, omega = trace.network, trace.omega
-    floor = Fraction(3, 7)
     donors = frozenset(c for c in cells if 3 * O[c] <= 2 * omega)
     h = {
-        (k, c): (A[k] - floor * O[k]) / 3
+        (k, c): 7 * A[k] - 3 * O[k]  # 21 * (A_k - 3O_k/7)/3
         for c in cells
         if c not in donors
         for k in net.neighbors(c)
@@ -142,7 +163,7 @@ def caco_certificate(trace: RunTrace, opt: OptimumWitness) -> Certificate:
     )
     checks.append(CheckResult("shared_exhaustion_at_rejection", not bad, bad))
 
-    b = _balance(cells, O, A, donors, h, floor, checks)
+    b = _balance(cells, O, A, donors, h, SCALE["caco"], (3, 7), checks)
     return Certificate("caco", donors, b, h, checks, [])
 
 
@@ -157,36 +178,42 @@ def caco2_certificate(trace: RunTrace, opt: OptimumWitness) -> Certificate:
     cells, O, A = _tallies(trace, opt)
     net, omega = trace.network, trace.omega
     require_triangle_free_hex(net)
-    floor = Fraction(4, 9)
     donors = frozenset(c for c in cells if 9 * A[c] >= 4 * O[c])
 
     h: dict = {}
     uncovered: list = []
 
-    def credit(i: Cell, j: Cell, amount: Fraction) -> None:
+    def credit(i: Cell, j: Cell, amount: int) -> None:
         # each branch below credits a surplus donor's spare, a deficient
-        # receiver's shortfall or omega/9, so no amount is negative
-        assert amount >= 0, f"negative compensation from {i} toward {j}"
+        # receiver's shortfall or omega/9, so no amount is negative; raised
+        # rather than asserted so the check also runs under `python -O`
+        if amount < 0:
+            raise AssertionError(f"negative compensation from {i} toward {j}")
         if amount:
-            h[(i, j)] = h.get((i, j), Fraction(0)) + amount
+            h[(i, j)] = h.get((i, j), 0) + amount
 
+    # all amounts are 54 times the proof's: 54 * 4O/9 = 24O, 54 * omega/9 = 6 omega
     for i in cells:
         if i not in donors:
             continue
-        spare = A[i] - floor * O[i]
+        spare = 54 * A[i] - 24 * O[i]
         succ, pred = classify_neighbor_config(net, i)
         if not (succ and pred):
-            # structure A: each of the k neighbors gets spare/k; isolated: nothing
-            for j in succ + pred:
-                credit(i, j, spare / len(succ + pred))
+            # structure A: each of the k <= 3 neighbors gets spare/k; isolated: nothing
+            receivers = succ + pred
+            share, rest = divmod(spare, len(receivers) or 1)
+            if rest:
+                raise AssertionError(f"spare of {i} does not split over {len(receivers)} neighbors")
+            for j in receivers:
+                credit(i, j, share)
             continue
         # structure B: C_j has the successor color of i, C_k the predecessor
         (cj,), (ck,) = succ, pred
         if 3 * A[i] > omega:
             if cj not in donors:
-                credit(i, cj, floor * O[cj] - A[cj])
+                credit(i, cj, 24 * O[cj] - 54 * A[cj])
                 if ck not in donors:
-                    credit(i, ck, Fraction(omega, 9))
+                    credit(i, ck, 6 * omega)
             elif ck not in donors:
                 credit(i, ck, spare)
         else:
@@ -198,23 +225,22 @@ def caco2_certificate(trace: RunTrace, opt: OptimumWitness) -> Certificate:
     given = dict.fromkeys(cells, 0)
     for (giver, _), amount in h.items():
         given[giver] += amount
-    over_budget = tuple(i for i in cells if i in donors and floor * O[i] + given[i] > A[i])
+    over_budget = tuple(i for i in cells if i in donors and 24 * O[i] + given[i] > 54 * A[i])
     for i in over_budget:
         uncovered.append((i, "compensation exceeds the donor's budget"))
     checks.append(CheckResult("donor_budget", not over_budget, over_budget))
 
-    b = _balance(cells, O, A, donors, h, floor, checks)
+    b = _balance(cells, O, A, donors, h, SCALE["caco2"], (4, 9), checks)
     for i in checks[-1].failing_cells:  # per_cell_ratio_9_4
         if i not in donors:
             uncovered.append((i, "compensation left the cell below 4O/9"))
 
     total_o = sum(O.values())
     total_a = sum(A.values())
-    global_ok = 4 * total_o <= 9 * total_a or (total_a == 0 and total_o == 0)
     checks.append(
         CheckResult(
             "global_ratio_9_4",
-            global_ok,
+            4 * total_o <= 9 * total_a,
             detail=f"sum O = {total_o}, sum A = {total_a}",
         )
     )

@@ -100,6 +100,36 @@ def test_deeply_nested_file_is_named_error(tmp_path, text):
     assert isinstance(result.exception, SystemExit), result.exception
 
 
+def test_nested_cell_error_stays_short(tmp_path):
+    # a cell nested 600 deep decodes (with room under the decoder's recursion
+    # limit for the test runner's frames), and its error echoes only the first levels
+    path = tmp_path / "nested_cell.json"
+    path.write_text(
+        '{"omega": 7, "cells": ' + "[" * 600 + "]" * 600 + ', "algorithm": "greedy", "traffic": []}'
+    )
+    result = CliRunner().invoke(main, ["run", str(path)])
+    assert result.exit_code == 1, result.output
+    assert result.output == "Error: cell must be an integer pair [q, r], got [[[[...]]]]\n"
+
+
+@pytest.mark.parametrize(
+    "field, value, start",
+    [
+        ("traffic", "random:" + "x" * 3000 + ":5", "traffic selector 'random:xxx"),
+        ("traffic", "random:1:" + "9" * 3000, "traffic selector 'random:1:999"),
+        ("algorithm", "partition:" + "1" * 3000 + ":1", "algorithm 'partition:111"),
+        ("cells", [[0, 0], list(range(5000))], "cell must be an integer pair [q, r], got [0, 1, 2,"),
+    ],
+    ids=["bad-seed", "long-length", "huge-partition", "long-cell"],
+)
+def test_long_scenario_values_echoed_short(field, value, start):
+    data = {"omega": 7, "cells": [[0, 0], [1, 0]], "algorithm": "greedy", "traffic": []}
+    data[field] = value
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(data, scenario_id="x")
+    assert str(info.value).startswith(start) and len(str(info.value)) < 300, str(info.value)
+
+
 def test_grid_omegas_take_the_selector_integer_rule():
     template = str(SCENARIOS / "sweep_template.json")
     result = CliRunner().invoke(main, ["sweep", template, "--grid", "omega=1_4| \u0662\u0661"])

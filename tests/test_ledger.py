@@ -1,12 +1,16 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cellcall.adversary import STAR_CENTER, STAR_OUTER, fig2_adversary, fig3_adversary, run_duel
 from cellcall.harness import RunReport
-from cellcall.hexnet import AXIAL_DIRECTIONS, Network, color_of, hex_patch
+from cellcall.hexnet import AXIAL_DIRECTIONS, Network, classify_neighbor_config, color_of, hex_patch
 from cellcall.ledger import (
     NetworkMismatchError,
     caco2_certificate,
@@ -22,6 +26,93 @@ from cellcall.online import (
     run_sequence,
 )
 from conftest import PARTIAL_HEX_STAR, random_network, random_requests
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+# Reference ledgers: B and h recomputed in Fractions straight from the proofs'
+# formulas, for comparison with the certificates' integer arithmetic.
+
+def reference_caco(trace, opt):
+    net, omega, O = trace.network, trace.omega, opt.per_cell
+    A = {c: trace.accepted_at(c) for c in net.cells}
+    donors = {c for c in net.cells if O[c] <= Fraction(2 * omega, 3)}
+    h = {
+        (k, c): (A[k] - Fraction(3, 7) * O[k]) / 3
+        for c in net.cells
+        if c not in donors
+        for k in net.neighbors(c)
+    }
+    return donors, h, reference_b(net, O, A, donors, h, Fraction(3, 7))
+
+
+def reference_caco2(trace, opt):
+    net, omega, O = trace.network, trace.omega, opt.per_cell
+    A = {c: trace.accepted_at(c) for c in net.cells}
+    floor = Fraction(4, 9)
+    donors = {c for c in net.cells if A[c] >= floor * O[c]}
+    h = {}
+
+    def credit(i, j, amount):
+        assert amount >= 0
+        if amount:
+            h[(i, j)] = h.get((i, j), 0) + amount
+
+    for i in donors:
+        spare = A[i] - floor * O[i]
+        succ, pred = classify_neighbor_config(net, i)
+        if not (succ and pred):
+            for j in succ + pred:
+                credit(i, j, spare / len(succ + pred))
+        elif 3 * A[i] > omega:
+            (cj,), (ck,) = succ, pred
+            if cj not in donors:
+                credit(i, cj, floor * O[cj] - A[cj])
+                if ck not in donors:
+                    credit(i, ck, Fraction(omega, 9))
+            elif ck not in donors:
+                credit(i, ck, spare)
+        elif pred[0] not in donors:
+            credit(i, pred[0], spare)
+    return donors, h, reference_b(net, O, A, donors, h, floor)
+
+
+def reference_b(net, O, A, donors, h, floor):
+    return {
+        c: floor * O[c] if c in donors else A[c] + sum(v for (_, r), v in h.items() if r == c)
+        for c in net.cells
+    }
+
+
+def assert_matches_reference(cert, trace, opt):
+    """The certificate's donors, B and h equal the reference ledger's, and its
+    balance checks give the reference verdicts."""
+    donors, h, b = {"caco": reference_caco, "caco2": reference_caco2}[cert.kind](trace, opt)
+    assert cert.donors == donors
+    assert cert.h_values == h
+    assert cert.b_values == b
+    assert all(isinstance(v, Fraction) for v in [*cert.b_values.values(), *cert.h_values.values()])
+    floor = Fraction(3, 7) if cert.kind == "caco" else Fraction(4, 9)
+    checks = {c.name: c for c in cert.checks}
+    total_a = trace.total_accepted()
+    assert checks["amortized_total"].passed == (sum(b.values()) <= total_a)
+    assert checks["amortized_total"].detail == f"sum B = {sum(b.values())}, sum A = {total_a}"
+    short = tuple(c for c in trace.network.sorted_cells() if not opt.per_cell[c] <= b[c] / floor)
+    ratio = checks[f"per_cell_ratio_{floor.denominator}_{floor.numerator}"]
+    assert ratio.failing_cells == short and ratio.passed == (not short)
+    if cert.kind == "caco2":
+        given = {i: sum(v for (g, _), v in h.items() if g == i) for i in donors}
+        over = tuple(
+            i for i in trace.network.sorted_cells()
+            if i in donors and floor * opt.per_cell[i] + given[i] > trace.accepted_at(i)
+        )
+        assert checks["donor_budget"].failing_cells == over
+
+
+def tampered(rng, opt, omega):
+    """`opt` with every cell's O redrawn from 0..2*omega."""
+    per_cell = {c: rng.randint(0, 2 * omega) for c in opt.per_cell}
+    return OptimumWitness(sum(per_cell.values()), per_cell, opt.assignment)
 
 
 def caco_run(net, omega, seq):
@@ -65,12 +156,20 @@ def test_single_cell_dangerous():
 
 def test_caco_certificate_random_sweep():
     rng = random.Random(77)
+    negative_credits = failed = 0
     for _ in range(40):
         net = random_network(rng, max_cells=9)
         omega = rng.choice([7, 14, 21])
         trace, opt = caco_run(net, omega, random_requests(rng, net, rng.randint(0, 4 * omega)))
         cert = caco_certificate(trace, opt)
         assert cert.status == "pass", [str(c) for c in cert.checks if not c.passed]
+        assert_matches_reference(cert, trace, opt)
+        bad = tampered(rng, opt, omega)
+        cert = caco_certificate(trace, bad)
+        assert_matches_reference(cert, trace, bad)
+        negative_credits += any(v < 0 for v in cert.h_values.values())
+        failed += cert.status == "fail"
+    assert negative_credits and failed
 
 
 def test_network_mismatch_rejected():
@@ -146,6 +245,32 @@ def test_crowded_safe_cell_fails_separation():
     ])
 
 
+def test_balance_checks_fail_by_one_twenty_first():
+    # O = 6 at (1, 0) needs B >= 18/7 = 54/21, and B is 2 + (2 - 3/7)/3 = 53/21
+    net = Network([(0, 0), (1, 0)])
+    trace, _ = caco_run(net, 7, [(0, 0), (0, 0), (1, 0), (1, 0)])
+    cert = caco_certificate(trace, OptimumWitness(7, {(0, 0): 1, (1, 0): 6}, {}))
+    assert cert.b_values[(1, 0)] == Fraction(53, 21)
+    assert_fails(cert, [
+        "safe_cell_floor: pass",
+        "dangerous_separation: pass",
+        "shared_exhaustion_at_rejection: pass",
+        "amortized_total: pass sum B = 62/21, sum A = 4",
+        "per_cell_ratio_7_3: FAIL at [(1, 0)]",
+    ])
+    # sum B exceeds sum A = 1 by 1/21
+    net = Network([(-1, 0), (0, 0), (1, 0)])
+    trace, _ = caco_run(net, 7, [(1, 0)])
+    cert = caco_certificate(trace, OptimumWitness(14, {(-1, 0): 4, (0, 0): 5, (1, 0): 5}, {}))
+    assert_fails(cert, [
+        "safe_cell_floor: FAIL at [(-1, 0)]",
+        "dangerous_separation: FAIL at [(0, 0), (1, 0)]",
+        "shared_exhaustion_at_rejection: pass",
+        "amortized_total: FAIL sum B = 22/21, sum A = 1",
+        "per_cell_ratio_7_3: FAIL at [(0, 0), (1, 0)]",
+    ])
+
+
 def test_greedy_trace_fails_shared_exhaustion():
     # greedy has no shared range, so a rejection finds none of it in use
     net = Network([(0, 0)])
@@ -200,14 +325,20 @@ def test_caco2_single_isolated_cell():
 def test_caco2_random_sweep_pass_or_uncovered():
     rng = random.Random(78)
     statuses = []
+    failed_checks = 0
     for _ in range(40):
         net = random_network(rng, max_cells=9, triangle_free=True)
         omega = rng.choice([3, 9, 21])
         trace, opt = caco2_run(net, omega, random_requests(rng, net, rng.randint(0, 4 * omega)))
         cert = caco2_certificate(trace, opt)
         assert cert.status in ("pass", "uncovered"), [str(c) for c in cert.checks]
+        assert_matches_reference(cert, trace, opt)
         statuses.append(cert.status)
-    assert "pass" in statuses
+        bad = tampered(rng, opt, omega)
+        cert = caco2_certificate(trace, bad)
+        assert_matches_reference(cert, trace, bad)
+        failed_checks += not all(c.passed for c in cert.checks)
+    assert "pass" in statuses and failed_checks
 
 
 def structure_b_overflow_runs(omega):
@@ -253,6 +384,40 @@ def test_donor_budget_fails_on_tampered_optimum():
         "per_cell_ratio_9_4: pass",
         "global_ratio_9_4: FAIL sum O = 33, sum A = 4",
     ])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_caco2_straight_path_uncovered_at_every_scale(k):
+    # block traffic 2k, k, 3k along a straight path at omega 3k: the run keeps
+    # the global 9/4 ratio, but the case tree leaves the far end (1, 0) short
+    net = Network([(-1, 0), (0, 0), (1, 0)])
+    trace, opt = caco2_run(net, 3 * k, [(-1, 0)] * (2 * k) + [(0, 0)] * k + [(1, 0)] * (3 * k))
+    cert = caco2_certificate(trace, opt)
+    assert (trace.total_accepted(), opt.total) == (4 * k, 5 * k)
+    assert cert.uncovered == [((1, 0), "compensation left the cell below 4O/9")]
+    assert cert.status == "uncovered"
+    assert next(c for c in cert.checks if c.name == "global_ratio_9_4").passed
+    assert_matches_reference(cert, trace, opt)
+
+
+def test_caco2_split_check_runs_under_python_optimize():
+    # claim structure A with four receivers for the centre's spare
+    # 54*1 - 24*1 = 30, which 4 does not divide; an `assert` would let it pass under -O
+    code = (
+        "from cellcall import ledger\n"
+        "from cellcall.hexnet import Network\n"
+        "from cellcall.offline import exact_optimum\n"
+        "from cellcall.online import Caco2Algorithm, run_sequence\n"
+        "net = Network([(-1, 0), (0, 0), (1, 0)])\n"
+        "trace = run_sequence(Caco2Algorithm(net, 9), [(0, 0)])\n"
+        "opt = exact_optimum(net, 9, dict(trace.demands))\n"
+        "ledger.classify_neighbor_config = lambda net, cell: (net.neighbors(cell) * 2, ())\n"
+        "ledger.caco2_certificate(trace, opt)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stderr.endswith("AssertionError: spare of (0, 0) does not split over 4 neighbors\n")
 
 
 def test_caco2_certificate_requires_triangle_free():
