@@ -15,8 +15,9 @@ from .online import RunTrace, feed_requests, parse_selector
 STAR_CENTER: Cell = (0, 0)
 STAR_OUTER: tuple[Cell, ...] = ((-1, 1), (0, -1), (1, 0))
 
-# Longest random traffic a selector may ask for. The requests are generated
-# only when the duel runs, and its trace keeps two list slots per request.
+# Most requests a selector may ask for: the length of random traffic, and the
+# 4*omega of a star flood. The requests are generated only when the duel runs,
+# and its trace keeps two list slots per request.
 MAX_RANDOM_LENGTH = 1_000_000
 
 
@@ -39,32 +40,35 @@ class AdversaryScenario:
     next_batch: Callable[[int, dict], Optional[list]]
 
 
-def fig2_adversary(omega: int) -> AdversaryScenario:
-    """Unconditional two-phase star flood: omega requests at the center, then
-    omega at each outer cell."""
+def _star_flood(name: str, omega: int, go_on: Callable[[int], bool]) -> AdversaryScenario:
+    """omega requests at the center, then omega at each outer cell when
+    `go_on(the center's accepted count)`; refuses 4*omega past
+    MAX_RANDOM_LENGTH before any request is made."""
+    if 4 * omega > MAX_RANDOM_LENGTH:
+        raise ValueError(
+            f"a {name} flood sends 4*omega requests, at most {MAX_RANDOM_LENGTH}; omega is {omega}"
+        )
 
     def next_batch(phase: int, counts: dict) -> Optional[list]:
         if phase == 0:
             return [STAR_CENTER] * omega
-        if phase == 1:
+        if phase == 1 and go_on(counts.get(STAR_CENTER, 0)):
             return [c for c in STAR_OUTER for _ in range(omega)]
         return None
 
-    return AdversaryScenario("fig2", star_network(), omega, next_batch)
+    return AdversaryScenario(name, star_network(), omega, next_batch)
+
+
+def fig2_adversary(omega: int) -> AdversaryScenario:
+    """Unconditional two-phase star flood: omega requests at the center, then
+    omega at each outer cell."""
+    return _star_flood("fig2", omega, lambda accepted: True)
 
 
 def fig3_adversary(omega: int) -> AdversaryScenario:
     """Adaptive star flood: after the center phase, continue only if the
     observed center acceptance x exceeds 3*omega/5 (stop on equality)."""
-
-    def next_batch(phase: int, counts: dict) -> Optional[list]:
-        if phase == 0:
-            return [STAR_CENTER] * omega
-        if phase == 1 and 5 * counts.get(STAR_CENTER, 0) > 3 * omega:
-            return [c for c in STAR_OUTER for _ in range(omega)]
-        return None
-
-    return AdversaryScenario("fig3", star_network(), omega, next_batch)
+    return _star_flood("fig3", omega, lambda accepted: 5 * accepted > 3 * omega)
 
 
 def random_sequence(network: Network, length: int, seed: int):

@@ -13,6 +13,7 @@ import click
 
 from .harness import (
     ScenarioError,
+    _brief,
     duel_config,
     emit_report,
     load_scenario,
@@ -71,12 +72,16 @@ def run(scenario: str, out: str | None, fmt: str) -> None:
 @main.command()
 @click.option("--adversary", required=True, help='"fig2", "fig3", or "random:<seed>:<length>"')
 @click.option("--alg", required=True, help='"greedy", "caco", "caco2", or "partition:<x>:<y>"')
-@click.option("--omega", required=True, type=int)
+@click.option("--omega", required=True, help="an ASCII decimal integer, -?[0-9]+")
 @out_option
 @format_option
-def duel(adversary: str, alg: str, omega: int, out: str | None, fmt: str) -> None:
+def duel(adversary: str, alg: str, omega: str, out: str | None, fmt: str) -> None:
     """Play an adversary against an online algorithm and report the exact ratio."""
-    _finish(run_experiment(duel_config(adversary, alg, omega)), out, fmt)
+    try:
+        value = parse_int(omega)
+    except ValueError:
+        raise click.ClickException(f"bad --omega {_brief.repr(omega)}; omega must be an integer")
+    _finish(run_experiment(duel_config(adversary, alg, value)), out, fmt)
 
 
 @main.command(name="sweep")
@@ -96,10 +101,10 @@ def sweep_cmd(template: str, grid_specs: tuple, out: str | None, fmt: str) -> No
     grid: dict = {}
     for spec in grid_specs:
         if "=" not in spec:
-            raise click.ClickException(f"bad grid spec {spec!r}; expected name=v1|v2")
+            raise click.ClickException(f"bad grid spec {_brief.repr(spec)}; expected name=v1|v2")
         name, _, raw = spec.partition("=")
         if name not in ("algorithm", "omega", "traffic"):
-            raise click.ClickException(f"cannot sweep field {name!r}")
+            raise click.ClickException(f"cannot sweep field {_brief.repr(name)}")
         if name in grid:
             raise click.ClickException(f"grid field {name!r} given twice; join its values with |")
         values = raw.split("|")
@@ -107,7 +112,9 @@ def sweep_cmd(template: str, grid_specs: tuple, out: str | None, fmt: str) -> No
             try:
                 values = [parse_int(v) for v in values]
             except ValueError:
-                raise click.ClickException(f"bad grid spec {spec!r}; omega values must be integers")
+                raise click.ClickException(
+                    f"bad grid spec {_brief.repr(spec)}; omega values must be integers"
+                )
         grid[name] = values
     summary = sweep(base, grid)
 

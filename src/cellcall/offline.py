@@ -3,12 +3,13 @@
 The offline problem assigns each of the omega frequencies to an independent
 set of cells; cell i serves min(R_i, m_i) requests where m_i counts the sets
 containing it, so no cell serves more than omega. `exact_optimum` caps each
-demand at omega, first tries a three-colour witness that serves every capped
-demand, and otherwise runs branch-and-bound over maximal independent set
-multiplicities, aimed at a ceiling: the floor of the clique LP, solved by an
-exact bounded-variable simplex in integers, one tableau row per maximal
-clique and each bound x_i <= R_i kept by complementing x_i rather than by a
-row, whose dual is checked before use. `clique_upper_bound` is that floor for
+demand at omega and solves each connected component on its own: it takes a
+three-colour witness that serves every capped demand of the component, or
+else runs branch-and-bound over maximal independent set multiplicities,
+aimed at a ceiling: the floor of the clique LP, solved by an exact
+bounded-variable simplex in integers, one tableau row per maximal clique and
+each bound x_i <= R_i kept by complementing x_i rather than by a row, whose
+dual is checked before use. `clique_upper_bound` is that floor for
 any network, never below the integer clique bound and equal to it wherever
 measured; `exhaustive_oracle` is the brute-force cross-check.
 """
@@ -153,8 +154,6 @@ def clique_upper_bound(network: Network, omega: int, demands: dict) -> int:
     runs on the demands capped at omega, with the same value.
     """
     cells, r, omega = _demand_list(network, omega, demands)
-    if not cells:
-        return 0
     return _lp_ceiling(omega, [min(d, omega) for d in r], _maximal_cliques(_adjacency(cells, network)))
 
 
@@ -257,21 +256,23 @@ def _dual_floor(omega: int, r: list[int], cliques: list[tuple[int, ...]], y: lis
     return (sum(a * v for a, v in zip(r, y)) + omega * sum(y[n:])) // d
 
 
-def _components(cells: list, network: Network) -> list[frozenset]:
-    remaining = set(cells)
+def _components(cells: list, network: Network) -> list[list]:
+    """The connected components of the sorted `cells`, which hold every
+    neighbour of their cells: each a sorted list, in order of its smallest
+    cell."""
+    seen = set()
     comps = []
-    while remaining:
-        seed = min(remaining)
-        seen = {seed}
-        stack = [seed]
-        while stack:
-            u = stack.pop()
-            for v in network.neighbors(u):
-                if v in remaining and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        comps.append(frozenset(seen))
-        remaining -= seen
+    for seed in cells:
+        if seed not in seen:
+            seen.add(seed)
+            comp = [seed]
+            for u in comp:  # breadth first: the list grows as it is read
+                for v in network.neighbors(u):
+                    if v not in seen:
+                        seen.add(v)
+                        comp.append(v)
+            comp.sort()
+            comps.append(comp)
     return comps
 
 
@@ -341,13 +342,13 @@ def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness
 
     Caps each demand at omega, which no cell can serve past; that changes
     neither the optimum nor the clique bound, only how early the search may
-    stop. Returns `_serve_every_demand`'s witness when it finds one for the
-    capped demands: O = min(R, omega) is then the only optimal per-cell
-    vector. Otherwise each connected component, with the full spectrum, tries
-    that witness (when there are several) and then branches on multiplicities
-    of maximal independent sets in lexicographic order, pruning with a
-    disjoint-clique bound; the first optimum under that deterministic order is
-    kept. The maximal cliques are enumerated once, for that bound and for the
+    stop. Then solves each connected component, with the full spectrum, on
+    its own. A component takes `_serve_every_demand`'s witness when that
+    finds one for its capped demands: O = min(R, omega) is then its only
+    optimal per-cell vector. Otherwise it branches on multiplicities of
+    maximal independent sets in lexicographic order, pruning with a disjoint-
+    clique bound; the first optimum under that deterministic order is kept.
+    The maximal cliques are enumerated once, for that bound and for the
     ceiling, `_lp_ceiling`: the floor of the clique LP, proven by its
     integer-checked dual. A first search aims at the ceiling: it prunes every
     subtree that cannot reach it and stops at the first node that does, which
@@ -361,26 +362,17 @@ def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness
             f"instance with {n} cells, omega={omega} exceeds limits ({MAX_CELLS} cells, "
             f"omega {MAX_OMEGA} past {ANY_OMEGA_CELLS} cells)"
         )
-    if n == 0 or omega == 0 or not any(r):
-        return OptimumWitness(0, {c: 0 for c in cells}, {c: frozenset() for c in cells})
-    r = [min(d, omega) for d in r]
     try:
         color = proper_coloring(network)
     except ImproperColoringError:
         color = None
-    served = _serve_every_demand(network, omega, cells, r, color)
-    if served is not None:
-        return served
-
-    demand = dict(zip(cells, r))
-    components = _components(cells, network)
+    demand = {c: min(d, omega) for c, d in zip(cells, r)}
     per_cell: dict = {}
     assignment: dict = {}
-    for comp in components:
+    for cells in _components(cells, network):
         # a component holds every neighbour of its cells: no subnetwork needed
-        cells = sorted(comp)
         r = [demand[c] for c in cells]
-        sub = _serve_every_demand(network, omega, cells, r, color) if len(components) > 1 else None
+        sub = _serve_every_demand(network, omega, cells, r, color)
         if sub is None:
             adj = _adjacency(cells, network)
             members = _maximal_independent_sets(adj)
@@ -466,9 +458,6 @@ def exhaustive_oracle(network: Network, omega: int, demands: dict) -> OptimumWit
             f"oracle limited to {ORACLE_MAX_CELLS} cells and omega {ORACLE_MAX_OMEGA}; "
             f"got {n} cells, omega={omega}"
         )
-    if n == 0 or omega == 0:
-        return OptimumWitness(0, {c: 0 for c in cells}, {c: frozenset() for c in cells})
-
     sets = [0] + _independent_sets(cells, network)
     best_value = -1
     best_combo = None

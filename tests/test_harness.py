@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
 from cellcall import adversary, harness, hexnet, online
-from cellcall.adversary import MAX_RANDOM_LENGTH
+from cellcall.adversary import MAX_RANDOM_LENGTH, make_adversary
 from cellcall.cli import main
 from cellcall.hexnet import hex_patch
 from cellcall.harness import (
@@ -667,6 +667,11 @@ def test_cli_duel_certificate_by_resolved_name():
         ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "omega=+7"],
         ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "omega= 7"],
         ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "omega=\u0662\u0661"],
+        ["duel", "--adversary", "fig2", "--alg", "greedy", "--omega", "1_4"],
+        ["duel", "--adversary", "fig2", "--alg", "greedy", "--omega", "+7"],
+        ["duel", "--adversary", "fig2", "--alg", "greedy", "--omega", " 7"],
+        ["duel", "--adversary", "fig2", "--alg", "greedy", "--omega", "\u0667"],
+        ["duel", "--adversary", "fig2", "--alg", "greedy", "--omega", "10000000000000000000"],
     ],
 )
 def test_cli_bad_input_is_named_error(args):
@@ -674,3 +679,40 @@ def test_cli_bad_input_is_named_error(args):
     assert result.exit_code != 0
     assert "Error:" in result.output and "Traceback" not in result.output
     assert isinstance(result.exception, SystemExit), result.exception
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("omega=" + "x" * 3000, "Error: bad grid spec 'omega=xxx"),
+        ("y" * 3000, "Error: bad grid spec 'yyy"),
+        ("z" * 3000 + "=1", "Error: cannot sweep field 'zzz"),
+    ],
+)
+def test_long_grid_spec_errors_are_cut_short(spec, message):
+    result = CliRunner().invoke(main, ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", spec])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith(message) and "..." in result.output
+    assert result.output.count("\n") == 1 and len(result.output) < 200
+
+
+def test_duel_omega_takes_the_selector_integer_rule():
+    for omega in ("1_4", "+7", " 7", "\u0667", "abc"):
+        result = CliRunner().invoke(main, ["duel", "--adversary", "fig2", "--alg", "greedy", "--omega", omega])
+        assert result.exit_code == 1, result.output
+        assert result.output == f"Error: bad --omega {omega!r}; omega must be an integer\n"
+
+
+@pytest.mark.parametrize("flood", ["fig2", "fig3"])
+def test_star_flood_length_checked_without_generating(flood):
+    # 4*omega requests: omega at the center, then omega at each outer cell;
+    # building the flood makes none of them
+    star = json.loads((SCENARIOS / "fig2_caco.json").read_text())
+    omega = MAX_RANDOM_LENGTH // 4
+    assert make_adversary(flood, omega).omega == omega
+    parse_scenario(dict(star, traffic=flood, omega=omega, algorithm="greedy"), scenario_id="at-cap")
+    message = f"a {flood} flood sends 4\\*omega requests, at most {MAX_RANDOM_LENGTH}; omega is {omega + 1}$"
+    with pytest.raises(ValueError, match="^" + message):
+        make_adversary(flood, omega + 1)
+    with pytest.raises(ScenarioError, match=f"^traffic selector '{flood}': " + message):
+        parse_scenario(dict(star, traffic=flood, omega=omega + 1), scenario_id="past-cap")

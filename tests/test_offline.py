@@ -217,6 +217,19 @@ def test_every_solver_checks_omega_alike(solver):
     # omega 0 stays valid: nothing is served
     result = solver(net, 0, demands)
     assert (result if solver is clique_upper_bound else result.total) == 0
+    # nothing to serve, through each solver's general code: no cells, no
+    # frequencies, or no demand (the oracle stops at 4 cells, short of C5)
+    for empty in (Network([]), cycle_graph(5), K4, Network([(0, 0), (1, 0)])):
+        if solver is exhaustive_oracle and len(empty.cells) > offline.ORACLE_MAX_CELLS:
+            continue
+        for omega, demand in ((0, 2), (3, 0)):
+            demands = dict.fromkeys(empty.cells, demand)
+            result = solver(empty, omega, demands)
+            if solver is clique_upper_bound:
+                assert result == 0
+            else:
+                assert result.total == 0 and result.per_cell == dict.fromkeys(empty.cells, 0)
+                validate_witness(empty, omega, demands, result)
 
 
 def test_validate_witness_checks_under_python_optimize():
@@ -643,16 +656,32 @@ def test_fast_path_per_component():
 
     with mock.patch.object(offline, "_serve_every_demand", recording):
         opt = exact_optimum(net, 4, demands)
-    # the whole network, then each component in turn
-    assert [witness is not None for witness in served] == [False, False, True]
+    # one try per component, in order of its smallest cell
+    assert [witness is not None for witness in served] == [False, True]
     assert opt.per_cell == branch_and_bound(net, 4, demands).per_cell
     assert opt.total == 4 + 5
     validate_witness(net, 4, demands, opt)
 
 
+def test_components_served_in_full_skip_the_search():
+    # two of the lines of `test_fast_path_tries_each_colour_in_the_middle` at
+    # omega 6: B-R-G-B fits only with B in the middle, and R-G-B-R, shifted a
+    # colour, only with R, so no one colour order serves the whole network;
+    # yet each component is served in full on its own, with no branch-and-bound
+    line = [(-1, 0), (0, 0), (1, 0), (2, 0)]
+    net = Network(line + [(q + 10, r) for q, r in line])
+    demands = dict.fromkeys(net.cells, 3)
+    assert fast_path(net, 6, demands) is None
+    no_search = AssertionError("branch-and-bound ran")
+    with mock.patch.object(offline, "_maximal_independent_sets", side_effect=no_search):
+        opt = exact_optimum(net, 6, demands)
+    assert opt.per_cell == demands
+    validate_witness(net, 6, demands, opt)
+
+
 def test_one_check_and_one_colouring_per_instance():
-    # the whole-network try fails on the (0, 0)-(1, 0) pair; the loop over
-    # the three components reuses the checked demands and the colouring
+    # the (0, 0)-(1, 0) pair is not served in full; the loop over the three
+    # components reuses the checked demands and the colouring
     net = Network([(0, 0), (1, 0), (3, 3), (6, 6)])
     demands = {(0, 0): 4, (1, 0): 4, (3, 3): 2, (6, 6): 3}
     with mock.patch.object(offline, "_demand_list", wraps=_demand_list) as checked, \
