@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import reprlib
@@ -258,12 +256,12 @@ CSV_COLUMNS = ("q", "r", "color", "demand", "online_accepted", "opt_accepted")
 
 def emit_report(report: RunReport, fmt: str = "text") -> str:
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        # no field ever needs quoting: integers, one colour letter, and an
+        # empty opt among six fields
+        lines = [",".join(CSV_COLUMNS)]
         for q, r, color, demand, acc, opt in report.rows:
-            writer.writerow([q, r, color, demand, acc, "" if opt is None else opt])
-        return buf.getvalue()
+            lines.append(f"{q},{r},{color},{demand},{acc},{'' if opt is None else opt}")
+        return "\n".join(lines) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown report format {fmt!r}")
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Tuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional, Tuple
 
 Cell = Tuple[int, int]  # axial (q, r)
 
@@ -49,6 +50,9 @@ class Network:
     `own_cell` returns it, so records of many requests hold no copies.
     """
 
+    # `proper_coloring`'s result, kept once the colouring is found proper
+    _colors: Optional[Mapping[Cell, int]] = None
+
     def __init__(self, cells: Iterable[Cell]):
         own = {}
         for q, r in cells:
@@ -66,6 +70,7 @@ class Network:
             )
             for c in own
         }
+        self._derived_hex = True
 
     @classmethod
     def from_edges(cls, cells: Iterable, edges: Iterable) -> "Network":
@@ -79,6 +84,7 @@ class Network:
         own = network._own = {c: c for c in adj}
         network.cells = frozenset(own)
         network._adj = {c: tuple(sorted(own[n] for n in ns)) for c, ns in adj.items()}
+        network._derived_hex = False
         return network
 
     def __contains__(self, cell: Cell) -> bool:
@@ -117,12 +123,15 @@ class Network:
     @cached_property
     def triangle_free_hex(self) -> bool:
         """True iff the network has the hex adjacency of its own cells and no
-        triangle. Computed once per network, which is immutable."""
-        try:
-            is_hex = self == Network(self.cells)
-        except (TypeError, ValueError):  # cells that are not integer pairs
-            return False
-        return is_hex and is_triangle_free(self)
+        triangle. Computed once per network, which is immutable; only a
+        `from_edges` network has its adjacency compared with the hex one."""
+        if not self._derived_hex:
+            try:
+                if self != Network(self.cells):
+                    return False
+            except (TypeError, ValueError):  # cells that are not integer pairs
+                return False
+        return is_triangle_free(self)
 
 
 def is_triangle_free(network: Network) -> bool:
@@ -137,9 +146,13 @@ class ImproperColoringError(ValueError):
     """`color_of` does not colour the network properly."""
 
 
-def proper_coloring(network: Network) -> dict:
-    """Each cell's `color_of`; raises ImproperColoringError on cells that are
-    not integer pairs or on an edge whose two cells share a color."""
+def proper_coloring(network: Network) -> Mapping[Cell, int]:
+    """Each cell's `color_of`, read-only; raises ImproperColoringError on cells
+    that are not integer pairs or on an edge whose two cells share a color.
+    Found once per network, which is immutable, and kept on it when proper;
+    an improper network is checked, and refused, every time it is asked."""
+    if network._colors is not None:
+        return network._colors
     try:
         colors = {c: color_of(c) for c in network.cells}
     except (TypeError, ValueError):  # cells that are not integer pairs
@@ -147,7 +160,8 @@ def proper_coloring(network: Network) -> dict:
     bad = next(((u, v) for u, v in network.edges() if colors[u] == colors[v]), None)
     if bad is not None:
         raise ImproperColoringError(f"adjacent cells {bad[0]} and {bad[1]} share a color")
-    return colors
+    network._colors = MappingProxyType(colors)
+    return network._colors
 
 
 class NeighborConfig(NamedTuple):

@@ -6,9 +6,11 @@ containing it, so no cell serves more than omega. `exact_optimum` caps each
 demand at omega and solves each connected component on its own: it takes a
 three-colour witness that serves every capped demand of the component, or
 else runs branch-and-bound over maximal independent set multiplicities,
-aimed at a ceiling: the floor of the clique LP, solved by an exact
-bounded-variable simplex in integers, one tableau row per maximal clique and
-each bound x_i <= R_i kept by complementing x_i rather than by a row, whose
+whose nodes update the search's value and bound incrementally, aimed at a
+ceiling: the floor of the clique LP. When the demands fit in every maximal
+clique that floor is their sum; otherwise an exact bounded-variable simplex
+in integers solves the LP, one tableau row per maximal clique and each bound
+x_i <= R_i kept by complementing x_i rather than by a row. Either way the
 dual is checked before use. `clique_upper_bound` is that floor for
 any network, never below the integer clique bound and equal to it wherever
 measured; `exhaustive_oracle` is the brute-force cross-check.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 from .hexnet import ImproperColoringError, Network, as_integer, proper_coloring
 
@@ -79,7 +81,10 @@ def _demand_list(network: Network, omega: int, demands: dict) -> tuple[list, lis
     unknown = set(demands) - set(cells)
     if unknown:
         raise ValueError(f"demand given for cells outside the network: {sorted(unknown)}")
-    r = [as_integer(demands.get(c, 0), f"the demand at cell {c}") for c in cells]
+    r = [demands.get(c, 0) for c in cells]
+    for k, d in enumerate(r):
+        if type(d) is not int:  # a bool is refused, an int-like converted
+            r[k] = as_integer(d, f"the demand at cell {cells[k]}")
     for c, d in zip(cells, r):
         if d < 0:
             raise ValueError(f"the demand at cell {c} must be nonnegative, not {d}")
@@ -146,7 +151,7 @@ def _clique_partition(cliques: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 def clique_upper_bound(network: Network, omega: int, demands: dict) -> int:
     """floor of the clique LP: max sum x_i, 0 <= x_i <= R_i, sum over each
-    maximal clique <= omega, proven by `_lp_ceiling`'s checked dual. Never
+    maximal clique <= omega, proven by `_clique_ceiling`'s checked dual. Never
     below the integer optimum of that relaxation and equal to it wherever
     measured; always >= the true optimum, loose on odd cycles.
 
@@ -154,7 +159,18 @@ def clique_upper_bound(network: Network, omega: int, demands: dict) -> int:
     runs on the demands capped at omega, with the same value.
     """
     cells, r, omega = _demand_list(network, omega, demands)
-    return _lp_ceiling(omega, [min(d, omega) for d in r], _maximal_cliques(_adjacency(cells, network)))
+    return _clique_ceiling(omega, [min(d, omega) for d in r], _maximal_cliques(_adjacency(cells, network)))
+
+
+def _clique_ceiling(omega: int, r: list[int], cliques: list[tuple[int, ...]]) -> int:
+    """floor of the clique LP, as `_lp_ceiling`. When every clique's demands
+    fit in omega, x = r is feasible and the bound rows alone, the dual of 1
+    per cell and 0 per clique, prove the value sum r: the simplex runs only
+    when some clique is over-subscribed. Either way `_dual_floor` checks the
+    dual that proves the value."""
+    if all(sum(r[i] for i in clique) <= omega for clique in cliques):
+        return _dual_floor(omega, r, cliques, [1] * len(r) + [0] * len(cliques), 1)
+    return _lp_ceiling(omega, r, cliques)
 
 
 def _lp_ceiling(omega: int, r: list[int], cliques: list[tuple[int, ...]]) -> int:
@@ -299,7 +315,7 @@ def _build_witness(cells: list, r: list[int], sets: list[int], mults: list[int])
 
 
 def _serve_every_demand(
-    network: Network, omega: int, cells: list, r: list[int], color: Optional[dict]
+    network: Network, omega: int, cells: list, r: list[int], color: Optional[Mapping]
 ) -> Optional[OptimumWitness]:
     """A witness serving every demand of `cells` in full, or None when this
     colouring finds none; `cells` hold every neighbour of their cells.
@@ -349,7 +365,7 @@ def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness
     maximal independent sets in lexicographic order, pruning with a disjoint-
     clique bound; the first optimum under that deterministic order is kept.
     The maximal cliques are enumerated once, for that bound and for the
-    ceiling, `_lp_ceiling`: the floor of the clique LP, proven by its
+    ceiling, `_clique_ceiling`: the floor of the clique LP, proven by its
     integer-checked dual. A first search aims at the ceiling: it prunes every
     subtree that cannot reach it and stops at the first node that does, which
     is the node the plain search returns. Only when no node reaches the
@@ -378,7 +394,7 @@ def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness
             members = _maximal_independent_sets(adj)
             cliques = _maximal_cliques(adj)
             parts = _clique_partition(cliques)
-            ceiling = _lp_ceiling(omega, r, cliques)
+            ceiling = _clique_ceiling(omega, r, cliques)
             mults = _branch_and_bound(r, members, parts, omega, ceiling, ceiling - 1)
             if mults is None:
                 mults = _branch_and_bound(r, members, parts, omega, ceiling, -1)
@@ -398,6 +414,11 @@ def _branch_and_bound(
     A subtree is pruned only when no node in it beats the incumbent, so the
     nodes that raise the incumbent, and the first node of the best value,
     do not depend on `floor` as long as `floor` is below that value.
+
+    A node costs O(|set|), not O(cells): with cov_i the frequencies covering
+    cell i, `dfs` carries the value sum min(R_i, cov_i) and keeps each cell's
+    need max(0, R_i - cov_i) and each disjoint clique's deficit, the sum of
+    its cells' needs, up to date as it adds and removes a set's count.
     """
     best_value = floor
     best_mults = None
@@ -406,19 +427,15 @@ def _branch_and_bound(
     maxsize_from = [0] * (len(members) + 1)
     for j in range(len(members) - 1, -1, -1):
         maxsize_from[j] = max(maxsize_from[j + 1], len(members[j]))
+    need = list(r)
+    part_of = [0] * len(r)
+    for k, part in enumerate(parts):
+        for i in part:
+            part_of[i] = k
+    deficit = [sum(r[i] for i in part) for part in parts]
 
-    def bound(j: int, cov: list[int], rem: int) -> int:
-        # each remaining frequency adds at most one unit per disjoint clique,
-        # and at most max-set-size units overall
-        total = 0
-        for part in parts:
-            deficit = sum(max(0, r[i] - cov[i]) for i in part)
-            total += min(deficit, rem)
-        return min(total, rem * maxsize_from[j])
-
-    def dfs(j: int, rem: int, cov: list[int]) -> None:
+    def dfs(j: int, rem: int, value: int) -> None:
         nonlocal best_value, best_mults
-        value = _value(r, cov)
         if value > best_value:
             best_value = value
             best_mults = mults[:j] + [0] * (len(members) - j)
@@ -426,25 +443,33 @@ def _branch_and_bound(
             return
         if j == len(members) or rem == 0:
             return
-        if value + bound(j, cov, rem) <= best_value:
+        # each remaining frequency adds at most max-set-size units overall,
+        # and at most one unit per disjoint clique
+        slack = best_value - value
+        if rem * maxsize_from[j] <= slack or sum(d if d < rem else rem for d in deficit) <= slack:
             return
-        cap = min(rem, max((r[i] - cov[i] for i in members[j]), default=0))
-        cap = max(cap, 0)
-        for count in range(cap, -1, -1):
+        # the set's cells that still need frequencies: (cell, need, clique)
+        wanting = [(i, need[i], part_of[i]) for i in members[j] if need[i]]
+        cap = min(rem, max((s for _, s, _ in wanting), default=0))
+        for count in range(cap, 0, -1):
             mults[j] = count
-            if count:
-                for i in members[j]:
-                    cov[i] += count
-            dfs(j + 1, rem - count, cov)
-            if count:
-                for i in members[j]:
-                    cov[i] -= count
+            gain = 0
+            for i, s, k in wanting:
+                g = count if count < s else s
+                need[i] = s - g
+                deficit[k] -= g
+                gain += g
+            dfs(j + 1, rem - count, value + gain)
+            for i, s, k in wanting:
+                need[i] = s
+                deficit[k] += count if count < s else s
             mults[j] = 0
             if best_value >= ceiling:
                 return
+        dfs(j + 1, rem, value)
 
     mults = [0] * len(members)
-    dfs(0, omega, [0] * len(r))
+    dfs(0, omega, 0)
     return best_mults
 
 

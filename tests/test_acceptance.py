@@ -163,7 +163,7 @@ def test_criterion_4_upper_bound_sweeps(announce, caco_sweep, caco2_sweep):
     for inst in caco2_instances:
         ok = ok and 4 * inst.opt.total <= 9 * inst.trace.total_accepted()
     total_time = caco_time + caco2_time
-    ok = ok and total_time < 300
+    ok = ok and total_time < 60
     verdict(
         announce,
         4,

@@ -362,6 +362,30 @@ def test_csv_columns_and_totals_roundtrip():
     assert [(r["q"], r["r"]) for r in rows] == sorted((r["q"], r["r"]) for r in rows)
 
 
+def csv_module_report(report):
+    """The CSV report as `csv.writer` writes it: the reference for `emit_report`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(harness.CSV_COLUMNS)
+    for *fields, opt in report.rows:
+        writer.writerow([*fields, "" if opt is None else opt])
+    return buf.getvalue()
+
+
+def test_csv_is_byte_identical_to_the_csv_module():
+    reports = [run_experiment(load_scenario(path)) for path in sorted(SCENARIOS.glob("*.json"))]
+    # negative coordinates, and no optimum to print
+    no_opt = parse_scenario(
+        {"omega": 7, "cells": [[-2, 1], [-1, 1], [0, -3]], "algorithm": "caco", "traffic": "random:4:30"},
+        scenario_id="no-opt",
+    )
+    reports.append(run_experiment(no_opt))
+    assert all(row[-1] is None for row in reports[-1].rows)
+    assert any(row[0] < 0 for row in reports[-1].rows) and any(row[1] < 0 for row in reports[-1].rows)
+    for report in reports:
+        assert emit_report(report, "csv") == csv_module_report(report)
+
+
 def test_reports_name_colours_r_g_b():
     # colour index (q - r) mod 3 is printed as R, G, B in text and CSV alike
     config = parse_scenario(

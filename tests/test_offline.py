@@ -20,6 +20,7 @@ from cellcall.offline import (
     InstanceTooLargeError,
     _adjacency,
     _branch_and_bound,
+    _clique_ceiling,
     _clique_partition,
     _demand_list,
     _dual_floor,
@@ -310,6 +311,70 @@ def test_search_aimed_at_the_ceiling_finds_the_plain_search_node(instance):
     assert aimed is None or aimed == plain
 
 
+def recomputing_branch_and_bound(r, members, parts, omega, ceiling, floor):
+    """`_branch_and_bound` with every node recomputing its value and bound
+    from the coverage `cov`: the reference for its incremental bookkeeping."""
+    best_value, best_mults = floor, None
+    maxsize_from = [0] * (len(members) + 1)
+    for j in range(len(members) - 1, -1, -1):
+        maxsize_from[j] = max(maxsize_from[j + 1], len(members[j]))
+
+    def bound(j, cov, rem):
+        total = sum(min(sum(max(0, r[i] - cov[i]) for i in part), rem) for part in parts)
+        return min(total, rem * maxsize_from[j])
+
+    def dfs(j, rem, cov):
+        nonlocal best_value, best_mults
+        value = sum(min(a, b) for a, b in zip(r, cov))
+        if value > best_value:
+            best_value, best_mults = value, mults[:j] + [0] * (len(members) - j)
+        if best_value >= ceiling or j == len(members) or rem == 0:
+            return
+        if value + bound(j, cov, rem) <= best_value:
+            return
+        cap = max(min(rem, max((r[i] - cov[i] for i in members[j]), default=0)), 0)
+        for count in range(cap, -1, -1):
+            mults[j] = count
+            for i in members[j]:
+                cov[i] += count
+            dfs(j + 1, rem - count, cov)
+            for i in members[j]:
+                cov[i] -= count
+            mults[j] = 0
+            if best_value >= ceiling:
+                return
+
+    mults = [0] * len(members)
+    dfs(0, omega, [0] * len(r))
+    return best_mults
+
+
+def test_incremental_nodes_match_the_recomputing_search():
+    rng = random.Random(46)
+    instances = [(cycle_graph(5), omega, {i: rng.randint(0, 2 * omega) for i in range(5)}) for omega in (1, 2, 5)]
+    instances += [(K4, omega, {i: rng.randint(0, 2 * omega) for i in range(4)}) for omega in (1, 6, 9)]
+    for k in range(240):
+        if k % 2:
+            n = rng.randint(1, 7)
+            edges = [pair for pair in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+            net = Network.from_edges(range(n), edges)
+        else:
+            net = random_network(rng, max_cells=8)
+        omega = rng.randint(1, 12)
+        instances.append((net, omega, {c: rng.randint(0, 2 * omega) for c in net.cells}))
+    for net, omega, demands in instances:
+        cells, r, omega = _demand_list(net, omega, demands)
+        r = [min(d, omega) for d in r]
+        adj = _adjacency(cells, net)
+        members = _maximal_independent_sets(adj)
+        cliques = _maximal_cliques(adj)
+        parts = _clique_partition(cliques)
+        ceiling = _clique_ceiling(omega, r, cliques)
+        for floor in (ceiling - 1, -1):
+            args = (r, members, parts, omega, ceiling, floor)
+            assert _branch_and_bound(*args) == recomputing_branch_and_bound(*args), (net, omega, demands, floor)
+
+
 @st.composite
 def explicit_instances(draw, max_cells=7, max_omega=14):
     """A random `Network.from_edges` graph on at most `max_cells` vertices,
@@ -410,6 +475,7 @@ def connected_network(rng, max_cells):
 
 def test_clique_bound_matches_brute_force_randomized():
     rng = random.Random(44)
+    fits = 0
     for _ in range(120):
         net = connected_network(rng, max_cells=6)
         omega = rng.randint(1, 5)
@@ -417,9 +483,66 @@ def test_clique_bound_matches_brute_force_randomized():
         assert clique_upper_bound(net, omega, demands) == brute_clique_bound(net, omega, demands), (
             sorted(net.cells), omega, demands,
         )
+        # the fit check gives the simplex's value whether or not it skips it
+        inputs = ceiling_inputs(net, omega, demands)
+        assert _clique_ceiling(*inputs) == _lp_ceiling(*inputs)
+        fits += all(sum(inputs[1][i] for i in clique) <= omega for clique in inputs[2])
+    assert 10 < fits < 110  # both sides of the check are taken
     c5 = cycle_graph(5)
     for omega, demands in ((2, {i: 2 for i in range(5)}), (5, {0: 5, 1: 1, 2: 4, 3: 3, 4: 0})):
         assert clique_upper_bound(c5, omega, demands) == brute_clique_bound(c5, omega, demands)
+
+
+def fitting_instances():
+    """Instances whose demands, capped at omega, fit in every maximal clique."""
+    triangle = Network([(0, 0), (1, 0), (0, 1)])
+    line = Network([(q, 0) for q in range(-2, 3)])
+    return [
+        (cycle_graph(5), 4, {i: 2 for i in range(5)}),  # the optimum is below the ceiling
+        (K4, 6, {0: 1, 1: 2, 2: 3, 3: 0}),
+        (triangle, 5, {(0, 0): 2, (1, 0): 2, (0, 1): 1}),
+        (line, 6, dict.fromkeys(line.cells, 3)),  # no colour order serves it in full
+        (STAR, 7, {(0, 0): 0, (-1, 1): 4, (0, -1): 4, (1, 0): 9}),  # fits once capped at omega
+    ]
+
+
+def test_fitting_demands_skip_the_simplex():
+    no_simplex = AssertionError("the simplex ran")
+    for net, omega, demands in fitting_instances():
+        capped = sum(min(d, omega) for d in demands.values())
+        with mock.patch.object(offline, "_lp_ceiling", side_effect=no_simplex):
+            assert clique_upper_bound(net, omega, demands) == capped
+            opt = branch_and_bound(net, omega, demands)
+        assert opt.per_cell == exact_optimum(net, omega, demands).per_cell
+        assert opt.total <= capped
+        validate_witness(net, omega, demands, opt)
+    # an over-subscribed clique still takes the simplex
+    with mock.patch.object(offline, "_lp_ceiling", side_effect=no_simplex):
+        with pytest.raises(AssertionError, match="the simplex ran"):
+            clique_upper_bound(K4, 6, {i: 2 for i in range(4)})
+
+
+def test_every_ceiling_is_a_checked_dual():
+    checked = []
+
+    def dual_floor(*args):
+        checked.append(_dual_floor(*args))
+        return checked[-1]
+
+    def search(*args):
+        assert args[4] == checked[-1]  # the ceiling is the value just checked
+        return _branch_and_bound(*args)
+
+    instances = fitting_instances() + [(K4, 6, {i: 2 for i in range(4)}), (STAR, 3, {c: 3 for c in STAR.cells})]
+    with mock.patch.object(offline, "_dual_floor", dual_floor):
+        bounds = [clique_upper_bound(*instance) for instance in instances]
+        assert checked == bounds
+        checked.clear()
+        # one checked ceiling per component that reaches the branch-and-bound
+        with mock.patch.object(offline, "_branch_and_bound", side_effect=search) as searched:
+            for instance in instances:
+                branch_and_bound(*instance)
+    assert checked == bounds and searched.call_count == len(instances) + 1  # C5 falls back
 
 
 def test_clique_bound_on_k4_uses_the_whole_clique():
@@ -686,9 +809,12 @@ def test_one_check_and_one_colouring_per_instance():
     demands = {(0, 0): 4, (1, 0): 4, (3, 3): 2, (6, 6): 3}
     with mock.patch.object(offline, "_demand_list", wraps=_demand_list) as checked, \
             mock.patch.object(offline, "proper_coloring", wraps=proper_coloring) as coloured, \
-            mock.patch.object(offline, "exact_optimum", wraps=exact_optimum) as reentered:
+            mock.patch.object(offline, "exact_optimum", wraps=exact_optimum) as reentered, \
+            mock.patch.object(offline, "as_integer", wraps=offline.as_integer) as converted:
         opt = exact_optimum(net, 4, demands)
     assert (checked.call_count, coloured.call_count, reentered.call_count) == (1, 1, 0)
+    # plain int demands need no conversion, and no per-cell error text
+    assert [call.args[1] for call in converted.call_args_list] == ["omega"]
     assert opt.per_cell == {(0, 0): 4, (1, 0): 0, (3, 3): 2, (6, 6): 3}
     validate_witness(net, 4, demands, opt)
 

@@ -145,8 +145,24 @@ def test_partition_own_range_matches_counter(x, y):
     ids=["same_color_edge", "cycle5"],
 )
 def test_partition_requires_proper_coloring(net):
-    with pytest.raises(ImproperColoringError):
-        PartitionReserveAlgorithm(net, 21, 2, 1)
+    # nothing is kept of an improper colouring: each ask is refused again
+    for _ in range(2):
+        with pytest.raises(ImproperColoringError):
+            PartitionReserveAlgorithm(net, 21, 2, 1)
+
+
+def test_colouring_is_found_once_per_network(monkeypatch):
+    net = flower_network()
+    caco_algorithm(net, 21)
+    found = []
+    monkeypatch.setattr(hexnet, "color_of", lambda cell: found.append(cell) or color_of(cell))
+    colors = hexnet.proper_coloring(net)
+    caco_algorithm(net, 21)
+    assert found == [] and colors == {c: color_of(c) for c in net.cells}
+    with pytest.raises(TypeError):
+        colors[(0, 0)] = 1  # shared by every caller, so read-only
+    hexnet.proper_coloring(flower_network())
+    assert len(found) == 7
 
 
 # caco2
@@ -179,6 +195,16 @@ def test_triangle_free_hex_is_checked_once_per_network(monkeypatch):
         with pytest.raises(NotTriangleFreeError):
             Caco2Algorithm(flower_network(), 9)
     assert len(checked) == 3
+
+
+def test_caco2_builds_no_second_network(monkeypatch):
+    # `Network(cells)` has hex adjacency by construction: nothing to compare
+    net = Network(STAR.cells)
+    built = []
+    real = Network.__init__
+    monkeypatch.setattr(Network, "__init__", lambda self, cells: built.append(cells) or real(self, cells))
+    assert Caco2Algorithm(net, 9).network is net
+    assert built == []
 
 
 def test_caco2_isolated_cell_uses_whole_spectrum():
