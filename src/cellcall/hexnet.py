@@ -50,9 +50,6 @@ class Network:
     `own_cell` returns it, so records of many requests hold no copies.
     """
 
-    # `proper_coloring`'s result, kept once the colouring is found proper
-    _colors: Optional[Mapping[Cell, int]] = None
-
     def __init__(self, cells: Iterable[Cell]):
         own = {}
         for q, r in cells:
@@ -121,17 +118,25 @@ class Network:
         return [(u, v) for u in self.sorted_cells() for v in self._adj[u] if u < v]
 
     @cached_property
+    def coloring(self) -> Optional[Mapping[Cell, int]]:
+        """Each cell's `color_of`, read-only, when that colours the network
+        properly, else None. Found once per network, which is immutable.
+        `color_of` colours hex adjacency properly by construction, so only a
+        `from_edges` network has its edges checked."""
+        try:
+            colors = {c: as_integer(color_of(c), "a colour") for c in self.cells}
+        except (TypeError, ValueError):  # cells that are not integer pairs
+            return None
+        if not self._derived_hex and any(colors[u] == colors[v] for u, v in self.edges()):
+            return None
+        return MappingProxyType(colors)
+
+    @cached_property
     def triangle_free_hex(self) -> bool:
-        """True iff the network has the hex adjacency of its own cells and no
-        triangle. Computed once per network, which is immutable; only a
-        `from_edges` network has its adjacency compared with the hex one."""
-        if not self._derived_hex:
-            try:
-                if self != Network(self.cells):
-                    return False
-            except (TypeError, ValueError):  # cells that are not integer pairs
-                return False
-        return is_triangle_free(self)
+        """True iff the network is a `Network(cells)` network, hex by
+        construction, with no triangle; a `from_edges` network is never taken
+        to be hex. Computed once per network, which is immutable."""
+        return self._derived_hex and is_triangle_free(self)
 
 
 def is_triangle_free(network: Network) -> bool:
@@ -140,28 +145,6 @@ def is_triangle_free(network: Network) -> bool:
         if set(network.neighbors(u)) & set(network.neighbors(v)):
             return False
     return True
-
-
-class ImproperColoringError(ValueError):
-    """`color_of` does not colour the network properly."""
-
-
-def proper_coloring(network: Network) -> Mapping[Cell, int]:
-    """Each cell's `color_of`, read-only; raises ImproperColoringError on cells
-    that are not integer pairs or on an edge whose two cells share a color.
-    Found once per network, which is immutable, and kept on it when proper;
-    an improper network is checked, and refused, every time it is asked."""
-    if network._colors is not None:
-        return network._colors
-    try:
-        colors = {c: color_of(c) for c in network.cells}
-    except (TypeError, ValueError):  # cells that are not integer pairs
-        raise ImproperColoringError("color_of needs integer-pair cells") from None
-    bad = next(((u, v) for u, v in network.edges() if colors[u] == colors[v]), None)
-    if bad is not None:
-        raise ImproperColoringError(f"adjacent cells {bad[0]} and {bad[1]} share a color")
-    network._colors = MappingProxyType(colors)
-    return network._colors
 
 
 class NeighborConfig(NamedTuple):

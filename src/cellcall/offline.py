@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
-from .hexnet import ImproperColoringError, Network, as_integer, proper_coloring
+from .hexnet import Network, as_integer
 
 
 class InstanceTooLargeError(ValueError):
@@ -314,23 +314,22 @@ def _build_witness(cells: list, r: list[int], sets: list[int], mults: list[int])
     return OptimumWitness(total=sum(per_cell.values()), per_cell=per_cell, assignment=assignment)
 
 
-def _serve_every_demand(
-    network: Network, omega: int, cells: list, r: list[int], color: Optional[Mapping]
-) -> Optional[OptimumWitness]:
-    """A witness serving every demand of `cells` in full, or None when this
-    colouring finds none; `cells` hold every neighbour of their cells.
+def _serve_every_demand(network: Network, omega: int, cells: list, r: list[int]) -> Optional[OptimumWitness]:
+    """A witness serving every demand of `cells` in full, or None when the
+    network's `coloring` finds none or is None; `cells` hold every neighbour
+    of their cells.
 
-    `color` is the network's `proper_coloring`, or None when `color_of` does
-    not colour it properly. With one colour in the middle, a low-colour cell
-    takes frequencies 1..R_i, a high-colour cell omega-R_i+1..omega, and a
-    middle cell the R_i frequencies just above its low neighbours' largest
-    demand. That fits iff every cell has R_i + (largest low-neighbour demand)
-    + (largest high-neighbour demand) <= omega, which does not depend on which
-    side is low, so trying each colour in the middle tries all six role
-    orders. The borrowing idea is Narayanan & Shende's (Static frequency
-    assignment in cellular networks, Algorithmica 29, 2001). No optimum
-    exceeds the total demand, so O = R is then the only optimal vector.
+    With one colour in the middle, a low-colour cell takes frequencies
+    1..R_i, a high-colour cell omega-R_i+1..omega, and a middle cell the R_i
+    frequencies just above its low neighbours' largest demand. That fits iff
+    every cell has R_i + (largest low-neighbour demand) + (largest
+    high-neighbour demand) <= omega, which does not depend on which side is
+    low, so trying each colour in the middle tries all six role orders. The
+    borrowing idea is Narayanan & Shende's (Static frequency assignment in
+    cellular networks, Algorithmica 29, 2001). No optimum exceeds the total
+    demand, so O = R is then the only optimal vector.
     """
+    color = network.coloring
     if color is None:
         return None
     kind = [color[c] for c in cells]
@@ -378,17 +377,13 @@ def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness
             f"instance with {n} cells, omega={omega} exceeds limits ({MAX_CELLS} cells, "
             f"omega {MAX_OMEGA} past {ANY_OMEGA_CELLS} cells)"
         )
-    try:
-        color = proper_coloring(network)
-    except ImproperColoringError:
-        color = None
     demand = {c: min(d, omega) for c, d in zip(cells, r)}
     per_cell: dict = {}
     assignment: dict = {}
     for cells in _components(cells, network):
         # a component holds every neighbour of its cells: no subnetwork needed
         r = [demand[c] for c in cells]
-        sub = _serve_every_demand(network, omega, cells, r, color)
+        sub = _serve_every_demand(network, omega, cells, r)
         if sub is None:
             adj = _adjacency(cells, network)
             members = _maximal_independent_sets(adj)

@@ -16,14 +16,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional
 
-from .hexnet import (
-    Cell,
-    ImproperColoringError,
-    Network,
-    classify_neighbor_config,
-    color_of,
-    proper_coloring,
-)
+from .hexnet import Cell, Network, classify_neighbor_config, color_of
 from .spectrum import AssignmentState, FrequencyPartition, make_partition_family
 
 
@@ -128,17 +121,23 @@ class GreedyAlgorithm(ScanAlgorithm):
         self.scans = dict.fromkeys(network.cells, (range(1, omega + 1),))
 
 
+class ImproperColoringError(ValueError):
+    """`color_of` does not colour the network properly."""
+
+
 class PartitionReserveAlgorithm(ScanAlgorithm):
     """The x:x:x:y partition family: own color range first, shared range second.
 
     CACO is the 2:1 member. The scan takes the own range iff the cell's count in
     it is below its size, the paper's rule, because `color_of` colours the
-    network properly (true of every `Network(cells)`); `__init__` checks this
-    and raises ImproperColoringError otherwise.
+    network properly (true of every `Network(cells)`); `__init__` raises
+    ImproperColoringError when `network.coloring` is None.
     """
 
     def __init__(self, network: Network, omega: int, x_share: int, y_share: int):
-        colors = proper_coloring(network)
+        colors = network.coloring
+        if colors is None:
+            raise ImproperColoringError("color_of does not colour the network properly")
         super().__init__(network, omega)
         self.partition = part = make_partition_family(omega, x_share, y_share)
         self.name = "caco" if (x_share, y_share) == (2, 1) else f"partition:{x_share}:{y_share}"
@@ -156,8 +155,9 @@ class NotTriangleFreeError(ValueError):
 
 
 def require_triangle_free_hex(network: Network) -> None:
-    """Raise NotTriangleFreeError unless `network` has the hex adjacency of its
-    own cells and no triangle, the networks the 9/4 proof covers."""
+    """Raise NotTriangleFreeError unless `network` is a `Network(cells)`
+    network, hex by construction, with no triangle: the networks the 9/4
+    proof covers. A `from_edges` network is refused whatever its edges."""
     if not network.triangle_free_hex:
         raise NotTriangleFreeError("caco2 requires a triangle-free hex network")
 

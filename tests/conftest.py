@@ -12,6 +12,12 @@ PATCH_CELLS = hex_patch(2).sorted_cells()
 _STAR_CELLS = [(0, 0), (1, 0), (0, 1), (-1, 1)]
 PARTIAL_HEX_STAR = Network.from_edges(_STAR_CELLS, [((0, 0), c) for c in _STAR_CELLS[1:]])
 
+# a triangle-free hex path given as an edge list: exactly its cells' hex
+# adjacency, yet a `from_edges` network is never taken to be hex
+_HEX_PATH = Network([(0, 0), (1, 0), (2, 0)])
+EDGE_LIST_HEX_PATH = Network.from_edges(_HEX_PATH.cells, _HEX_PATH.edges())
+assert EDGE_LIST_HEX_PATH == _HEX_PATH
+
 
 def random_network(rng: random.Random, min_cells=1, max_cells=9, triangle_free=False) -> Network:
     while True:

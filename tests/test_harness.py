@@ -551,6 +551,18 @@ def test_cli_sweep_failed_point_exits_nonzero():
     assert "min ratio 7/3, max ratio 7/3" in result.output
 
 
+def test_cli_sweep_without_optimum_has_no_ratio_line(tmp_path):
+    # no optimum, no ratio: each point is reported, the summary ranks nothing
+    path = tmp_path / "no_opt.json"
+    path.write_text(json.dumps(
+        {"omega": 21, "cells": [[-1, 1], [0, -1], [0, 0], [1, 0]], "algorithm": "caco", "traffic": "fig2"}
+    ))
+    result = CliRunner().invoke(main, ["sweep", str(path), "--grid", "omega=21|42"])
+    assert result.exit_code == 0, result.output
+    assert result.output.count("totals: ") == 2
+    assert result.output.endswith("totals: demand=168 online=54 opt=-\n\nsweep summary:\n")
+
+
 def test_cli_bad_scenario_is_clean_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{}")
@@ -696,6 +708,8 @@ def test_cli_duel_certificate_by_resolved_name():
         ["duel", "--adversary", "fig2", "--alg", "greedy", "--omega", " 7"],
         ["duel", "--adversary", "fig2", "--alg", "greedy", "--omega", "\u0667"],
         ["duel", "--adversary", "fig2", "--alg", "greedy", "--omega", "10000000000000000000"],
+        ["duel", "--adversary", "fig2", "--alg", "partition:0:1", "--omega", "21"],
+        ["duel", "--adversary", "fig2", "--alg", "partition:1:-1", "--omega", "21"],
     ],
 )
 def test_cli_bad_input_is_named_error(args):

@@ -80,6 +80,21 @@ def test_coloring_proper_on_all_neighbors(cell):
         assert color_of((q, r)) != color_of((q + dq, r + dr))
 
 
+def test_hex_coloring_scans_no_edges(monkeypatch):
+    # `color_of` colours hex adjacency properly: nothing to check per edge
+    net = hex_patch(3)
+    monkeypatch.setattr(Network, "edges", lambda self: pytest.fail("edges scanned"))
+    assert net.coloring == {c: color_of(c) for c in net.cells}
+    assert net.coloring is net.coloring
+
+
+def test_edge_list_coloring_checks_every_edge():
+    cells = [(0, 0), (1, 0), (3, 0)]
+    assert Network.from_edges(cells, [((0, 0), (1, 0))]).coloring == {c: color_of(c) for c in cells}
+    # (0, 0) and (3, 0) share a colour
+    assert Network.from_edges(cells, [((0, 0), (1, 0)), ((0, 0), (3, 0))]).coloring is None
+
+
 def test_triangle_detected():
     assert not is_triangle_free(Network([(0, 0), (1, 0), (0, 1)]))
     assert is_triangle_free(Network([(0, 0), (1, 0)]))

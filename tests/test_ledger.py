@@ -25,7 +25,7 @@ from cellcall.online import (
     make_algorithm,
     run_sequence,
 )
-from conftest import PARTIAL_HEX_STAR, random_network, random_requests
+from conftest import EDGE_LIST_HEX_PATH, PARTIAL_HEX_STAR, random_network, random_requests
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -431,8 +431,12 @@ def test_caco2_certificate_requires_triangle_free():
 
 @pytest.mark.parametrize(
     "net, requests",
-    [(cycle_graph(4), []), (PARTIAL_HEX_STAR, [(0, 0)] * 3 + [(1, 0)] * 9)],
-    ids=["cycle4", "partial_star"],
+    [
+        (cycle_graph(4), []),
+        (PARTIAL_HEX_STAR, [(0, 0)] * 3 + [(1, 0)] * 9),
+        (EDGE_LIST_HEX_PATH, [(0, 0)] * 3 + [(1, 0)] * 9),
+    ],
+    ids=["cycle4", "partial_star", "edge_list_hex_path"],
 )
 def test_caco2_certificate_requires_hex_network(net, requests):
     trace = run_sequence(make_algorithm("greedy", net, 9), requests)

@@ -13,11 +13,12 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cellcall import offline
+from cellcall import hexnet, offline
 from cellcall.adversary import fig2_adversary, make_adversary, phase_ratios, run_duel
-from cellcall.hexnet import ImproperColoringError, Network, hex_patch, proper_coloring
+from cellcall.hexnet import Network, color_of, hex_patch
 from cellcall.offline import (
     InstanceTooLargeError,
+    OptimumWitness,
     _adjacency,
     _branch_and_bound,
     _clique_ceiling,
@@ -246,6 +247,30 @@ def test_validate_witness_checks_under_python_optimize():
     result = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 1
     assert result.stderr.endswith("AssertionError: cells (0, 0) and (1, 0) share a frequency\n")
+
+
+@pytest.mark.parametrize(
+    "changed, counts, total, message",
+    [
+        ({(9, 9): frozenset()}, {}, None, r"witness cell \(9, 9\) not in network"),
+        ({}, {(0, 0): 1}, None, r"cell \(0, 0\) has 2 frequencies, not its O"),
+        ({(1, 0): frozenset({3, 4})}, {}, None, r"cell \(1, 0\) exceeds its demand"),
+        ({(0, 0): frozenset({1, 5})}, {}, None, r"cell \(0, 0\) has a frequency outside 1\.\.4"),
+        ({(1, 0): frozenset({2})}, {}, None, r"cells \(0, 0\) and \(1, 0\) share a frequency"),
+        ({}, {}, 4, "witness total 4 is not the sum of its per-cell O"),
+    ],
+    ids=["foreign_cell", "size_not_o", "past_demand", "out_of_range", "shared_across_edge", "bad_total"],
+)
+def test_validate_witness_rejects_each_bad_witness(changed, counts, total, message):
+    # one fault each in a valid witness for demands 2 and 1 at omega 4
+    net, demands = Network([(0, 0), (1, 0)]), {(0, 0): 2, (1, 0): 1}
+    assignment = {(0, 0): frozenset({1, 2}), (1, 0): frozenset({3})}
+    validate_witness(net, 4, demands, OptimumWitness(3, {(0, 0): 2, (1, 0): 1}, assignment))
+    assignment.update(changed)
+    per_cell = {c: len(f) for c, f in assignment.items()} | counts
+    witness = OptimumWitness(sum(per_cell.values()) if total is None else total, per_cell, assignment)
+    with pytest.raises(AssertionError, match=message):
+        validate_witness(net, 4, demands, witness)
 
 
 def test_unknown_demand_cell_rejected():
@@ -702,11 +727,7 @@ def branch_and_bound(net, omega, demands):
 
 def fast_path(net, omega, demands):
     cells, r, omega = _demand_list(net, omega, demands)
-    try:
-        color = proper_coloring(net)
-    except ImproperColoringError:
-        color = None
-    return _serve_every_demand(net, omega, cells, r, color)
+    return _serve_every_demand(net, omega, cells, r)
 
 
 def test_fast_path_serves_the_slow_sweep_instance():
@@ -804,15 +825,17 @@ def test_components_served_in_full_skip_the_search():
 
 def test_one_check_and_one_colouring_per_instance():
     # the (0, 0)-(1, 0) pair is not served in full; the loop over the three
-    # components reuses the checked demands and the colouring
+    # components reuses the checked demands and the colouring, one `color_of`
+    # per cell
     net = Network([(0, 0), (1, 0), (3, 3), (6, 6)])
     demands = {(0, 0): 4, (1, 0): 4, (3, 3): 2, (6, 6): 3}
     with mock.patch.object(offline, "_demand_list", wraps=_demand_list) as checked, \
-            mock.patch.object(offline, "proper_coloring", wraps=proper_coloring) as coloured, \
+            mock.patch.object(hexnet, "color_of", wraps=color_of) as coloured, \
             mock.patch.object(offline, "exact_optimum", wraps=exact_optimum) as reentered, \
             mock.patch.object(offline, "as_integer", wraps=offline.as_integer) as converted:
         opt = exact_optimum(net, 4, demands)
-    assert (checked.call_count, coloured.call_count, reentered.call_count) == (1, 1, 0)
+    assert (checked.call_count, reentered.call_count) == (1, 0)
+    assert sorted(call.args[0] for call in coloured.call_args_list) == net.sorted_cells()
     # plain int demands need no conversion, and no per-cell error text
     assert [call.args[1] for call in converted.call_args_list] == ["omega"]
     assert opt.per_cell == {(0, 0): 4, (1, 0): 0, (3, 3): 2, (6, 6): 3}

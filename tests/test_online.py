@@ -22,7 +22,7 @@ from cellcall.online import (
     run_sequence,
 )
 from cellcall.spectrum import AssignmentState
-from conftest import PARTIAL_HEX_STAR, random_network, random_requests
+from conftest import EDGE_LIST_HEX_PATH, PARTIAL_HEX_STAR, random_network, random_requests
 
 STAR = Network([(0, 0), (-1, 1), (0, -1), (1, 0)])  # R center, G outer
 
@@ -141,13 +141,18 @@ def test_partition_own_range_matches_counter(x, y):
 
 @pytest.mark.parametrize(
     "net",
-    [Network.from_edges([(0, 0), (3, 0)], [((0, 0), (3, 0))]), cycle_graph(5)],
-    ids=["same_color_edge", "cycle5"],
+    [
+        Network.from_edges([(0, 0), (3, 0)], [((0, 0), (3, 0))]),
+        cycle_graph(5),
+        Network.from_edges([(0.5, 0), (1, 0)], [((0.5, 0), (1, 0))]),
+    ],
+    ids=["same_color_edge", "cycle5", "non_integer_pair"],
 )
 def test_partition_requires_proper_coloring(net):
-    # nothing is kept of an improper colouring: each ask is refused again
+    assert net.coloring is None
+    # a network without a colouring is refused every time it is asked
     for _ in range(2):
-        with pytest.raises(ImproperColoringError):
+        with pytest.raises(ImproperColoringError, match="color_of does not colour the network properly"):
             PartitionReserveAlgorithm(net, 21, 2, 1)
 
 
@@ -156,12 +161,12 @@ def test_colouring_is_found_once_per_network(monkeypatch):
     caco_algorithm(net, 21)
     found = []
     monkeypatch.setattr(hexnet, "color_of", lambda cell: found.append(cell) or color_of(cell))
-    colors = hexnet.proper_coloring(net)
+    colors = net.coloring
     caco_algorithm(net, 21)
     assert found == [] and colors == {c: color_of(c) for c in net.cells}
     with pytest.raises(TypeError):
         colors[(0, 0)] = 1  # shared by every caller, so read-only
-    hexnet.proper_coloring(flower_network())
+    flower_network().coloring
     assert len(found) == 7
 
 
@@ -172,7 +177,11 @@ def test_caco2_requires_triangle_free():
         Caco2Algorithm(hex_patch(1), 9)
 
 
-@pytest.mark.parametrize("net", [cycle_graph(4), PARTIAL_HEX_STAR], ids=["cycle4", "partial_star"])
+@pytest.mark.parametrize(
+    "net",
+    [cycle_graph(4), PARTIAL_HEX_STAR, EDGE_LIST_HEX_PATH],
+    ids=["cycle4", "partial_star", "edge_list_hex_path"],
+)
 def test_caco2_requires_hex_network(net):
     assert is_triangle_free(net)
     with pytest.raises(NotTriangleFreeError, match="caco2 requires a triangle-free hex network"):
