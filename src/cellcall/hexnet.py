@@ -9,8 +9,10 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Tuple
 
 Cell = Tuple[int, int]  # axial (q, r)
 
-# The six axial offsets of a hex grid.
-AXIAL_DIRECTIONS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+# The six axial offsets of a hex grid, in lexicographic order: a translation
+# keeps that order, so a cell's neighbours found by trying them in turn come
+# out sorted.
+AXIAL_DIRECTIONS = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0))
 
 
 # A colour is an index 0, 1, 2, named by its letter only where a report prints it.
@@ -59,11 +61,7 @@ class Network:
         self.cells = frozenset(own)
         self._adj = {
             c: tuple(
-                sorted(
-                    n
-                    for d in AXIAL_DIRECTIONS
-                    if (n := own.get((c[0] + d[0], c[1] + d[1]))) is not None
-                )
+                n for d in AXIAL_DIRECTIONS if (n := own.get((c[0] + d[0], c[1] + d[1]))) is not None
             )
             for c in own
         }

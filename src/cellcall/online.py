@@ -89,7 +89,8 @@ class ScanAlgorithm:
 
     `scans[cell]` is a tuple of frequency ranges tried in order, each in its
     own order (a descending scan is `r[::-1]`). A request takes the first
-    available frequency found and is rejected when every range is exhausted.
+    available frequency found, which `decide` assigns, and is rejected when
+    every range is exhausted.
     Subclasses build `scans`, and set `partition` and `flagged_cells` when
     they have them.
     """
@@ -104,11 +105,11 @@ class ScanAlgorithm:
         self.omega = omega
 
     def decide(self, state: AssignmentState, cell: Cell) -> Outcome:
-        for freqs in self.scans[cell]:
-            f = state.first_available(cell, freqs)
-            if f is not None:
-                return accept(f)
-        return REJECT
+        """Accept with the first available frequency of `scans[cell]`, which
+        `decide` commits to `state` (`AssignmentState.take_first`) before it
+        returns it, or reject and leave `state` unchanged."""
+        f = state.take_first(cell, self.scans[cell])
+        return REJECT if f is None else accept(f)
 
 
 class GreedyAlgorithm(ScanAlgorithm):
@@ -307,7 +308,5 @@ def feed_requests(algorithm, trace: RunTrace, requests) -> None:
             raise UnknownRequestCellError(len(trace.requests), key)
         trace.demands[cell] += 1
         outcome = algorithm.decide(trace.state, cell)
-        if outcome.accepted:
-            trace.state.assign(cell, outcome.frequency)
         trace.requests.append(cell)
         trace.outcomes.append(outcome)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .hexnet import Cell, Network
+from .hexnet import Cell, Network, UnknownCellError, as_integer
 
 
 class PartitionError(ValueError):
@@ -41,30 +41,46 @@ def make_partition_family(omega: int, x_share: int, y_share: int) -> FrequencyPa
     return FrequencyPartition(ranges, shared)
 
 
+def _unknown(cell: Cell) -> UnknownCellError:
+    return UnknownCellError(f"cell {cell} is not in the network")
+
+
 class AssignmentState:
     """Per-cell in-use frequency sets for one network.
 
-    `assign` is the only mutator and rejects interfering assignments loudly,
-    so algorithm bugs surface in tests instead of corrupting counters.
+    There are two mutators, and both add a frequency only after
+    `is_available` has found it free: `take_first` adds the first free
+    frequency its scan finds, and `assign` adds a given frequency or raises
+    FrequencyConflictError, so algorithm bugs surface in tests instead of
+    corrupting counters. A frequency and omega are integers, not bools
+    (`as_integer`), and a cell outside the network raises UnknownCellError;
+    both are checked where a call enters, not in the per-frequency probe.
     """
 
     def __init__(self, network: Network, omega: int):
+        omega = as_integer(omega, "omega")
         if omega <= 0:
             raise ValueError(f"omega must be positive, got {omega}")
         self.network = network
         self.omega = omega
         self._used: dict[Cell, set[int]] = {c: set() for c in network.cells}
 
+    def _cell_used(self, cell: Cell) -> set[int]:
+        """The cell's own in-use set; UnknownCellError for a cell outside the network."""
+        if cell not in self._used:
+            raise _unknown(cell)
+        return self._used[cell]
+
     def used(self, cell: Cell) -> frozenset[int]:
-        return frozenset(self._used[cell])
+        return frozenset(self._cell_used(cell))
 
     def count(self, cell: Cell) -> int:
         """A_i: total frequencies in use at the cell."""
-        return len(self._used[cell])
+        return len(self._cell_used(cell))
 
     def count_in(self, cell: Cell, freq_range: range) -> int:
         """A_x(C_i): frequencies the cell uses from one partition range."""
-        return sum(1 for f in self._used[cell] if f in freq_range)
+        return sum(1 for f in self._cell_used(cell) if f in freq_range)
 
     def is_available(self, cell: Cell, freq: int) -> bool:
         """True iff `freq` is unused in the cell and in every neighbor."""
@@ -77,17 +93,35 @@ class AssignmentState:
     def first_available(self, cell: Cell, freqs: range) -> Optional[int]:
         """First available frequency of `freqs`, scanned in the range's own
         order; a descending scan is a negative-step range such as `r[::-1]`."""
+        if cell not in self._used:
+            raise _unknown(cell)
         for f in freqs:
             if self.is_available(cell, f):
                 return f
         return None
 
+    def take_first(self, cell: Cell, scans: tuple) -> Optional[int]:
+        """Add to the cell the first available frequency of `scans`, ranges
+        tried in order through `first_available`, and return it; None, and
+        no change, when every range is exhausted. The check that finds the
+        frequency is the one that guards its add."""
+        if cell not in self._used:
+            raise _unknown(cell)
+        for freqs in scans:
+            f = self.first_available(cell, freqs)
+            if f is not None:
+                self._used[cell].add(f)
+                return f
+        return None
+
     def assign(self, cell: Cell, freq: int) -> None:
+        freq = as_integer(freq, "a frequency")
+        used = self._cell_used(cell)
         if not self.is_available(cell, freq):
             raise FrequencyConflictError(
                 f"frequency {freq} is not available at cell {cell}"
             )
-        self._used[cell].add(freq)
+        used.add(freq)
 
     def interference_free(self) -> bool:
         """Full rescan of the invariant; used by tests, not by the hot path."""

@@ -225,6 +225,18 @@ def test_sweep_optima_are_pinned(caco_sweep, caco2_sweep):
     assert digest.hexdigest() == SWEEP_OPTIMA_SHA256
 
 
+# sha256 over each sweep instance's per-request outcomes, in request order:
+# the frequency taken, or None for a reject
+SWEEP_OUTCOMES_SHA256 = "d2a4474035adb9eba66ac136496057cb98cd6117445686f084996562a3d0c468"
+
+
+def test_sweep_outcomes_are_pinned(caco_sweep, caco2_sweep):
+    digest = hashlib.sha256()
+    for inst in caco_sweep[0] + caco2_sweep[0]:
+        digest.update(repr([out.frequency for out in inst.trace.outcomes]).encode() + b"\n")
+    assert digest.hexdigest() == SWEEP_OUTCOMES_SHA256
+
+
 def test_criterion_7_greedy_separation(announce):
     scenario = fig2_adversary(21)
     trace = run_duel(scenario, make_algorithm("greedy", scenario.network, 21))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +21,16 @@ cells_st = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 def test_full_grid_center_has_six_neighbors():
     net = hex_patch(2)
     assert len(net.neighbors((0, 0))) == 6
+
+
+def test_neighbors_come_out_sorted_without_sorting():
+    # the offsets are tried in lexicographic order, which a translation keeps
+    assert list(AXIAL_DIRECTIONS) == sorted(AXIAL_DIRECTIONS)
+    patch = hex_patch(20)
+    cells = patch.sorted_cells()
+    rng = random.Random(24)
+    for net in [patch] + [Network(rng.sample(cells, rng.randint(1, len(cells)))) for _ in range(50)]:
+        assert all(net.neighbors(c) == tuple(sorted(net.neighbors(c))) for c in net.cells)
 
 
 def test_cells_must_be_integer_pairs():

@@ -2,8 +2,9 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cellcall import hexnet
+from cellcall import hexnet, online
 from cellcall.adversary import UnknownAdversaryError, make_adversary
 from cellcall.hexnet import Network, color_of, flower_network, hex_patch, is_triangle_free
 from cellcall.offline import cycle_graph
@@ -71,6 +72,28 @@ def test_greedy_rejections_are_forced():
             replay.assign(cell, out.frequency)
         else:
             assert replay.first_available(cell, range(1, omega + 1)) is None
+
+
+@pytest.mark.parametrize("name", sorted(online._ALGORITHMS))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), multiple=st.integers(1, 4), x=st.integers(1, 3), y=st.integers(0, 2))
+def test_decide_commits_what_the_two_check_path_assigns(name, seed, multiple, x, y):
+    # replay each request as a scan through `first_available` and then a
+    # separately checked `assign`: the same outcome and the same final sets
+    rng = random.Random(seed)
+    net = random_network(rng, triangle_free=name == "caco2")
+    args = (x, y) if name == "partition" else ()
+    omega = multiple * {"greedy": 1, "caco": 7, "caco2": 3, "partition": 3 * x + y}[name]
+    algorithm = online._ALGORITHMS[name](net, omega, *args)
+    trace = run_sequence(algorithm, random_requests(rng, net, rng.randint(0, 4 * omega)))
+    replay = AssignmentState(net, omega)
+    for cell, out in zip(trace.requests, trace.outcomes, strict=True):
+        found = (replay.first_available(cell, freqs) for freqs in algorithm.scans[cell])
+        f = next((f for f in found if f is not None), None)
+        assert out.frequency == f
+        if f is not None:
+            replay.assign(cell, f)
+    assert all(replay.used(c) == trace.state.used(c) for c in net.cells)
 
 
 # caco / partition family

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellcall.hexnet import Network, flower_network
+from cellcall.hexnet import Network, UnknownCellError, flower_network
 from cellcall.spectrum import (
     AssignmentState,
     FrequencyConflictError,
@@ -106,6 +106,57 @@ def test_first_available_none_when_exhausted():
     for f in (1, 2, 3):
         state.assign((0, 0), f)
     assert state.first_available((0, 0), range(1, 4)) is None
+
+
+def test_take_first_assigns_the_first_available_of_the_ranges():
+    state = AssignmentState(flower_network(), 9)
+    state.assign((1, 0), 4)
+    # the first range is exhausted, so the second is scanned in its own (descending) order
+    assert state.take_first((0, 0), (range(4, 5), range(7, 10)[::-1])) == 9
+    assert state.used((0, 0)) == {9}
+    assert state.take_first((0, 0), (range(9, 10),)) is None
+    assert state.used((0, 0)) == {9}
+
+
+def test_take_first_never_assigns_past_omega():
+    # a scan that reaches past omega or below 1 takes only frequencies in 1..omega
+    state = AssignmentState(Network([(0, 0)]), 3)
+    taken = [state.take_first((0, 0), (range(-2, 7), range(10, 0, -1))) for _ in range(5)]
+    assert taken == [1, 2, 3, None, None]
+    assert state.used((0, 0)) == {1, 2, 3} and state.interference_free()
+
+
+@pytest.mark.parametrize("freq", [True, 2.0, "2"], ids=["bool", "float", "str"])
+def test_assign_refuses_a_non_integer_frequency(freq):
+    state = AssignmentState(Network([(0, 0)]), 7)
+    with pytest.raises(TypeError):
+        state.assign((0, 0), freq)
+    assert state.count((0, 0)) == 0
+
+
+@pytest.mark.parametrize("omega", [True, 7.0, "7"], ids=["bool", "float", "str"])
+def test_state_refuses_a_non_integer_omega(omega):
+    with pytest.raises(TypeError):
+        AssignmentState(Network([(0, 0)]), omega)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, c: s.assign(c, 1),
+        lambda s, c: s.take_first(c, (range(1, 8),)),
+        lambda s, c: s.first_available(c, range(1, 8)),
+        lambda s, c: s.count(c),
+        lambda s, c: s.count_in(c, range(1, 8)),
+        lambda s, c: s.used(c),
+    ],
+    ids=["assign", "take_first", "first_available", "count", "count_in", "used"],
+)
+def test_cell_outside_the_network_is_named(call):
+    state = AssignmentState(flower_network(), 7)
+    with pytest.raises(UnknownCellError, match=r"cell \(5, 5\) is not in the network"):
+        call(state, (5, 5))
+    assert all(state.count(c) == 0 for c in state.network.cells)
 
 
 def test_assign_counts():
