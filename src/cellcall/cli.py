@@ -1,7 +1,7 @@
 """Command-line interface: run scenarios, play adversary duels, sweep
 parameter grids, and verify certificates. Exit code is nonzero whenever a
 requested certificate or bound check fails, or a requested optimum is past the
-solver's limits."""
+solver's limits; with `--format csv` the reason goes to stderr."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from .harness import (
     _brief,
     duel_config,
     emit_report,
+    failure_lines,
     load_scenario,
     run_experiment,
     sweep,
@@ -33,10 +34,18 @@ def _write(text: str, out: str | None) -> None:
         click.echo(text, nl=False)
 
 
+def _exit_if_failed(reasons: list, fmt: str) -> None:
+    """Exit 1 when there are reasons to; a CSV report has no line for them,
+    so they go to stderr as the text report words them."""
+    if reasons:
+        if fmt == "csv":
+            click.echo("\n".join(reasons), err=True)
+        sys.exit(1)
+
+
 def _finish(report, out, fmt) -> None:
     _write(emit_report(report, fmt), out)
-    if report.error or not report.certificate_ok:
-        sys.exit(1)
+    _exit_if_failed(failure_lines(report), fmt)
 
 
 format_option = click.option(
@@ -119,6 +128,7 @@ def sweep_cmd(template: str, grid_specs: tuple, out: str | None, fmt: str) -> No
     summary = sweep(base, grid)
 
     pieces = [emit_report(r, fmt) for r in summary.reports]
+    failed = [f"  failed: {point}: {message}" for point, message in summary.failures]
     if fmt == "text":
         lines = ["", "sweep summary:"]
         for alg, (lo, hi) in sorted(summary.ratio_range.items()):
@@ -126,12 +136,9 @@ def sweep_cmd(template: str, grid_specs: tuple, out: str | None, fmt: str) -> No
         best = summary.best_by_ratio()
         if best is not None:
             lines.append(f"  best worst-case ratio: {best}")
-        for point, message in summary.failures:
-            lines.append(f"  failed: {point}: {message}")
-        pieces.append("\n".join(lines) + "\n")
+        pieces.append("\n".join(lines + failed) + "\n")
     _write("".join(pieces), out)
-    if summary.failures or any(r.error or not r.certificate_ok for r in summary.reports):
-        sys.exit(1)
+    _exit_if_failed([line for r in summary.reports for line in failure_lines(r)] + failed, fmt)
 
 
 @main.command()

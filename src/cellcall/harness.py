@@ -73,6 +73,9 @@ _FIELDS = ("omega", "cells", "algorithm", "traffic", "verify_certificate", "comp
 
 
 def parse_scenario(data: dict, scenario_id: str) -> ScenarioConfig:
+    """Read a scenario's shape: its fields, their types, and its cells.
+    Its values (selectors, omega, cells the traffic needs) are checked when
+    it runs, so a sweep template need not be valid at its own values."""
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
     unknown = sorted(set(data) - set(_FIELDS), key=str)
@@ -100,7 +103,7 @@ def parse_scenario(data: dict, scenario_id: str) -> ScenarioConfig:
         parsed_traffic = tuple(_as_cell(c, "traffic request") for c in traffic)
     else:
         raise ScenarioError("traffic must be a request list or an adversary selector")
-    config = ScenarioConfig(
+    return ScenarioConfig(
         scenario_id=scenario_id,
         omega=omega,
         cells=cells,
@@ -109,8 +112,6 @@ def parse_scenario(data: dict, scenario_id: str) -> ScenarioConfig:
         verify_certificate=_as_flag(data, "verify_certificate"),
         compute_opt=_as_flag(data, "compute_opt"),
     )
-    validate_scenario(config)
-    return config
 
 
 def _adversary(selector: str, omega: int, network: Optional[Network] = None):
@@ -121,8 +122,9 @@ def _adversary(selector: str, omega: int, network: Optional[Network] = None):
 
 
 def build_scenario(config: ScenarioConfig):
-    """Check a scenario and build what it runs: `(adversary, algorithm)`, the
-    adversary None for a request list. The only place a scenario is checked."""
+    """Check a scenario's values and build what it runs: `(adversary,
+    algorithm)`, the adversary None for a request list. The only place a
+    scenario's values are checked; `parse_scenario` checks only its shape."""
     if config.omega <= 0:
         raise ScenarioError(f"omega must be a positive integer, got {_brief.repr(config.omega)}")
     network = Network(config.cells)
@@ -301,6 +303,19 @@ def emit_report(report: RunReport, fmt: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 
+def failure_lines(report: RunReport) -> list:
+    """The text report's lines that say why a run fails: its scenario line,
+    each failing check and its error line; [] when nothing requested failed."""
+    if not report.error and report.certificate_ok:
+        return []
+    lines = [f"scenario: {report.scenario_id}"]
+    if report.certificate is not None:
+        lines += [f"  {check}" for check in report.certificate.checks if not check.passed]
+    if report.error:
+        lines.append(f"error: {report.error}")
+    return lines
+
+
 @dataclass
 class SweepSummary:
     reports: list
@@ -318,8 +333,9 @@ class SweepSummary:
 def sweep(template: ScenarioConfig, grid: dict) -> SweepSummary:
     """Run the template once per grid point (cartesian product, given order).
 
-    Points the scenario checks reject are recorded and the sweep continues;
-    any other exception is a bug and propagates.
+    Each point is checked as it runs; points the scenario checks reject are
+    recorded and the sweep continues; any other exception is a bug and
+    propagates.
     """
     if not grid:
         return SweepSummary(reports=[], ratio_range={}, failures=[])

@@ -26,6 +26,7 @@ from cellcall.harness import (
     parse_scenario,
     run_experiment,
     sweep,
+    validate_scenario,
 )
 from cellcall.ledger import Certificate, CheckResult
 from cellcall.offline import OptimumWitness
@@ -49,8 +50,9 @@ def test_request_at_absent_cell_named(tmp_path):
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
+    config = load_scenario(path)  # the file's shape is sound; its values are checked when it runs
     with pytest.raises(ScenarioError, match=r"\(4, 4\)"):
-        load_scenario(path)
+        run_experiment(config)
 
 
 def test_divisibility_mismatch_rejected(tmp_path):
@@ -58,7 +60,7 @@ def test_divisibility_mismatch_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
     with pytest.raises(ScenarioError, match="caco"):
-        load_scenario(path)
+        run_experiment(load_scenario(path))
 
 
 def test_parse_error_reports_line(tmp_path):
@@ -126,7 +128,7 @@ def test_long_scenario_values_echoed_short(field, value, start):
     data = {"omega": 7, "cells": [[0, 0], [1, 0]], "algorithm": "greedy", "traffic": []}
     data[field] = value
     with pytest.raises(ScenarioError) as info:
-        parse_scenario(data, scenario_id="x")
+        validate_scenario(parse_scenario(data, scenario_id="x"))
     assert str(info.value).startswith(start) and len(str(info.value)) < 300, str(info.value)
 
 
@@ -150,11 +152,12 @@ def test_repeated_scenario_key_is_named_error(tmp_path):
 
 
 def test_unknown_algorithm_rejected():
+    config = parse_scenario(
+        {"omega": 7, "cells": [[0, 0]], "algorithm": "nope", "traffic": []},
+        scenario_id="x",
+    )
     with pytest.raises(ScenarioError, match="algorithm"):
-        parse_scenario(
-            {"omega": 7, "cells": [[0, 0]], "algorithm": "nope", "traffic": []},
-            scenario_id="x",
-        )
+        validate_scenario(config)
 
 
 @pytest.mark.parametrize(
@@ -200,7 +203,7 @@ def test_traffic_outside_network_names_first_request():
     data = {"omega": 7, "cells": [[0, 0], [1, 0]], "algorithm": "greedy"}
     data["traffic"] = [[1, 0], [0, 0], [5, 5], [6, 6]]
     with pytest.raises(ScenarioError, match=r"^traffic request 2 at cell \(5, 5\) is outside the network$"):
-        parse_scenario(data, scenario_id="x")
+        validate_scenario(parse_scenario(data, scenario_id="x"))
 
 
 json_values = st.recursive(
@@ -247,8 +250,11 @@ any_fields = st.fixed_dictionaries(
 
 @given(well_typed | any_fields | json_values)
 def test_parse_scenario_raises_only_scenario_error(data):
+    # parsing reads the shape, building checks the values: neither stage
+    # raises anything but ScenarioError, and what passes both can run
     try:
         config = parse_scenario(data, scenario_id="fuzz")
+        validate_scenario(config)
     except ScenarioError:
         return
     assert config.omega > 0 and config.cells
@@ -260,19 +266,27 @@ def test_random_traffic_length_checked_without_generating(tmp_path, monkeypatch)
 
     monkeypatch.setattr(adversary, "random_sequence", generate)
     flower = json.loads((SCENARIOS / "flower_greedy_random.json").read_text())
-    parse_scenario(dict(flower, traffic=f"random:1:{MAX_RANDOM_LENGTH}"), scenario_id="at-cap")
+    validate_scenario(
+        parse_scenario(dict(flower, traffic=f"random:1:{MAX_RANDOM_LENGTH}"), scenario_id="at-cap")
+    )
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps(dict(flower, traffic="random:0:1000000000")))
     start = perf_counter()
     with pytest.raises(ScenarioError, match=f"between 0 and {MAX_RANDOM_LENGTH}"):
-        load_scenario(huge)
+        validate_scenario(load_scenario(huge))
     for args in (
         ["run", str(huge)],
-        ["sweep", str(huge), "--grid", "omega=7"],
         ["duel", "--adversary", "random:0:1000000000", "--alg", "greedy", "--omega", "7"],
     ):
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 1 and "Error:" in result.output, result.output
+    # a sweep checks each point as it runs it, and records the point as failed
+    result = CliRunner().invoke(main, ["sweep", str(huge), "--grid", "omega=7"])
+    assert result.exit_code == 1, result.output
+    assert (
+        "  failed: huge[omega=7]: traffic selector 'random:0:1000000000': "
+        f"length must be between 0 and {MAX_RANDOM_LENGTH}"
+    ) in result.output
     assert perf_counter() - start < 0.5
 
 
@@ -282,8 +296,9 @@ def test_fixed_network_adversary_needs_exactly_its_cells():
     # caco2 would run on the triangle-free star, so the cells, not the
     # algorithm, are what is wrong
     for algorithm in ("greedy", "caco2"):
+        config = parse_scenario(dict(flower, traffic="fig2", algorithm=algorithm), scenario_id="x")
         with pytest.raises(ScenarioError) as info:
-            parse_scenario(dict(flower, traffic="fig2", algorithm=algorithm), scenario_id="x")
+            validate_scenario(config)
         message = str(info.value)
         assert "[(-1, 1), (0, -1), (0, 0), (1, 0)]" in message
         assert str(flower_cells) in message
@@ -316,11 +331,13 @@ def test_optimum_past_solver_limit_named_in_report(tmp_path):
     "fields", [{"algorithm": "nope"}, {"traffic": ((0, 0), (4, 4))}, {"traffic": "fig2"}]
 )
 def test_run_experiment_checks_unvalidated_config(fields):
+    # a config built in code and the same config read from JSON are refused
+    # alike, by the run's one check
     flower = load_scenario(SCENARIOS / "flower_greedy_random.json")
     config = replace(flower, **fields)
     data = json.loads(json.dumps({k: v for k, v in vars(config).items() if k != "scenario_id"}))
     with pytest.raises(ScenarioError) as parsed:
-        parse_scenario(data, scenario_id="x")
+        run_experiment(parse_scenario(data, scenario_id="x"))
     with pytest.raises(ScenarioError) as ran:
         run_experiment(config)
     assert str(ran.value) == str(parsed.value)
@@ -551,6 +568,35 @@ def test_cli_sweep_failed_point_exits_nonzero():
     assert "min ratio 7/3, max ratio 7/3" in result.output
 
 
+def _omega_20_template(tmp_path):
+    # caco needs omega a multiple of 7, so the template is invalid at its own omega
+    path = tmp_path / "omega20.json"
+    path.write_text(json.dumps(dict(json.loads((SCENARIOS / "sweep_template.json").read_text()), omega=20)))
+    return path
+
+
+def test_cli_sweep_checks_each_point_not_the_template(tmp_path):
+    result = CliRunner().invoke(main, ["sweep", str(_omega_20_template(tmp_path)), "--grid", "omega=21|42"])
+    assert result.exit_code == 0, result.output
+    assert result.output.count("scenario: omega20[omega=") == 2
+    assert "scenario: omega20[omega=21]\n" in result.output
+    assert "scenario: omega20[omega=42]\n" in result.output
+    assert "  caco: min ratio 7/3, max ratio 7/3\n" in result.output
+    assert "failed:" not in result.output
+
+
+def test_cli_sweep_records_the_template_omega_as_a_failed_point(tmp_path):
+    result = CliRunner().invoke(main, ["sweep", str(_omega_20_template(tmp_path)), "--grid", "omega=20|21"])
+    assert result.exit_code == 1, result.output
+    assert (
+        "  failed: omega20[omega=20]: algorithm 'caco': omega=20 is not a positive multiple of 7 "
+        "(required for the 2:2:2:1 split)\n"
+    ) in result.output
+    assert "scenario: omega20[omega=21]\n" in result.output
+    assert "scenario: omega20[omega=20]" not in result.output
+    assert "Error:" not in result.output
+
+
 def test_cli_sweep_without_optimum_has_no_ratio_line(tmp_path):
     # no optimum, no ratio: each point is reported, the summary ranks nothing
     path = tmp_path / "no_opt.json"
@@ -591,7 +637,43 @@ def test_cli_run_honours_compute_opt_for_selector_traffic(tmp_path, compute_opt)
         assert "opt=-" in result.output and "error:" not in result.output
 
 
-def test_cli_verify_tampered_optimum_fails(monkeypatch):
+def test_cli_csv_optimum_past_solver_limit_says_why_on_stderr(tmp_path):
+    # 13 cells, one past the solver's limit
+    cells = [list(c) for c in hex_patch(2).sorted_cells()][:13]
+    path = tmp_path / "big13.json"
+    path.write_text(json.dumps({"omega": 21, "cells": cells, "algorithm": "caco", "traffic": cells, "compute_opt": True}))
+    result = CliRunner().invoke(main, ["run", str(path), "--format", "csv"])
+    assert result.exit_code == 1
+    assert result.stdout == emit_report(run_experiment(load_scenario(path)), "csv")
+    assert result.stderr == (
+        "scenario: big13\n"
+        "error: optimum not computed: instance with 13 cells, omega=21 exceeds limits "
+        "(12 cells, omega 64 past 8 cells)\n"
+    )
+
+
+def test_cli_csv_sweep_failed_point_on_stderr():
+    template = SCENARIOS / "sweep_template.json"
+    result = CliRunner().invoke(main, ["sweep", str(template), "--grid", "algorithm=caco|nope", "--format", "csv"])
+    assert result.exit_code == 1
+    caco = sweep(load_scenario(template), {"algorithm": ["caco"]}).reports[0]
+    assert result.stdout == emit_report(caco, "csv")
+    assert result.stderr == (
+        "  failed: sweep_template[algorithm=nope]: algorithm 'nope': unknown algorithm selector 'nope'\n"
+    )
+
+
+def test_cli_csv_success_writes_nothing_to_stderr():
+    for args in (
+        ["verify", str(SCENARIOS / "fig3_caco2.json")],
+        ["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "omega=21|42"],
+    ):
+        result = CliRunner().invoke(main, [*args, "--format", "csv"])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.startswith("q,r,color,") and result.stderr == ""
+
+
+def _tampered_optimum(monkeypatch):
     exact_optimum = harness.exact_optimum
 
     def tampered(network, omega, demands):
@@ -601,6 +683,27 @@ def test_cli_verify_tampered_optimum_fails(monkeypatch):
         return OptimumWitness(opt.total + 7, per_cell, opt.assignment)
 
     monkeypatch.setattr(harness, "exact_optimum", tampered)
+
+
+@pytest.mark.parametrize(
+    "args, scenario",
+    [
+        (["verify", str(SCENARIOS / "fig3_caco2.json")], "fig3_caco2"),
+        (["duel", "--adversary", "fig3", "--alg", "caco2", "--omega", "9"], "duel:fig3:caco2:9"),
+    ],
+)
+def test_cli_csv_failing_checks_on_stderr(monkeypatch, args, scenario):
+    _tampered_optimum(monkeypatch)
+    text = CliRunner().invoke(main, args)
+    result = CliRunner().invoke(main, [*args, "--format", "csv"])
+    assert text.exit_code == result.exit_code == 1
+    assert result.stdout.startswith("q,r,color,") and "FAIL" not in result.stdout
+    failing = [line for line in text.stdout.splitlines() if ": FAIL" in line]
+    assert failing and result.stderr == "\n".join([f"scenario: {scenario}", *failing]) + "\n"
+
+
+def test_cli_verify_tampered_optimum_fails(monkeypatch):
+    _tampered_optimum(monkeypatch)
     result = CliRunner().invoke(main, ["verify", str(SCENARIOS / "fig3_caco2.json")])
     assert result.exit_code == 1
     assert "per_cell_ratio_9_4: FAIL at [(1, 0)]" in result.output
@@ -640,6 +743,8 @@ def test_cli_readme_commands_exit_zero(tmp_path, monkeypatch):
 
 
 def test_cli_duel_builds_algorithm_once(monkeypatch):
+    # each command builds a run's algorithm and adversary once, and a sweep
+    # once per point: reading a scenario file builds neither
     calls = Counter()
     for name in ("make_algorithm", "make_adversary"):
         def counted(*args, real=getattr(harness, name), name=name):
@@ -647,11 +752,16 @@ def test_cli_duel_builds_algorithm_once(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(harness, name, counted)
-    result = CliRunner().invoke(
-        main, ["duel", "--adversary", "fig2", "--alg", "caco", "--omega", "21"]
-    )
-    assert result.exit_code == 0, result.output
-    assert calls["make_algorithm"] == 1 and calls["make_adversary"] == 1
+    for args, runs in (
+        (["duel", "--adversary", "fig2", "--alg", "caco", "--omega", "21"], 1),
+        (["run", str(SCENARIOS / "fig2_caco.json")], 1),
+        (["verify", str(SCENARIOS / "fig3_caco2.json")], 1),
+        (["sweep", str(SCENARIOS / "sweep_template.json"), "--grid", "omega=21|42"], 2),
+    ):
+        calls.clear()
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert calls == {"make_algorithm": runs, "make_adversary": runs}, (args, calls)
 
 
 def test_certified_caco2_duel_checks_its_network_once(monkeypatch):
@@ -748,9 +858,12 @@ def test_star_flood_length_checked_without_generating(flood):
     star = json.loads((SCENARIOS / "fig2_caco.json").read_text())
     omega = MAX_RANDOM_LENGTH // 4
     assert make_adversary(flood, omega).omega == omega
-    parse_scenario(dict(star, traffic=flood, omega=omega, algorithm="greedy"), scenario_id="at-cap")
+    validate_scenario(
+        parse_scenario(dict(star, traffic=flood, omega=omega, algorithm="greedy"), scenario_id="at-cap")
+    )
     message = f"a {flood} flood sends 4\\*omega requests, at most {MAX_RANDOM_LENGTH}; omega is {omega + 1}$"
     with pytest.raises(ValueError, match="^" + message):
         make_adversary(flood, omega + 1)
+    past_cap = parse_scenario(dict(star, traffic=flood, omega=omega + 1), scenario_id="past-cap")
     with pytest.raises(ScenarioError, match=f"^traffic selector '{flood}': " + message):
-        parse_scenario(dict(star, traffic=flood, omega=omega + 1), scenario_id="past-cap")
+        validate_scenario(past_cap)
