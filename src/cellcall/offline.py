@@ -29,11 +29,10 @@ class InstanceTooLargeError(ValueError):
     pass
 
 
-# `exact_optimum` takes at most MAX_CELLS cells, and omega at most MAX_OMEGA
-# past ANY_OMEGA_CELLS cells: tiny topologies stay tractable at any omega.
+# A component served in full has no size limit; a searched one takes at most
+# MAX_CELLS cells and NODE_BUDGET branch-and-bound nodes per search.
 MAX_CELLS = 12
-MAX_OMEGA = 64
-ANY_OMEGA_CELLS = 8
+NODE_BUDGET = 10_000_000
 # `exhaustive_oracle` enumerates every multiset of independent sets.
 ORACLE_MAX_CELLS = 4
 ORACLE_MAX_OMEGA = 6
@@ -292,10 +291,6 @@ def _components(cells: list, network: Network) -> list[list]:
     return comps
 
 
-def _value(r: list[int], cov: list[int]) -> int:
-    return sum(min(a, b) for a, b in zip(r, cov))
-
-
 def _build_witness(cells: list, r: list[int], sets: list[int], mults: list[int]) -> OptimumWitness:
     freq = 1
     per_cell_freqs = {c: [] for c in cells}
@@ -369,14 +364,10 @@ def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness
     subtree that cannot reach it and stops at the first node that does, which
     is the node the plain search returns. Only when no node reaches the
     ceiling (a loose bound, as on `cycle_graph(5)`) does the plain search run.
+    A searched component past `MAX_CELLS` cells, or a search past `NODE_BUDGET`
+    nodes (a count, not a time), raises InstanceTooLargeError naming the bound.
     """
     cells, r, omega = _demand_list(network, omega, demands)
-    n = len(cells)
-    if n > MAX_CELLS or (omega > MAX_OMEGA and n > ANY_OMEGA_CELLS):
-        raise InstanceTooLargeError(
-            f"instance with {n} cells, omega={omega} exceeds limits ({MAX_CELLS} cells, "
-            f"omega {MAX_OMEGA} past {ANY_OMEGA_CELLS} cells)"
-        )
     demand = {c: min(d, omega) for c, d in zip(cells, r)}
     per_cell: dict = {}
     assignment: dict = {}
@@ -385,6 +376,9 @@ def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness
         r = [demand[c] for c in cells]
         sub = _serve_every_demand(network, omega, cells, r)
         if sub is None:
+            if len(cells) > MAX_CELLS:
+                raise InstanceTooLargeError(f"the component of {len(cells)} cells from cell {cells[0]} is not "
+                                            f"served in full and is past the search's cell cap of {MAX_CELLS}")
             adj = _adjacency(cells, network)
             members = _maximal_independent_sets(adj)
             cliques = _maximal_cliques(adj)
@@ -417,6 +411,7 @@ def _branch_and_bound(
     """
     best_value = floor
     best_mults = None
+    nodes = NODE_BUDGET  # nodes left to this search
 
     # max set size among members[j:], for the trivial per-frequency bound
     maxsize_from = [0] * (len(members) + 1)
@@ -430,7 +425,11 @@ def _branch_and_bound(
     deficit = [sum(r[i] for i in part) for part in parts]
 
     def dfs(j: int, rem: int, value: int) -> None:
-        nonlocal best_value, best_mults
+        nonlocal best_value, best_mults, nodes
+        nodes -= 1
+        if nodes < 0:
+            raise InstanceTooLargeError(f"the search of a component of {len(r)} cells passed the node "
+                                        f"budget of {NODE_BUDGET} nodes; its clique LP ceiling is {ceiling}")
         if value > best_value:
             best_value = value
             best_mults = mults[:j] + [0] * (len(members) - j)
@@ -487,7 +486,7 @@ def exhaustive_oracle(network: Network, omega: int, demands: dict) -> OptimumWit
             for i in range(n):
                 if mask >> i & 1:
                     cov[i] += 1
-        value = _value(r, cov)
+        value = sum(min(a, b) for a, b in zip(r, cov))
         if value > best_value:
             best_value = value
             best_combo = combo

@@ -312,8 +312,10 @@ def test_certificate_by_resolved_name():
 
 
 def _too_large_scenario(tmp_path, **fields):
-    cells = [list(c) for c in hex_patch(3).sorted_cells()]  # 37 cells, solver limit 12
-    data = {"omega": 21, "cells": cells, "algorithm": "caco", "traffic": cells, "compute_opt": True}
+    # 37 cells, each requested 8 times: no triangle of cells fits in omega 21,
+    # so the one component goes to the search, whose cell cap is 12
+    cells = [list(c) for c in hex_patch(3).sorted_cells()]
+    data = {"omega": 21, "cells": cells, "algorithm": "caco", "traffic": cells * 8, "compute_opt": True}
     data.update(fields)
     path = tmp_path / "big.json"
     path.write_text(json.dumps(data))
@@ -323,7 +325,7 @@ def _too_large_scenario(tmp_path, **fields):
 def test_optimum_past_solver_limit_named_in_report(tmp_path):
     report = run_experiment(load_scenario(_too_large_scenario(tmp_path)))
     assert report.total_opt is None and report.certificate is None
-    assert "37 cells" in report.error
+    assert "component of 37 cells" in report.error and "cell cap of 12" in report.error
     assert "error: optimum not computed" in emit_report(report, "text")
 
 
@@ -622,7 +624,18 @@ def test_cli_optimum_past_solver_limit_exits_nonzero(tmp_path, command):
     result = CliRunner().invoke(main, [command, str(_too_large_scenario(tmp_path))])
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
-    assert "error: optimum not computed" in result.output
+    assert "error: optimum not computed: the component of 37 cells" in result.output
+
+
+def test_cli_verify_serves_a_large_network_in_full(tmp_path):
+    # 1261 cells at omega 840: past the search's cell cap, but every demand fits
+    cells = [list(c) for c in hex_patch(20).sorted_cells()]
+    path = tmp_path / "patch20.json"
+    path.write_text(json.dumps({"omega": 840, "cells": cells, "algorithm": "caco", "traffic": "random:1:50000"}))
+    result = CliRunner().invoke(main, ["verify", str(path)])
+    assert result.exit_code == 0, result.output
+    assert "opt=50000" in result.output and "error:" not in result.output
+    assert "certificate (caco):" in result.output and "FAIL" not in result.output
 
 
 @pytest.mark.parametrize("compute_opt", [False, True])
@@ -638,17 +651,18 @@ def test_cli_run_honours_compute_opt_for_selector_traffic(tmp_path, compute_opt)
 
 
 def test_cli_csv_optimum_past_solver_limit_says_why_on_stderr(tmp_path):
-    # 13 cells, one past the solver's limit
+    # 13 cells, one past the search's cell cap, each requested 8 times
     cells = [list(c) for c in hex_patch(2).sorted_cells()][:13]
     path = tmp_path / "big13.json"
-    path.write_text(json.dumps({"omega": 21, "cells": cells, "algorithm": "caco", "traffic": cells, "compute_opt": True}))
+    data = {"omega": 21, "cells": cells, "algorithm": "caco", "traffic": cells * 8, "compute_opt": True}
+    path.write_text(json.dumps(data))
     result = CliRunner().invoke(main, ["run", str(path), "--format", "csv"])
     assert result.exit_code == 1
     assert result.stdout == emit_report(run_experiment(load_scenario(path)), "csv")
     assert result.stderr == (
         "scenario: big13\n"
-        "error: optimum not computed: instance with 13 cells, omega=21 exceeds limits "
-        "(12 cells, omega 64 past 8 cells)\n"
+        "error: optimum not computed: the component of 13 cells from cell (-2, 0) is not served in full "
+        "and is past the search's cell cap of 12\n"
     )
 
 

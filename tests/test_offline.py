@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cellcall import hexnet, offline
-from cellcall.adversary import fig2_adversary, make_adversary, phase_ratios, run_duel
+from cellcall.adversary import fig2_adversary, make_adversary, phase_ratios, random_sequence, run_duel
 from cellcall.hexnet import Network, color_of, hex_patch
 from cellcall.offline import (
     InstanceTooLargeError,
@@ -133,17 +133,87 @@ def test_search_falls_back_when_the_ceiling_is_loose():
 
 
 def test_size_limits_enforced():
-    net = Network([(q, 0) for q in range(13)])
-    with pytest.raises(InstanceTooLargeError):
-        exact_optimum(net, 7, {})
-    with pytest.raises(InstanceTooLargeError):
-        exact_optimum(Network([(q, 0) for q in range(9)]), 65, {})
+    # every adjacent pair wants 14 of 7 frequencies: not served in full, so
+    # the line goes to the search, which takes at most 12 cells
+    line = Network([(q, 0) for q in range(13)])
+    with pytest.raises(InstanceTooLargeError, match=r"^the component of 13 cells from cell \(0, 0\) .* cap of 12$"):
+        exact_optimum(line, 7, dict.fromkeys(line.cells, 7))
     with pytest.raises(InstanceTooLargeError):
         exhaustive_oracle(Network([(q, 0) for q in range(5)]), 2, {})
-    # up to 8 cells omega is uncapped, for the CLI and the library alike
+    # omega is uncapped, for the CLI and the library alike
     path8 = Network([(q, 0) for q in range(8)])
     assert exact_optimum(path8, 65, {c: 65 for c in path8.cells}).total == 4 * 65
     assert phase_ratios(fig2_adversary(84), caco_algorithm) == [Fraction(7, 3), Fraction(7, 3)]
+
+
+def test_a_component_served_in_full_has_no_size_limit():
+    # the paper's large-bandwidth regime: 1261 cells, every demand fits
+    net = hex_patch(20)
+    demands = dict(Counter(random_sequence(net, 50000, 1)))
+    opt = exact_optimum(net, 840, demands)
+    assert opt.total == 50000 and opt.per_cell == dict.fromkeys(net.cells, 0) | demands
+    validate_witness(net, 840, demands, opt)
+
+
+def test_far_apart_flowers_are_searched_one_at_a_time():
+    # 14 cells in all, but each searched component has 7
+    flowers = [hex_patch(1), hex_patch(1, (10, 0))]
+    net = Network([c for flower in flowers for c in flower.cells])
+    rng = random.Random(27)
+    demands = {c: rng.randint(0, 42) for c in net.sorted_cells()}
+    opt = exact_optimum(net, 21, demands)
+    validate_witness(net, 21, demands, opt)
+    alone = {}
+    for flower in flowers:
+        own = {c: demands[c] for c in flower.cells}
+        assert fast_path(flower, 21, own) is None
+        alone.update(exact_optimum(flower, 21, own).per_cell)
+    assert opt.per_cell == alone and opt.total == 113
+
+
+def test_a_searched_component_takes_any_omega():
+    # 9 cells at omega 65, which no clique of the flower and its two
+    # neighbours can serve in full; the optimum meets the clique LP ceiling
+    cells = hex_patch(1).sorted_cells() + [(2, -1), (2, 0)]
+    net = Network(cells)
+    demands = dict(zip(cells, (42, 43, 31, 38, 46, 45, 42, 39, 45)))
+    assert fast_path(net, 65, demands) is None
+    opt = exact_optimum(net, 65, demands)
+    validate_witness(net, 65, demands, opt)
+    assert opt.total == clique_upper_bound(net, 65, demands) == 237
+
+
+# instance 428 of the seed-2024 sweep: the sweeps' costliest search, one aimed
+# search of 153,930 nodes
+COSTLIEST_SWEEP_CELLS = [(-2, 2), (-1, -1), (-1, 1), (-1, 2), (0, -1), (0, 0), (0, 1), (1, -1)]
+COSTLIEST_SWEEP_DEMANDS = dict(zip(COSTLIEST_SWEEP_CELLS, (7, 13, 18, 13, 14, 17, 10, 20)))
+
+
+def test_node_budget_ends_the_search_with_a_named_error(monkeypatch):
+    net = Network(COSTLIEST_SWEEP_CELLS)
+    monkeypatch.setattr(offline, "NODE_BUDGET", 153_929)
+    message = "the search of a component of 8 cells passed the node budget of 153929 nodes; its clique LP ceiling is 62"
+    with pytest.raises(InstanceTooLargeError, match=f"^{message}$"):
+        exact_optimum(net, 21, COSTLIEST_SWEEP_DEMANDS)
+    monkeypatch.setattr(offline, "NODE_BUDGET", 153_930)
+    assert exact_optimum(net, 21, COSTLIEST_SWEEP_DEMANDS).total == 62
+    monkeypatch.undo()
+    opt = exact_optimum(net, 21, COSTLIEST_SWEEP_DEMANDS)
+    validate_witness(net, 21, COSTLIEST_SWEEP_DEMANDS, opt)
+    assert opt.per_cell == dict(zip(COSTLIEST_SWEEP_CELLS, (7, 13, 10, 1, 0, 1, 10, 20)))
+
+
+def test_node_budget_bounds_the_time_of_a_slow_search(monkeypatch):
+    # 12 cells at omega 21 from a greedy run: within the cell cap, yet both
+    # searches together take 69,436,468 nodes (134 s) to prove OPT = 79
+    cells = [(-1, -1), (-1, 0), (-1, 2), (0, -2), (0, -1), (0, 1), (1, -2), (1, -1), (1, 0), (1, 1), (2, -2), (2, 0)]
+    demands = dict(zip(cells, (2, 7, 12, 7, 10, 6, 11, 6, 6, 9, 4, 8)))
+    monkeypatch.setattr(offline, "NODE_BUDGET", 100_000)
+    start = time.perf_counter()
+    message = "12 cells passed the node budget of 100000 nodes; its clique LP ceiling is 79"
+    with pytest.raises(InstanceTooLargeError, match=f"{message}$"):
+        exact_optimum(Network(cells), 21, demands)
+    assert time.perf_counter() - start < 1
 
 
 def test_oracle_single_cell():
