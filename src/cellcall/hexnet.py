@@ -43,13 +43,11 @@ class UnknownCellError(KeyError):
 
 
 class Network:
-    """Finite interference graph: a cell set and the adjacency among its cells.
+    """Finite interference graph: a cell set and the hex adjacency among its cells.
 
-    Immutable after construction. `Network(cells)` derives hex adjacency from
-    the cell set; `from_edges` takes an explicit edge list, for interference
-    graphs the hex grid cannot realize (a chordless 5-cycle, K4). There is one
-    tuple object per cell: the cell set and every neighbor tuple share it, and
-    `own_cell` returns it, so records of many requests hold no copies.
+    Immutable after construction. There is one tuple object per cell: the
+    cell set and every neighbor tuple share it, and `own_cell` returns it, so
+    records of many requests hold no copies.
     """
 
     def __init__(self, cells: Iterable[Cell]):
@@ -65,22 +63,6 @@ class Network:
             )
             for c in own
         }
-        self._derived_hex = True
-
-    @classmethod
-    def from_edges(cls, cells: Iterable, edges: Iterable) -> "Network":
-        adj = {c: set() for c in cells}
-        for u, v in edges:
-            if u == v or u not in adj or v not in adj:
-                raise ValueError(f"bad edge ({u}, {v})")
-            adj[u].add(v)
-            adj[v].add(u)
-        network = cls.__new__(cls)
-        own = network._own = {c: c for c in adj}
-        network.cells = frozenset(own)
-        network._adj = {c: tuple(sorted(own[n] for n in ns)) for c, ns in adj.items()}
-        network._derived_hex = False
-        return network
 
     def __contains__(self, cell: Cell) -> bool:
         return cell in self.cells
@@ -94,7 +76,7 @@ class Network:
         return len(self.cells)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Network) and self._adj == other._adj
+        return isinstance(other, Network) and self.cells == other.cells
 
     def __hash__(self) -> int:
         return hash(self.cells)
@@ -116,25 +98,16 @@ class Network:
         return [(u, v) for u in self.sorted_cells() for v in self._adj[u] if u < v]
 
     @cached_property
-    def coloring(self) -> Optional[Mapping[Cell, int]]:
-        """Each cell's `color_of`, read-only, when that colours the network
-        properly, else None. Found once per network, which is immutable.
-        `color_of` colours hex adjacency properly by construction, so only a
-        `from_edges` network has its edges checked."""
-        try:
-            colors = {c: as_integer(color_of(c), "a colour") for c in self.cells}
-        except (TypeError, ValueError):  # cells that are not integer pairs
-            return None
-        if not self._derived_hex and any(colors[u] == colors[v] for u, v in self.edges()):
-            return None
-        return MappingProxyType(colors)
+    def coloring(self) -> Mapping[Cell, int]:
+        """Each cell's `color_of`, read-only: a proper colouring, since hex
+        adjacency joins no two cells of one colour. Found once per network,
+        which is immutable."""
+        return MappingProxyType({c: color_of(c) for c in self.cells})
 
     @cached_property
-    def triangle_free_hex(self) -> bool:
-        """True iff the network is a `Network(cells)` network, hex by
-        construction, with no triangle; a `from_edges` network is never taken
-        to be hex. Computed once per network, which is immutable."""
-        return self._derived_hex and is_triangle_free(self)
+    def triangle_free(self) -> bool:
+        """`is_triangle_free(self)`, computed once per network, which is immutable."""
+        return is_triangle_free(self)
 
 
 def is_triangle_free(network: Network) -> bool:

@@ -38,11 +38,6 @@ ORACLE_MAX_CELLS = 4
 ORACLE_MAX_OMEGA = 6
 
 
-def cycle_graph(n: int) -> Network:
-    """The chordless n-cycle, which the hex grid cannot realize for n > 3."""
-    return Network.from_edges(range(n), [(i, (i + 1) % n) for i in range(n)])
-
-
 @dataclass
 class OptimumWitness:
     total: int
@@ -311,8 +306,8 @@ def _build_witness(cells: list, r: list[int], sets: list[int], mults: list[int])
 
 def _serve_every_demand(network: Network, omega: int, cells: list, r: list[int]) -> Optional[OptimumWitness]:
     """A witness serving every demand of `cells` in full, or None when the
-    network's `coloring` finds none or is None; `cells` hold every neighbour
-    of their cells.
+    network's `coloring` finds none; `cells` hold every neighbour of their
+    cells.
 
     With one colour in the middle, a low-colour cell takes frequencies
     1..R_i, a high-colour cell omega-R_i+1..omega, and a middle cell the R_i
@@ -325,8 +320,6 @@ def _serve_every_demand(network: Network, omega: int, cells: list, r: list[int])
     demand, so O = R is then the only optimal vector.
     """
     color = network.coloring
-    if color is None:
-        return None
     kind = [color[c] for c in cells]
     position = {c: i for i, c in enumerate(cells)}
     # each cell's largest neighbour demand per colour; its own colour stays 0
@@ -363,7 +356,7 @@ def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness
     integer-checked dual. A first search aims at the ceiling: it prunes every
     subtree that cannot reach it and stops at the first node that does, which
     is the node the plain search returns. Only when no node reaches the
-    ceiling (a loose bound, as on `cycle_graph(5)`) does the plain search run.
+    ceiling (a loose bound, as on an odd hole) does the plain search run.
     A searched component past `MAX_CELLS` cells, or a search past `NODE_BUDGET`
     nodes (a count, not a time), raises InstanceTooLargeError naming the bound.
     """

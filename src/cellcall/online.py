@@ -122,29 +122,21 @@ class GreedyAlgorithm(ScanAlgorithm):
         self.scans = dict.fromkeys(network.cells, (range(1, omega + 1),))
 
 
-class ImproperColoringError(ValueError):
-    """`color_of` does not colour the network properly."""
-
-
 class PartitionReserveAlgorithm(ScanAlgorithm):
     """The x:x:x:y partition family: own color range first, shared range second.
 
     CACO is the 2:1 member. The scan takes the own range iff the cell's count in
-    it is below its size, the paper's rule, because `color_of` colours the
-    network properly (true of every `Network(cells)`); `__init__` raises
-    ImproperColoringError when `network.coloring` is None.
+    it is below its size, the paper's rule, because `network.coloring` is
+    proper: no neighbour shares a cell's own range.
     """
 
     def __init__(self, network: Network, omega: int, x_share: int, y_share: int):
-        colors = network.coloring
-        if colors is None:
-            raise ImproperColoringError("color_of does not colour the network properly")
         super().__init__(network, omega)
         self.partition = part = make_partition_family(omega, x_share, y_share)
         self.name = "caco" if (x_share, y_share) == (2, 1) else f"partition:{x_share}:{y_share}"
         shared = (part.shared,) if part.shared is not None else ()
         by_color = [(rng,) + shared for rng in part.ranges]
-        self.scans = {c: by_color[color] for c, color in colors.items()}
+        self.scans = {c: by_color[color] for c, color in network.coloring.items()}
 
 
 def caco_algorithm(network: Network, omega: int) -> PartitionReserveAlgorithm:
@@ -156,10 +148,9 @@ class NotTriangleFreeError(ValueError):
 
 
 def require_triangle_free_hex(network: Network) -> None:
-    """Raise NotTriangleFreeError unless `network` is a `Network(cells)`
-    network, hex by construction, with no triangle: the networks the 9/4
-    proof covers. A `from_edges` network is refused whatever its edges."""
-    if not network.triangle_free_hex:
+    """Raise NotTriangleFreeError unless `network` has no triangle: the hex
+    networks the 9/4 proof covers."""
+    if not network.triangle_free:
         raise NotTriangleFreeError("caco2 requires a triangle-free hex network")
 
 

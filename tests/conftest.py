@@ -7,16 +7,11 @@ from cellcall.hexnet import Network, hex_patch, is_triangle_free
 # 19-cell pool all random subnetworks are drawn from
 PATCH_CELLS = hex_patch(2).sorted_cells()
 
-# (0, 0) and three of its hex neighbors, with only the three centre edges: the
-# ring edges the hex grid has between the neighbors are left out
-_STAR_CELLS = [(0, 0), (1, 0), (0, 1), (-1, 1)]
-PARTIAL_HEX_STAR = Network.from_edges(_STAR_CELLS, [((0, 0), c) for c in _STAR_CELLS[1:]])
-
-# a triangle-free hex path given as an edge list: exactly its cells' hex
-# adjacency, yet a `from_edges` network is never taken to be hex
-_HEX_PATH = Network([(0, 0), (1, 0), (2, 0)])
-EDGE_LIST_HEX_PATH = Network.from_edges(_HEX_PATH.cells, _HEX_PATH.edges())
-assert EDGE_LIST_HEX_PATH == _HEX_PATH
+# the 9-cell odd hole of `hex_patch(2)`, a chordless cycle (`hex_patch(3)` has
+# none of length 5 or 7): its clique ceiling is loose, 9 against an optimum of
+# 8 at omega 2 with demand 2 per cell (McDiarmid & Reed, Channel assignment
+# and weighted colouring, 2000)
+ODD_HOLE = Network([(-2, 1), (-2, 2), (-1, 0), (-1, 2), (0, -1), (0, 2), (1, -1), (1, 0), (1, 1)])
 
 
 def random_network(rng: random.Random, min_cells=1, max_cells=9, triangle_free=False) -> Network:

@@ -21,12 +21,11 @@ from cellcall.hexnet import Network
 from cellcall.ledger import caco2_certificate, caco_certificate
 from cellcall.offline import (
     clique_upper_bound,
-    cycle_graph,
     exact_optimum,
     exhaustive_oracle,
 )
 from cellcall.online import Caco2Algorithm, caco_algorithm, make_algorithm, overflow_order_violations, run_sequence
-from conftest import random_network, random_requests
+from conftest import ODD_HOLE, random_network, random_requests
 
 CACO_SWEEP_SIZE = 500
 CACO2_SWEEP_SIZE = 500
@@ -206,10 +205,9 @@ def test_criterion_6_solver_correctness(announce, caco_sweep, caco2_sweep):
         ok = ok and clique_upper_bound(net, omega, demands) >= exact.total
     for inst in caco_sweep[0] + caco2_sweep[0]:
         ok = ok and clique_upper_bound(inst.network, inst.omega, inst.demands) >= inst.opt.total
-    c5 = cycle_graph(5)
-    demands5 = {i: 2 for i in range(5)}
-    ok = ok and exact_optimum(c5, 2, demands5).total == 4
-    ok = ok and clique_upper_bound(c5, 2, demands5) == 5
+    hole_demands = dict.fromkeys(ODD_HOLE.cells, 2)
+    ok = ok and exact_optimum(ODD_HOLE, 2, hole_demands).total == 8
+    ok = ok and clique_upper_bound(ODD_HOLE, 2, hole_demands) == 9
     verdict(announce, 6, "exact solver matches oracle, bounds ordered", ok)
 
 

@@ -362,13 +362,17 @@ def test_fig3_experiment_report():
 
 
 def test_reports_are_deterministic():
-    config = load_scenario(SCENARIOS / "flower_greedy_random.json")
-    a = emit_report(run_experiment(config), "text")
-    b = emit_report(run_experiment(config), "text")
-    assert a == b
-    assert emit_report(run_experiment(config), "csv") == emit_report(
-        run_experiment(config), "csv"
-    )
+    for path in sorted(SCENARIOS.glob("*.json")):
+        config = load_scenario(path)
+        for fmt in ("text", "csv"):
+            assert emit_report(run_experiment(config), fmt) == emit_report(run_experiment(config), fmt), path
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda path: path.stem)
+def test_bundled_reports_match_their_pinned_text(path):
+    result = CliRunner().invoke(main, ["verify", str(path)])
+    assert result.exit_code == 0, result.output
+    assert result.output == (SCENARIOS / "expected" / f"{path.stem}.txt").read_text()
 
 
 def test_csv_columns_and_totals_roundtrip():

@@ -100,11 +100,11 @@ def test_hex_coloring_scans_no_edges(monkeypatch):
     assert net.coloring is net.coloring
 
 
-def test_edge_list_coloring_checks_every_edge():
-    cells = [(0, 0), (1, 0), (3, 0)]
-    assert Network.from_edges(cells, [((0, 0), (1, 0))]).coloring == {c: color_of(c) for c in cells}
-    # (0, 0) and (3, 0) share a colour
-    assert Network.from_edges(cells, [((0, 0), (1, 0)), ((0, 0), (3, 0))]).coloring is None
+@given(st.sets(st.sampled_from(hex_patch(3).sorted_cells())))
+def test_every_network_has_a_proper_coloring(cells):
+    net = Network(cells)
+    assert net.coloring is not None
+    assert all(net.coloring[u] != net.coloring[v] for u, v in net.edges())
 
 
 def test_triangle_detected():
@@ -191,30 +191,18 @@ def test_network_equality_and_containment():
     assert Network([(0, 0), (1, 0)]) == Network([(1, 0), (0, 0)])
     assert (0, 0) in Network([(0, 0)])
     assert (2, 2) not in Network([(0, 0)])
-
-
-def test_from_edges_rejects_bad_edges():
-    with pytest.raises(ValueError, match="bad edge"):
-        Network.from_edges(range(3), [(0, 1), (2, 2)])
-    with pytest.raises(ValueError, match="bad edge"):
-        Network.from_edges(range(3), [(0, 1), (1, 7)])
-
-
-def test_from_edges_equality_compares_adjacency():
-    path = Network.from_edges(range(3), [(0, 1), (1, 2)])
-    assert path == Network.from_edges(range(3), [(2, 1), (1, 0)])
-    assert path != Network.from_edges(range(3), [(0, 1), (0, 2)])
-    assert path.edges() == [(0, 1), (1, 2)]
+    # a network is its cells: equal cells, equal networks and hashes
+    path = Network([(0, 0), (1, 0), (2, 0)])
+    assert path == Network([(2, 0), (1, 0), (0, 0)]) and hash(path) == hash(Network(path.cells))
+    assert path != Network([(0, 0), (1, 0), (3, 0)])
+    assert path.edges() == [((0, 0), (1, 0)), ((1, 0), (2, 0))]
 
 
 def test_neighbors_are_the_networks_own_cells():
     cells = hex_patch(3).sorted_cells()
-    for net in (
-        Network([(q, r) for q, r in cells]),
-        Network.from_edges([(q, r) for q, r in cells], [((0, 0), (q, r)) for q, r in cells[:5]]),
-    ):
-        own = {c: c for c in net.cells}
-        for c in net.cells:
-            assert net.own_cell((c[0], c[1])) is c
-            assert all(n is own[n] for n in net.neighbors(c))
+    net = Network([(q, r) for q, r in cells])
+    own = {c: c for c in net.cells}
+    for c in net.cells:
+        assert net.own_cell((c[0], c[1])) is c
+        assert all(n is own[n] for n in net.neighbors(c))
     assert Network(cells).own_cell((99, 99)) is None

@@ -31,18 +31,19 @@ from cellcall.offline import (
     _maximal_independent_sets,
     _serve_every_demand,
     clique_upper_bound,
-    cycle_graph,
     exact_optimum,
     exhaustive_oracle,
     validate_witness,
 )
 from cellcall.online import caco_algorithm, make_algorithm
-from conftest import PATCH_CELLS, random_network
+from conftest import ODD_HOLE, PATCH_CELLS, random_network
 
 ROOT = Path(__file__).resolve().parent.parent
 
 STAR = Network([(0, 0), (-1, 1), (0, -1), (1, 0)])
 PATCH = hex_patch(2)
+PATCH3_CELLS = hex_patch(3).sorted_cells()
+TRIANGLE = Network([(0, 0), (1, 0), (0, 1)])  # the largest clique the hex grid has
 
 
 def test_demands_must_be_integers():
@@ -107,18 +108,16 @@ def test_fig2_star_optimum():
     validate_witness(STAR, 21, demands, opt)
 
 
-def test_five_cycle_needs_exact_solver():
-    c5 = cycle_graph(5)
-    demands = {i: 2 for i in range(5)}
-    assert exact_optimum(c5, 2, demands).total == 4
-    assert clique_upper_bound(c5, 2, demands) == 5
+def test_odd_hole_needs_exact_solver():
+    demands = dict.fromkeys(ODD_HOLE.cells, 2)
+    assert exact_optimum(ODD_HOLE, 2, demands).total == 8
+    assert clique_upper_bound(ODD_HOLE, 2, demands) == 9
 
 
 def test_search_falls_back_when_the_ceiling_is_loose():
-    # the ceiling is 5 and the optimum 4, so the pass aimed at the ceiling
+    # the ceiling is 9 and the optimum 8, so the pass aimed at the ceiling
     # finds nothing and the plain search runs
-    c5 = cycle_graph(5)
-    demands = {i: 2 for i in range(5)}
+    demands = dict.fromkeys(ODD_HOLE.cells, 2)
     floors = []
 
     def recording(*args):
@@ -126,10 +125,11 @@ def test_search_falls_back_when_the_ceiling_is_loose():
         return floors[-1][1]
 
     with mock.patch.object(offline, "_branch_and_bound", recording):
-        opt = exact_optimum(c5, 2, demands)
-    assert [(floor, mults is not None) for floor, mults in floors] == [(4, False), (-1, True)]
-    assert opt.per_cell == {0: 2, 1: 0, 2: 2, 3: 0, 4: 0}
-    validate_witness(c5, 2, demands, opt)
+        opt = exact_optimum(ODD_HOLE, 2, demands)
+    assert [(floor, mults is not None) for floor, mults in floors] == [(8, False), (-1, True)]
+    served = {(-2, 1), (-1, 2), (0, -1), (1, 0)}
+    assert opt.per_cell == {c: 2 if c in served else 0 for c in ODD_HOLE.cells}
+    validate_witness(ODD_HOLE, 2, demands, opt)
 
 
 def test_size_limits_enforced():
@@ -290,8 +290,8 @@ def test_every_solver_checks_omega_alike(solver):
     result = solver(net, 0, demands)
     assert (result if solver is clique_upper_bound else result.total) == 0
     # nothing to serve, through each solver's general code: no cells, no
-    # frequencies, or no demand (the oracle stops at 4 cells, short of C5)
-    for empty in (Network([]), cycle_graph(5), K4, Network([(0, 0), (1, 0)])):
+    # frequencies, or no demand (the oracle stops at 4 cells, short of the hole)
+    for empty in (Network([]), ODD_HOLE, TRIANGLE, Network([(0, 0), (1, 0)])):
         if solver is exhaustive_oracle and len(empty.cells) > offline.ORACLE_MAX_CELLS:
             continue
         for omega, demand in ((0, 2), (3, 0)):
@@ -355,22 +355,31 @@ def test_witness_trims_to_demand():
     assert len(opt.assignment[(0, 0)]) == 2
 
 
-K4 = Network.from_edges(range(4), itertools.combinations(range(4), 2))
+# the odd hole's loose ceiling leaves its search to the plain pass, whose
+# cost grows steeply with omega: past 7, some random demands take seconds
+HOLE_MAX_OMEGA = 7
+
+
+def draw_instance(draw, net, max_omega):
+    """`(net, omega, demands)`: omega up to `max_omega` (up to `HOLE_MAX_OMEGA`
+    on a network holding the odd hole), each cell's demand up to twice omega."""
+    if ODD_HOLE.cells <= net.cells:
+        max_omega = min(max_omega, HOLE_MAX_OMEGA)
+    omega = draw(st.integers(1, max_omega))
+    return net, omega, {c: draw(st.integers(0, 2 * omega)) for c in net.sorted_cells()}
 
 
 @st.composite
-def instances(draw, max_cells=8, max_omega=21):
-    """A random hex subnetwork of at most `max_cells` cells, or the 5-cycle or
-    K4, with omega and demands up to twice omega."""
+def instances(draw, max_cells=8, max_omega=21, pool=PATCH_CELLS):
+    """A random subnetwork of at most `max_cells` cells of `pool`, or the odd
+    hole, with omega and demands up to twice omega."""
     net = draw(
         st.one_of(
-            st.sets(st.sampled_from(PATCH_CELLS), min_size=1, max_size=max_cells).map(Network),
-            st.sampled_from([cycle_graph(5), K4]),
+            st.sets(st.sampled_from(pool), min_size=1, max_size=max_cells).map(Network),
+            st.just(ODD_HOLE),
         )
     )
-    omega = draw(st.integers(1, max_omega))
-    demands = {c: draw(st.integers(0, 2 * omega)) for c in net.sorted_cells()}
-    return net, omega, demands
+    return draw_instance(draw, net, max_omega)
 
 
 @pytest.mark.parametrize("max_cells, max_omega", [(8, 21), (4, 6)])
@@ -446,13 +455,11 @@ def recomputing_branch_and_bound(r, members, parts, omega, ceiling, floor):
 
 def test_incremental_nodes_match_the_recomputing_search():
     rng = random.Random(46)
-    instances = [(cycle_graph(5), omega, {i: rng.randint(0, 2 * omega) for i in range(5)}) for omega in (1, 2, 5)]
-    instances += [(K4, omega, {i: rng.randint(0, 2 * omega) for i in range(4)}) for omega in (1, 6, 9)]
+    instances = [(ODD_HOLE, omega, {c: rng.randint(0, 2 * omega) for c in ODD_HOLE.cells}) for omega in (1, 2, 5)]
+    instances += [(TRIANGLE, omega, {c: rng.randint(0, 2 * omega) for c in TRIANGLE.cells}) for omega in (1, 6, 9)]
     for k in range(240):
         if k % 2:
-            n = rng.randint(1, 7)
-            edges = [pair for pair in itertools.combinations(range(n), 2) if rng.random() < 0.4]
-            net = Network.from_edges(range(n), edges)
+            net = Network(rng.sample(PATCH3_CELLS, rng.randint(1, 7)))
         else:
             net = random_network(rng, max_cells=8)
         omega = rng.randint(1, 12)
@@ -470,19 +477,6 @@ def test_incremental_nodes_match_the_recomputing_search():
             assert _branch_and_bound(*args) == recomputing_branch_and_bound(*args), (net, omega, demands, floor)
 
 
-@st.composite
-def explicit_instances(draw, max_cells=7, max_omega=14):
-    """A random `Network.from_edges` graph on at most `max_cells` vertices,
-    with omega and demands up to twice omega."""
-    n = draw(st.integers(1, max_cells))
-    pairs = list(itertools.combinations(range(n), 2))
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    net = Network.from_edges(range(n), edges)
-    omega = draw(st.integers(1, max_omega))
-    demands = {c: draw(st.integers(0, 2 * omega)) for c in net.sorted_cells()}
-    return net, omega, demands
-
-
 def ceiling_inputs(net, omega, demands):
     """`(omega, r, cliques)` as `exact_optimum` hands them to its ceiling."""
     cells, r, omega = _demand_list(net, omega, demands)
@@ -490,10 +484,10 @@ def ceiling_inputs(net, omega, demands):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(instances(max_cells=8, max_omega=21), explicit_instances()))
-@example((cycle_graph(5), 2, {i: 2 for i in range(5)}))
-@example((cycle_graph(5), 1, {i: 1 for i in range(5)}))
-@example((K4, 6, {i: 6 for i in range(4)}))
+@given(st.one_of(instances(max_cells=8, max_omega=21), instances(7, 14, pool=PATCH3_CELLS)))
+@example((ODD_HOLE, 2, dict.fromkeys(ODD_HOLE.cells, 2)))
+@example((ODD_HOLE, 1, dict.fromkeys(ODD_HOLE.cells, 1)))
+@example((TRIANGLE, 6, dict.fromkeys(TRIANGLE.cells, 6)))
 def test_lp_ceiling_bounds_the_optimum(instance):
     net, omega, demands = instance
     ceiling = _lp_ceiling(*ceiling_inputs(net, omega, demands))
@@ -501,11 +495,10 @@ def test_lp_ceiling_bounds_the_optimum(instance):
 
 
 def test_lp_ceiling_values():
-    c5 = cycle_graph(5)
-    # x = 1 everywhere is integral; at omega 1 the LP's 5/2 floors to 2
-    assert _lp_ceiling(*ceiling_inputs(c5, 2, {i: 2 for i in range(5)})) == 5
-    assert _lp_ceiling(*ceiling_inputs(c5, 1, {i: 1 for i in range(5)})) == 2
-    assert _lp_ceiling(*ceiling_inputs(K4, 6, {i: 6 for i in range(4)})) == 6
+    # x = 1 everywhere is integral; at omega 1 the LP's 9/2 floors to 4
+    assert _lp_ceiling(*ceiling_inputs(ODD_HOLE, 2, dict.fromkeys(ODD_HOLE.cells, 2))) == 9
+    assert _lp_ceiling(*ceiling_inputs(ODD_HOLE, 1, dict.fromkeys(ODD_HOLE.cells, 1))) == 4
+    assert _lp_ceiling(*ceiling_inputs(TRIANGLE, 6, dict.fromkeys(TRIANGLE.cells, 6))) == 6
     assert _lp_ceiling(*ceiling_inputs(STAR, 315, {c: 315 for c in STAR.cells})) == 945
     assert _lp_ceiling(*ceiling_inputs(Network([(0, 0)]), 4, {(0, 0): 0})) == 0
 
@@ -583,19 +576,17 @@ def test_clique_bound_matches_brute_force_randomized():
         assert _clique_ceiling(*inputs) == _lp_ceiling(*inputs)
         fits += all(sum(inputs[1][i] for i in clique) <= omega for clique in inputs[2])
     assert 10 < fits < 110  # both sides of the check are taken
-    c5 = cycle_graph(5)
-    for omega, demands in ((2, {i: 2 for i in range(5)}), (5, {0: 5, 1: 1, 2: 4, 3: 3, 4: 0})):
-        assert clique_upper_bound(c5, omega, demands) == brute_clique_bound(c5, omega, demands)
+    hole = ODD_HOLE.sorted_cells()
+    for omega, demands in ((2, dict.fromkeys(hole, 2)), (5, dict(zip(hole, (5, 1, 4, 3, 0, 2, 0, 3, 1))))):
+        assert clique_upper_bound(ODD_HOLE, omega, demands) == brute_clique_bound(ODD_HOLE, omega, demands)
 
 
 def fitting_instances():
     """Instances whose demands, capped at omega, fit in every maximal clique."""
-    triangle = Network([(0, 0), (1, 0), (0, 1)])
     line = Network([(q, 0) for q in range(-2, 3)])
     return [
-        (cycle_graph(5), 4, {i: 2 for i in range(5)}),  # the optimum is below the ceiling
-        (K4, 6, {0: 1, 1: 2, 2: 3, 3: 0}),
-        (triangle, 5, {(0, 0): 2, (1, 0): 2, (0, 1): 1}),
+        (ODD_HOLE, 4, dict.fromkeys(ODD_HOLE.cells, 2)),  # the optimum is below the ceiling
+        (TRIANGLE, 5, {(0, 0): 2, (1, 0): 2, (0, 1): 1}),
         (line, 6, dict.fromkeys(line.cells, 3)),  # no colour order serves it in full
         (STAR, 7, {(0, 0): 0, (-1, 1): 4, (0, -1): 4, (1, 0): 9}),  # fits once capped at omega
     ]
@@ -614,7 +605,7 @@ def test_fitting_demands_skip_the_simplex():
     # an over-subscribed clique still takes the simplex
     with mock.patch.object(offline, "_lp_ceiling", side_effect=no_simplex):
         with pytest.raises(AssertionError, match="the simplex ran"):
-            clique_upper_bound(K4, 6, {i: 2 for i in range(4)})
+            clique_upper_bound(TRIANGLE, 6, dict.fromkeys(TRIANGLE.cells, 3))
 
 
 def test_every_ceiling_is_a_checked_dual():
@@ -628,7 +619,8 @@ def test_every_ceiling_is_a_checked_dual():
         assert args[4] == checked[-1]  # the ceiling is the value just checked
         return _branch_and_bound(*args)
 
-    instances = fitting_instances() + [(K4, 6, {i: 2 for i in range(4)}), (STAR, 3, {c: 3 for c in STAR.cells})]
+    over = [(TRIANGLE, 6, dict.fromkeys(TRIANGLE.cells, 3)), (STAR, 3, dict.fromkeys(STAR.cells, 3))]
+    instances = fitting_instances() + over
     with mock.patch.object(offline, "_dual_floor", dual_floor):
         bounds = [clique_upper_bound(*instance) for instance in instances]
         assert checked == bounds
@@ -637,13 +629,13 @@ def test_every_ceiling_is_a_checked_dual():
         with mock.patch.object(offline, "_branch_and_bound", side_effect=search) as searched:
             for instance in instances:
                 branch_and_bound(*instance)
-    assert checked == bounds and searched.call_count == len(instances) + 1  # C5 falls back
+    assert checked == bounds and searched.call_count == len(instances) + 1  # the hole falls back
 
 
-def test_clique_bound_on_k4_uses_the_whole_clique():
-    demands = {i: 6 for i in range(4)}
-    assert clique_upper_bound(K4, 6, demands) == 6
-    assert exact_optimum(K4, 6, demands).total == 6
+def test_clique_bound_on_a_triangle_uses_the_whole_clique():
+    demands = dict.fromkeys(TRIANGLE.cells, 6)
+    assert clique_upper_bound(TRIANGLE, 6, demands) == 6
+    assert exact_optimum(TRIANGLE, 6, demands).total == 6
 
 
 def test_clique_bound_flower_duel():
@@ -717,12 +709,14 @@ FLOWER = hex_patch(1)
         # x stops at its own bound 2 below the clique's 5
         (Network([(0, 0)]), 5, {(0, 0): 2}, {"flip"}),
         # x0 flips to 3, then x1 enters and the slack leaves at 0
-        (Network.from_edges(range(2), [(0, 1)]), 3, {0: 3, 1: 3}, {"flip", "leave at 0"}),
+        (Network([(0, 0), (1, 0)]), 3, {(0, 0): 3, (1, 0): 3}, {"flip", "leave at 0"}),
         # the centre flips to 2 and each leaf enters at 0 in place of a slack;
         # lowering the centre again raises both leaves to their bound 1, and
-        # the first of them leaves at that bound
+        # the first of them leaves at that bound; the centre must sort first
+        # (with these demands on the path (-1, 0), (0, 0), (1, 0), whose
+        # centre sorts second, no leaf leaves at its bound)
         (
-            Network.from_edges(range(3), [(0, 1), (0, 2)]), 2, {0: 2, 1: 1, 2: 1},
+            Network([(0, 0), (0, 1), (1, -1)]), 2, {(0, 0): 2, (0, 1): 1, (1, -1): 1},
             {"flip", "leave at 0", "leave at bound"},
         ),
         # a column of demand 0 flips at step 0
@@ -755,12 +749,12 @@ def test_lp_ceiling_degenerate_ties_terminate_at_any_omega():
             assert value == dual_value(*inputs, dual) == 3 * omega, steps
 
 
-def test_lp_ceiling_reads_the_fractional_optimum_of_c5():
-    # at omega 1 the LP's optimum is x = 1/2 everywhere, 5/2 in all
-    inputs = ceiling_inputs(cycle_graph(5), 1, {i: 1 for i in range(5)})
+def test_lp_ceiling_reads_the_fractional_optimum_of_the_odd_hole():
+    # at omega 1 the LP's optimum is x = 1/2 everywhere, 9/2 in all
+    inputs = ceiling_inputs(ODD_HOLE, 1, dict.fromkeys(ODD_HOLE.cells, 1))
     value, dual, steps = lp_steps(*inputs)
-    assert dual_value(*inputs, dual) == Fraction(5, 2)
-    assert value == offline._dual_floor(*inputs, *dual) == 2
+    assert dual_value(*inputs, dual) == Fraction(9, 2)
+    assert value == offline._dual_floor(*inputs, *dual) == 4
     assert steps["pivot"] >= 1
 
 
@@ -838,25 +832,6 @@ def test_fast_path_tries_each_colour_in_the_middle():
     assert fast_path(net, 5, demands) is None
 
 
-def test_graphs_without_a_proper_colouring_take_branch_and_bound():
-    c5 = cycle_graph(5)  # cells are not integer pairs
-    # two same-colour cells joined by an edge: a witness from colour roles
-    # would give both the same frequencies and claim 4
-    same = Network.from_edges([(0, 0), (3, 0)], [((0, 0), (3, 0))])
-    cases = [
-        (c5, 2, {i: 2 for i in range(5)}, {0: 2, 1: 0, 2: 2, 3: 0, 4: 0}),
-        (c5, 5, {i: 2 for i in range(5)}, {i: 2 for i in range(5)}),  # served in full
-        (K4, 6, {i: 1 for i in range(4)}, {i: 1 for i in range(4)}),
-        (K4, 6, {i: 6 for i in range(4)}, {0: 6, 1: 0, 2: 0, 3: 0}),
-        (same, 3, {(0, 0): 2, (3, 0): 2}, {(0, 0): 2, (3, 0): 1}),
-    ]
-    for net, omega, demands, per_cell in cases:
-        assert fast_path(net, omega, demands) is None
-        opt = exact_optimum(net, omega, demands)
-        assert opt.per_cell == per_cell == branch_and_bound(net, omega, demands).per_cell
-        validate_witness(net, omega, demands, opt)
-
-
 def test_fast_path_per_component():
     # the (0, 0)-(1, 0) pair cannot serve its 8 requests at omega 4, the
     # path from (3, 3) can serve all of its 5
@@ -929,24 +904,18 @@ def components_of(net):
     return parts
 
 
-C5_AND_K4 = Network.from_edges(
-    range(9),
-    [(i, (i + 1) % 5) for i in range(5)] + list(itertools.combinations(range(5, 9), 2)),
-)
+HOLE_AND_FLOWER = Network(ODD_HOLE.sorted_cells() + hex_patch(1, (10, 0)).sorted_cells())
 
 
 @st.composite
 def clustered_instances(draw):
-    """Two or three far-apart hex clusters, or the 5-cycle beside K4, with
-    omega and demands up to twice omega."""
+    """Two or three far-apart hex clusters, or the odd hole beside a far-off
+    flower, with omega and demands up to twice omega."""
     k = draw(st.integers(2, 3))
     cluster = st.sets(st.sampled_from(PATCH_CELLS), min_size=1, max_size=12 // k)
     clusters = draw(st.lists(cluster, min_size=k, max_size=k))
     hex_net = Network([(q + 10 * i, r) for i, cluster in enumerate(clusters) for q, r in cluster])
-    net = draw(st.sampled_from([hex_net, C5_AND_K4]))
-    omega = draw(st.integers(1, 14))
-    demands = {c: draw(st.integers(0, 2 * omega)) for c in net.sorted_cells()}
-    return net, omega, demands
+    return draw_instance(draw, draw(st.sampled_from([hex_net, HOLE_AND_FLOWER])), 14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -957,6 +926,5 @@ def test_components_are_solved_as_their_own_networks(instance):
     validate_witness(net, omega, demands, opt)
     alone = {}
     for part in components_of(net):
-        sub = Network.from_edges(part, [(u, v) for u, v in net.edges() if u in part])
-        alone.update(exact_optimum(sub, omega, {c: demands[c] for c in part}).per_cell)
+        alone.update(exact_optimum(Network(part), omega, {c: demands[c] for c in part}).per_cell)
     assert opt.per_cell == alone
