@@ -191,6 +191,9 @@ def test_network_equality_and_containment():
     assert Network([(0, 0), (1, 0)]) == Network([(1, 0), (0, 0)])
     assert (0, 0) in Network([(0, 0)])
     assert (2, 2) not in Network([(0, 0)])
+
+
+def test_equality_compares_cells():
     # a network is its cells: equal cells, equal networks and hashes
     path = Network([(0, 0), (1, 0), (2, 0)])
     assert path == Network([(2, 0), (1, 0), (0, 0)]) and hash(path) == hash(Network(path.cells))
