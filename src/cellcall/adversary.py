@@ -4,8 +4,7 @@ and seeded random traffic. Adversaries see only per-cell accepted counts."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .hexnet import Cell, Network, flower_network
 from .online import RunTrace, feed_requests, parse_selector
@@ -25,8 +24,7 @@ def star_network() -> Network:
     return Network((STAR_CENTER,) + STAR_OUTER)
 
 
-@dataclass(frozen=True)
-class AdversaryScenario:
+class AdversaryScenario(NamedTuple):
     """A scripted/adaptive request source.
 
     `next_batch(phase, counts)` returns the requests of the given phase or

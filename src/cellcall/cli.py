@@ -6,7 +6,6 @@ solver's limits; with `--format csv` the reason goes to stderr."""
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -148,7 +147,7 @@ def sweep_cmd(template: str, grid_specs: tuple, out: str | None, fmt: str) -> No
 def verify(scenario: str, out: str | None, fmt: str) -> None:
     """Run a scenario with optimum computation and certificate checks forced on."""
     config = load_scenario(scenario)
-    _finish(run_experiment(replace(config, verify_certificate=True, compute_opt=True)), out, fmt)
+    _finish(run_experiment(config._replace(verify_certificate=True, compute_opt=True)), out, fmt)
 
 
 if __name__ == "__main__":

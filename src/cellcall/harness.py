@@ -5,9 +5,8 @@ from __future__ import annotations
 import itertools
 import json
 import reprlib
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import __version__
 from .adversary import make_adversary, run_duel
@@ -36,8 +35,7 @@ def _clip(exc: ValueError) -> str:
     return text if len(text) <= 160 else f"{text[:157]}..."
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     scenario_id: str
     omega: int
     cells: tuple  # sorted tuple of Cell; () with a selector: the adversary's own network
@@ -178,8 +176,7 @@ def load_scenario(path) -> ScenarioConfig:
     return parse_scenario(data, scenario_id=path.stem)
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     scenario_id: str
     algorithm: str
     omega: int
@@ -316,8 +313,7 @@ def failure_lines(report: RunReport) -> list:
     return lines
 
 
-@dataclass
-class SweepSummary:
+class SweepSummary(NamedTuple):
     reports: list
     ratio_range: dict  # algorithm -> (min Fraction, max Fraction)
     failures: list  # (scenario_id, message)
@@ -348,7 +344,7 @@ def sweep(template: ScenarioConfig, grid: dict) -> SweepSummary:
             f"{k}={v}" for k, v in overrides.items()
         ) + "]"
         try:
-            config = replace(template, scenario_id=point_id, **overrides)
+            config = template._replace(scenario_id=point_id, **overrides)
             reports.append(run_experiment(config))
         except ScenarioError as exc:
             failures.append((point_id, str(exc)))

@@ -13,9 +13,8 @@ floats appear only in decimal renderings of ratios."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .hexnet import Cell, classify_neighbor_config
 from .offline import OptimumWitness
@@ -28,8 +27,7 @@ class NetworkMismatchError(ValueError):
     """Trace and optimum witness were computed over different networks."""
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     failing_cells: tuple = ()
@@ -42,8 +40,7 @@ class CheckResult:
         return f"{self.name}: {status}{extra}{cells}"
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     """The amortized ledger of one run, shared by the 7/3 and 9/4 proofs.
 
     Donor cells are charged B = floor * O; every other cell is charged its own
@@ -248,8 +245,7 @@ def caco2_certificate(trace: RunTrace, opt: OptimumWitness) -> Certificate:
     return Certificate("caco2", donors, b, h, checks, sorted(set(uncovered)))
 
 
-@dataclass
-class RatioReport:
+class RatioReport(NamedTuple):
     ratio: Optional[Fraction]  # None means infinite
 
     def render(self) -> str:

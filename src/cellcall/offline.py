@@ -13,14 +13,13 @@ in integers solves the LP, one tableau row per maximal clique and each bound
 x_i <= R_i kept by complementing x_i rather than by a row. Either way the
 dual is checked before use. `clique_upper_bound` is that floor for
 any network, never below the integer clique bound and equal to it wherever
-measured; `exhaustive_oracle` is the brute-force cross-check.
+measured. The brute-force cross-check, `exhaustive_oracle`, lives with the
+tests in `tests/oracles.py`, as nothing but the tests runs it.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .hexnet import Network, as_integer
 
@@ -33,13 +32,9 @@ class InstanceTooLargeError(ValueError):
 # MAX_CELLS cells and NODE_BUDGET branch-and-bound nodes per search.
 MAX_CELLS = 12
 NODE_BUDGET = 10_000_000
-# `exhaustive_oracle` enumerates every multiset of independent sets.
-ORACLE_MAX_CELLS = 4
-ORACLE_MAX_OMEGA = 6
 
 
-@dataclass
-class OptimumWitness:
+class OptimumWitness(NamedTuple):
     total: int
     per_cell: dict  # Cell -> O_i
     assignment: dict  # Cell -> frozenset of frequencies, |set| == O_i
@@ -89,20 +84,6 @@ def _adjacency(cells: list, network: Network) -> list[int]:
     """Neighbour bitmask of each cell over the index of `cells`."""
     index = {c: i for i, c in enumerate(cells)}
     return [sum(1 << index[v] for v in network.neighbors(c)) for c in cells]
-
-
-def _independent_sets(cells: list, network: Network) -> list[int]:
-    """Every nonempty independent set as a bitmask over `cells`, lexicographic
-    order; the brute-force scan behind `exhaustive_oracle`."""
-    n = len(cells)
-    adj = _adjacency(cells, network)
-    sets = []
-    for mask in range(1, 1 << n):
-        if not any(mask >> i & 1 and adj[i] & mask for i in range(n)):
-            sets.append(mask)
-    # lexicographic by member cell indices
-    sets.sort(key=lambda m: tuple(i for i in range(n) if m >> i & 1))
-    return sets
 
 
 def _maximal_independent_sets(adj: list[int]) -> list[tuple[int, ...]]:
@@ -458,31 +439,3 @@ def _branch_and_bound(
     mults = [0] * len(members)
     dfs(0, omega, 0)
     return best_mults
-
-
-def exhaustive_oracle(network: Network, omega: int, demands: dict) -> OptimumWitness:
-    """Brute-force optimum by enumerating every multiset of independent sets
-    (including non-maximal and empty); test-time cross-check for exact_optimum."""
-    cells, r, omega = _demand_list(network, omega, demands)
-    n = len(cells)
-    if n > ORACLE_MAX_CELLS or omega > ORACLE_MAX_OMEGA:
-        raise InstanceTooLargeError(
-            f"oracle limited to {ORACLE_MAX_CELLS} cells and omega {ORACLE_MAX_OMEGA}; "
-            f"got {n} cells, omega={omega}"
-        )
-    sets = [0] + _independent_sets(cells, network)
-    best_value = -1
-    best_combo = None
-    for combo in itertools.combinations_with_replacement(sets, omega):
-        cov = [0] * n
-        for mask in combo:
-            for i in range(n):
-                if mask >> i & 1:
-                    cov[i] += 1
-        value = sum(min(a, b) for a, b in zip(r, cov))
-        if value > best_value:
-            best_value = value
-            best_combo = combo
-    mult = {m: best_combo.count(m) for m in set(best_combo)}
-    ordered = sorted(mult)
-    return _build_witness(cells, r, ordered, [mult[m] for m in ordered])

@@ -12,16 +12,14 @@ from __future__ import annotations
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .hexnet import Cell, Network, classify_neighbor_config, color_of
 from .spectrum import AssignmentState, FrequencyPartition, make_partition_family
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     accepted: bool
     frequency: Optional[int] = None
 
@@ -36,24 +34,41 @@ def accept(frequency: int) -> Outcome:
     return Outcome(True, frequency)
 
 
-@dataclass
 class RunTrace:
     """Complete record of one run: requests, outcomes, demands, and the final state.
 
     Request i is `requests[i]`, the network's own cell object, and its decision
     is `outcomes[i]`, a shared `Outcome`; so a run keeps two list slots per
-    request and no object of its own.
+    request and no object of its own. The three growing fields have no
+    default: `start` gives each trace its own, which `feed_requests` fills.
+    A slotted class rather than a NamedTuple, as `feed_requests` reads its
+    fields once per request, and a slot reads faster than a tuple field.
     """
 
-    algorithm: str
-    network: Network
-    omega: int
-    state: AssignmentState
-    partition: Optional[FrequencyPartition]
-    flagged_cells: tuple  # degenerate neighbor configs, see caco2
-    requests: list = field(default_factory=list)  # Cell per request
-    outcomes: list = field(default_factory=list)  # Outcome per request
-    demands: Counter = field(default_factory=Counter)  # R_i
+    __slots__ = ("algorithm", "network", "omega", "state", "partition", "flagged_cells",
+                 "requests", "outcomes", "demands")
+
+    def __init__(
+        self,
+        algorithm: str,
+        network: Network,
+        omega: int,
+        state: AssignmentState,
+        partition: Optional[FrequencyPartition],
+        flagged_cells: tuple,  # degenerate neighbor configs, see caco2
+        requests: list,  # Cell per request
+        outcomes: list,  # Outcome per request
+        demands: Counter,  # R_i
+    ):
+        self.algorithm = algorithm
+        self.network = network
+        self.omega = omega
+        self.state = state
+        self.partition = partition
+        self.flagged_cells = flagged_cells
+        self.requests = requests
+        self.outcomes = outcomes
+        self.demands = demands
 
     @staticmethod
     def start(algorithm) -> RunTrace:
@@ -65,6 +80,9 @@ class RunTrace:
             state=AssignmentState(algorithm.network, algorithm.omega),
             partition=algorithm.partition,
             flagged_cells=algorithm.flagged_cells,
+            requests=[],
+            outcomes=[],
+            demands=Counter(),
         )
 
     def accepted_at(self, cell: Cell) -> int:
@@ -246,25 +264,6 @@ def make_algorithm(selector: str, network: Network, omega: int):
         selector, "algorithm", {"greedy": 0, "caco": 0, "caco2": 0, "partition": 2}, UnknownAlgorithmError
     )
     return _ALGORITHMS[name](network, omega, *args)
-
-
-def overflow_order_violations(trace: RunTrace) -> list:
-    """Adjacent cells that both overflowed into the same foreign color range
-    must have consumed it from opposite ends; returns (u, v, color) triples
-    where their used frequencies in that range interleave or overlap."""
-    part = trace.partition
-    if part is None:
-        return []
-    violations = []
-    for u, v in trace.network.edges():
-        for color, rng in enumerate(part.ranges):
-            if color in (color_of(u), color_of(v)):
-                continue
-            fu = sorted(f for f in trace.state.used(u) if f in rng)
-            fv = sorted(f for f in trace.state.used(v) if f in rng)
-            if fu and fv and not (fu[-1] < fv[0] or fv[-1] < fu[0]):
-                violations.append((u, v, color))
-    return violations
 
 
 class UnknownRequestCellError(ValueError):

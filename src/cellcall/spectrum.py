@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .hexnet import Cell, Network, UnknownCellError, as_integer
 
@@ -16,8 +15,7 @@ class FrequencyConflictError(RuntimeError):
     """An assignment violated the interference rule (algorithm bug surfaced)."""
 
 
-@dataclass(frozen=True)
-class FrequencyPartition:
+class FrequencyPartition(NamedTuple):
     """Disjoint contiguous color ranges over {1..omega}, plus an optional shared set."""
 
     ranges: tuple  # range per colour index, 1-based

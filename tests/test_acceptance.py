@@ -19,13 +19,10 @@ from cellcall.adversary import fig2_adversary, fig3_adversary, phase_ratios, run
 from cellcall.cli import main
 from cellcall.hexnet import Network
 from cellcall.ledger import caco2_certificate, caco_certificate
-from cellcall.offline import (
-    clique_upper_bound,
-    exact_optimum,
-    exhaustive_oracle,
-)
-from cellcall.online import Caco2Algorithm, caco_algorithm, make_algorithm, overflow_order_violations, run_sequence
+from cellcall.offline import clique_upper_bound, exact_optimum
+from cellcall.online import Caco2Algorithm, caco_algorithm, make_algorithm, run_sequence
 from conftest import ODD_HOLE, random_network, random_requests
+from oracles import exhaustive_oracle, overflow_order_violations
 
 CACO_SWEEP_SIZE = 500
 CACO2_SWEEP_SIZE = 500

@@ -3,7 +3,6 @@ import io
 import json
 import shlex
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
@@ -305,7 +304,7 @@ def test_fixed_network_adversary_needs_exactly_its_cells():
 
 
 def test_certificate_by_resolved_name():
-    config = replace(load_scenario(SCENARIOS / "fig2_caco.json"), algorithm="partition:2:1")
+    config = load_scenario(SCENARIOS / "fig2_caco.json")._replace(algorithm="partition:2:1")
     report = run_experiment(config)
     assert report.algorithm == "caco"
     assert report.certificate.kind == "caco" and report.certificate.status == "pass"
@@ -336,8 +335,8 @@ def test_run_experiment_checks_unvalidated_config(fields):
     # a config built in code and the same config read from JSON are refused
     # alike, by the run's one check
     flower = load_scenario(SCENARIOS / "flower_greedy_random.json")
-    config = replace(flower, **fields)
-    data = json.loads(json.dumps({k: v for k, v in vars(config).items() if k != "scenario_id"}))
+    config = flower._replace(**fields)
+    data = json.loads(json.dumps({k: v for k, v in config._asdict().items() if k != "scenario_id"}))
     with pytest.raises(ScenarioError) as parsed:
         run_experiment(parse_scenario(data, scenario_id="x"))
     with pytest.raises(ScenarioError) as ran:

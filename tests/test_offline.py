@@ -25,18 +25,17 @@ from cellcall.offline import (
     _clique_partition,
     _demand_list,
     _dual_floor,
-    _independent_sets,
     _lp_ceiling,
     _maximal_cliques,
     _maximal_independent_sets,
     _serve_every_demand,
     clique_upper_bound,
     exact_optimum,
-    exhaustive_oracle,
     validate_witness,
 )
 from cellcall.online import caco_algorithm, make_algorithm
 from conftest import ODD_HOLE, PATCH_CELLS, random_network
+from oracles import ORACLE_MAX_CELLS, _independent_sets, exhaustive_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -292,7 +291,7 @@ def test_every_solver_checks_omega_alike(solver):
     # nothing to serve, through each solver's general code: no cells, no
     # frequencies, or no demand (the oracle stops at 4 cells, short of the hole)
     for empty in (Network([]), ODD_HOLE, TRIANGLE, Network([(0, 0), (1, 0)])):
-        if solver is exhaustive_oracle and len(empty.cells) > offline.ORACLE_MAX_CELLS:
+        if solver is exhaustive_oracle and len(empty.cells) > ORACLE_MAX_CELLS:
             continue
         for omega, demand in ((0, 2), (3, 0)):
             demands = dict.fromkeys(empty.cells, demand)

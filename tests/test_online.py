@@ -12,16 +12,17 @@ from cellcall.online import (
     GreedyAlgorithm,
     NotTriangleFreeError,
     PartitionReserveAlgorithm,
+    RunTrace,
     UnknownAlgorithmError,
     UnknownRequestCellError,
     caco_algorithm,
     feed_requests,
     make_algorithm,
-    overflow_order_violations,
     run_sequence,
 )
 from cellcall.spectrum import AssignmentState
 from conftest import random_network, random_requests
+from oracles import overflow_order_violations
 
 STAR = Network([(0, 0), (-1, 1), (0, -1), (1, 0)])  # R center, G outer
 
@@ -342,6 +343,22 @@ def test_determinism():
         a = run_sequence(make_algorithm(selector, net, 9), seq)
         b = run_sequence(make_algorithm(selector, net, 9), seq)
         assert a.requests == b.requests and a.outcomes == b.outcomes
+
+
+def test_traces_share_no_mutable_object():
+    # a record default such as `requests: list = []` would be one list for
+    # every trace; each run and each `RunTrace.start` gets its own
+    alg = caco_algorithm(STAR, 21)
+    first = run_sequence(alg, [(0, 0)] * 3)
+    second = run_sequence(alg, [(0, 0)] * 3)
+    assert second.requests == first.requests and second.outcomes == first.outcomes
+    assert second.demands == first.demands == {(0, 0): 3}
+    for a, b in ((first, second), (RunTrace.start(alg), RunTrace.start(alg))):
+        for name in ("requests", "outcomes", "demands", "state"):
+            assert getattr(a, name) is not getattr(b, name), name
+    fresh = RunTrace.start(alg)
+    assert fresh.requests == fresh.outcomes == [] and not fresh.demands
+    assert fresh.state.count((0, 0)) == 0
 
 
 def test_make_algorithm_selectors():
