@@ -223,25 +223,18 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
     if config.verify_certificate and opt is not None:
         certificate = _certificate_for(trace, opt)
 
-    rows = []
-    for cell in sorted(trace.network.cells):
-        rows.append(
-            (
-                cell[0],
-                cell[1],
-                COLORS[color_of(cell)],
-                trace.demands.get(cell, 0),
-                trace.accepted_at(cell),
-                opt.per_cell[cell] if opt is not None else None,
-            )
-        )
+    per_cell = {} if opt is None else opt.per_cell
+    rows = [
+        (c[0], c[1], COLORS[color_of(c)], trace.demands.get(c, 0), trace.accepted_at(c), per_cell.get(c))
+        for c in trace.network.sorted_cells()
+    ]
     return RunReport(
         scenario_id=config.scenario_id,
         algorithm=trace.algorithm,
         omega=config.omega,
         rows=rows,
         total_demand=sum(r[3] for r in rows),
-        total_accepted=trace.total_accepted(),
+        total_accepted=sum(r[4] for r in rows),
         total_opt=opt.total if opt is not None else None,
         ratio=ratio_report(trace, opt) if opt is not None else None,
         certificate=certificate,

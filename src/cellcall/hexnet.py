@@ -53,14 +53,16 @@ class Network:
     def __init__(self, cells: Iterable[Cell]):
         own = {}
         for q, r in cells:
-            cell = (as_integer(q, "a cell coordinate"), as_integer(r, "a cell coordinate"))
+            if type(q) is not int or type(r) is not int:  # a bool is refused, an int-like converted
+                q, r = as_integer(q, "a cell coordinate"), as_integer(r, "a cell coordinate")
+            cell = (q, r)
             own.setdefault(cell, cell)
         self._own = own
         self.cells = frozenset(own)
+        self._sorted_cells = tuple(sorted(own))
+        get = own.get
         self._adj = {
-            c: tuple(
-                n for d in AXIAL_DIRECTIONS if (n := own.get((c[0] + d[0], c[1] + d[1]))) is not None
-            )
+            c: tuple([n for dq, dr in AXIAL_DIRECTIONS if (n := get((c[0] + dq, c[1] + dr))) is not None])
             for c in own
         }
 
@@ -84,8 +86,9 @@ class Network:
     def __repr__(self) -> str:
         return f"Network({sorted(self.cells)!r})"
 
-    def sorted_cells(self) -> list[Cell]:
-        return sorted(self.cells)
+    def sorted_cells(self) -> tuple[Cell, ...]:
+        """The cells in sorted order: one tuple per network, which no caller can change."""
+        return self._sorted_cells
 
     def neighbors(self, cell: Cell) -> tuple[Cell, ...]:
         """Neighbors of `cell` within the network, sorted."""
@@ -109,13 +112,24 @@ class Network:
         """`is_triangle_free(self)`, computed once per network, which is immutable."""
         return is_triangle_free(self)
 
+    @cached_property
+    def neighbor_configs(self) -> Mapping[Cell, NeighborConfig]:
+        """Each cell's `classify_neighbor_config`, read-only and found once per
+        network; a neighbour not of the successor colour has the predecessor's."""
+        configs = {}
+        for c, nbrs in self._adj.items():
+            up = (c[0] - c[1] + 1) % 3  # the successor colour
+            configs[c] = NeighborConfig(tuple([n for n in nbrs if (n[0] - n[1]) % 3 == up]),
+                                        tuple([n for n in nbrs if (n[0] - n[1]) % 3 != up]))
+        return MappingProxyType(configs)
+
 
 def is_triangle_free(network: Network) -> bool:
-    """True iff no adjacent pair shares a common neighbor in the cell set."""
-    for u, v in network.edges():
-        if set(network.neighbors(u)) & set(network.neighbors(v)):
-            return False
-    return True
+    """True iff no three cells are pairwise adjacent. Each triangle of the hex
+    lattice is {c, c + (1, 0), c + (0, 1)} or {c, c + (1, 0), c + (1, -1)} for
+    exactly one cell c, so each cell checks those two."""
+    cells = network.cells
+    return not any((q + 1, r) in cells and ((q, r + 1) in cells or (q + 1, r - 1) in cells) for q, r in cells)
 
 
 class NeighborConfig(NamedTuple):

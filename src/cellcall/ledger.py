@@ -8,15 +8,16 @@ proof (floor 3/7, credits divided by 3) uses L = 21, so its credit
 proof (floor 4/9, a spare split over at most 3 neighbors, omega/9 credits)
 uses L = 54, so a spare (9A - 4O)/9 is 54A - 24O and omega/9 is 6*omega.
 Every pass/fail decision is an integer comparison. Fractions are built only
-for `Certificate.b_values` and `h_values` and the `sum B` detail text;
-floats appear only in decimal renderings of ratios."""
+for `Certificate.b_values` and `h_values`; floats appear only in decimal
+renderings of ratios."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Optional
 
-from .hexnet import Cell, classify_neighbor_config
+from .hexnet import Cell
 from .offline import OptimumWitness
 from .online import RunTrace, require_triangle_free_hex
 
@@ -79,13 +80,13 @@ class Certificate(NamedTuple):
 
 def _tallies(trace: RunTrace, opt: OptimumWitness) -> tuple:
     """Sorted cells, O and A per cell, of a trace and a witness over the same cells."""
-    if set(opt.per_cell) != set(trace.network.cells):
+    if opt.per_cell.keys() != trace.network.cells:
         raise NetworkMismatchError(
             "trace and optimum cover different cell sets: "
             f"{sorted(trace.network.cells)} vs {sorted(opt.per_cell)}"
         )
     cells = trace.network.sorted_cells()
-    return cells, {c: opt.per_cell[c] for c in cells}, {c: trace.accepted_at(c) for c in cells}
+    return cells, opt.per_cell, {c: trace.accepted_at(c) for c in cells}
 
 
 def _balance(cells, O, A, donors, h, scale: int, floor: tuple, checks: list) -> dict:
@@ -99,11 +100,12 @@ def _balance(cells, O, A, donors, h, scale: int, floor: tuple, checks: list) -> 
     b = {c: rate * O[c] if c in donors else scale * A[c] + received[c] for c in cells}
     total_b = sum(b.values())
     total_a = sum(A.values())
+    g = gcd(total_b, scale)  # sum B in lowest terms, as str(Fraction) prints it
     checks.append(
         CheckResult(
             "amortized_total",
             total_b <= scale * total_a,
-            detail=f"sum B = {Fraction(total_b, scale)}, sum A = {total_a}",
+            detail=f"sum B = {total_b // g}{'' if g == scale else f'/{scale // g}'}, sum A = {total_a}",
         )
     )
     # O <= B / floor, so B = 0 forces O = 0
@@ -126,31 +128,17 @@ def caco_certificate(trace: RunTrace, opt: OptimumWitness) -> Certificate:
     cells, O, A = _tallies(trace, opt)
     net, omega = trace.network, trace.omega
     donors = frozenset(c for c in cells if 3 * O[c] <= 2 * omega)
-    h = {
-        (k, c): 7 * A[k] - 3 * O[k]  # 21 * (A_k - 3O_k/7)/3
-        for c in cells
-        if c not in donors
-        for k in net.neighbors(c)
-    }
+    # 21 * (A_k - 3O_k/7)/3 from each neighbour k of a dangerous cell
+    h = {(k, c): 7 * A[k] - 3 * O[k] for c in cells if c not in donors for k in net.neighbors(c)}
 
     checks = []
 
     bad = tuple(c for c in cells if c in donors and 7 * A[c] < 3 * O[c])
     checks.append(CheckResult("safe_cell_floor", not bad, bad))
 
-    adj_dangerous = tuple(
-        u
-        for u in cells
-        if u not in donors and any(v not in donors for v in net.neighbors(u))
-    )
-    crowded = tuple(
-        u
-        for u in cells
-        if u in donors and sum(1 for v in net.neighbors(u) if v not in donors) > 3
-    )
-    checks.append(
-        CheckResult("dangerous_separation", not (adj_dangerous or crowded), adj_dangerous + crowded)
-    )
+    adj_dangerous = tuple(u for u in cells if u not in donors and any(v not in donors for v in net.neighbors(u)))
+    crowded = tuple(u for u in cells if u in donors and sum(v not in donors for v in net.neighbors(u)) > 3)
+    checks.append(CheckResult("dangerous_separation", not (adj_dangerous or crowded), adj_dangerous + crowded))
 
     A_S = {c: trace.shared_accepted_at(c) for c in cells}
     bad = tuple(
@@ -175,6 +163,7 @@ def caco2_certificate(trace: RunTrace, opt: OptimumWitness) -> Certificate:
     cells, O, A = _tallies(trace, opt)
     net, omega = trace.network, trace.omega
     require_triangle_free_hex(net)
+    configs = net.neighbor_configs
     donors = frozenset(c for c in cells if 9 * A[c] >= 4 * O[c])
 
     h: dict = {}
@@ -194,7 +183,7 @@ def caco2_certificate(trace: RunTrace, opt: OptimumWitness) -> Certificate:
         if i not in donors:
             continue
         spare = 54 * A[i] - 24 * O[i]
-        succ, pred = classify_neighbor_config(net, i)
+        succ, pred = configs[i]
         if not (succ and pred):
             # structure A: each of the k <= 3 neighbors gets spare/k; isolated: nothing
             receivers = succ + pred

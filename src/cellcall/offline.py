@@ -4,21 +4,23 @@ The offline problem assigns each of the omega frequencies to an independent
 set of cells; cell i serves min(R_i, m_i) requests where m_i counts the sets
 containing it, so no cell serves more than omega. `exact_optimum` caps each
 demand at omega and solves each connected component on its own: it takes a
-three-colour witness that serves every capped demand of the component, or
-else runs branch-and-bound over maximal independent set multiplicities,
-whose nodes update the search's value and bound incrementally, aimed at a
-ceiling: the floor of the clique LP. When the demands fit in every maximal
-clique that floor is their sum; otherwise an exact bounded-variable simplex
-in integers solves the LP, one tableau row per maximal clique and each bound
-x_i <= R_i kept by complementing x_i rather than by a row. Either way the
-dual is checked before use. `clique_upper_bound` is that floor for
-any network, never below the integer clique bound and equal to it wherever
-measured. The brute-force cross-check, `exhaustive_oracle`, lives with the
-tests in `tests/oracles.py`, as nothing but the tests runs it.
+three-colour witness that serves every capped demand of the component, fills
+a clique of 2 or 3 cells that cannot be served in full up to omega, or else
+runs branch-and-bound over maximal independent set multiplicities, whose
+nodes update the search's value and bound incrementally, aimed at a ceiling:
+the floor of the clique LP. That floor needs no simplex when the demands fit
+in every maximal clique or no cell lies in two; otherwise an exact
+bounded-variable simplex in integers solves the LP, one tableau row per
+maximal clique and each bound x_i <= R_i kept by complementing x_i rather
+than by a row. Either way the dual is checked before use.
+`clique_upper_bound` is that floor for any network, never below the integer
+clique bound and equal to it wherever measured. The brute-force cross-check,
+`exhaustive_oracle`, lives with the tests in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple, Optional
 
 from .hexnet import Network, as_integer
@@ -60,16 +62,15 @@ def validate_witness(network: Network, omega: int, demands: dict, witness: Optim
         raise AssertionError(f"witness total {witness.total} is not the sum of its per-cell O")
 
 
-def _demand_list(network: Network, omega: int, demands: dict) -> tuple[list, list, int]:
+def _demand_list(network: Network, omega: int, demands: dict) -> tuple[tuple, list, int]:
     """The sorted cells, their demands and omega, each checked to be a
     nonnegative integer."""
     omega = as_integer(omega, "omega")
     if omega < 0:
         raise ValueError(f"omega must be nonnegative, not {omega}")
     cells = network.sorted_cells()
-    unknown = set(demands) - set(cells)
-    if unknown:
-        raise ValueError(f"demand given for cells outside the network: {sorted(unknown)}")
+    if not network.cells.issuperset(demands):
+        raise ValueError(f"demand given for cells outside the network: {sorted(set(demands) - network.cells)}")
     r = [demands.get(c, 0) for c in cells]
     for k, d in enumerate(r):
         if type(d) is not int:  # a bool is refused, an int-like converted
@@ -138,14 +139,19 @@ def clique_upper_bound(network: Network, omega: int, demands: dict) -> int:
 
 
 def _clique_ceiling(omega: int, r: list[int], cliques: list[tuple[int, ...]]) -> int:
-    """floor of the clique LP, as `_lp_ceiling`. When every clique's demands
-    fit in omega, x = r is feasible and the bound rows alone, the dual of 1
-    per cell and 0 per clique, prove the value sum r: the simplex runs only
-    when some clique is over-subscribed. Either way `_dual_floor` checks the
-    dual that proves the value."""
-    if all(sum(r[i] for i in clique) <= omega for clique in cliques):
-        return _dual_floor(omega, r, cliques, [1] * len(r) + [0] * len(cliques), 1)
-    return _lp_ceiling(omega, r, cliques)
+    """floor of the clique LP, as `_lp_ceiling`, whose simplex runs only when
+    some clique is over-subscribed and some cell lies in two maximal cliques
+    (the clique sizes then sum past the cell count). Otherwise a dual of 1 on
+    each over-subscribed clique's row and on the bound row of every other
+    cell proves the value. Either way `_dual_floor` checks that dual."""
+    over = [sum(r[i] for i in clique) > omega for clique in cliques]
+    if any(over) and sum(map(len, cliques)) != len(r):
+        return _lp_ceiling(omega, r, cliques)
+    y = [1] * len(r)
+    for clique in itertools.compress(cliques, over):
+        for i in clique:
+            y[i] = 0
+    return _dual_floor(omega, r, cliques, y + over, 1)
 
 
 def _lp_ceiling(omega: int, r: list[int], cliques: list[tuple[int, ...]]) -> int:
@@ -301,23 +307,22 @@ def _serve_every_demand(network: Network, omega: int, cells: list, r: list[int])
     demand, so O = R is then the only optimal vector.
     """
     color = network.coloring
-    kind = [color[c] for c in cells]
-    position = {c: i for i, c in enumerate(cells)}
+    demand = dict(zip(cells, r))
     # each cell's largest neighbour demand per colour; its own colour stays 0
-    peak = [[0, 0, 0] for _ in cells]
-    for c, top in zip(cells, peak):
+    peak = []
+    for c in cells:
+        top = [0, 0, 0]
         for n in network.neighbors(c):
-            j = position[n]
-            if r[j] > top[kind[j]]:
-                top[kind[j]] = r[j]
-    for middle in range(3):
-        low, high = (k for k in range(3) if k != middle)
+            if demand[n] > top[color[n]]:
+                top[color[n]] = demand[n]
+        peak.append(top)
+    for low, middle, high in ((1, 0, 2), (0, 1, 2), (0, 2, 1)):
         if all(d + top[low] + top[high] <= omega for d, top in zip(r, peak)):
             assignment = {}
-            for c, d, k, top in zip(cells, r, kind, peak):
-                start = 0 if k == low else omega - d if k == high else top[low]
+            for c, d, top in zip(cells, r, peak):
+                start = 0 if color[c] == low else omega - d if color[c] == high else top[low]
                 assignment[c] = frozenset(range(start + 1, start + d + 1))
-            return OptimumWitness(sum(r), dict(zip(cells, r)), assignment)
+            return OptimumWitness(sum(r), demand, assignment)
     return None
 
 
@@ -329,7 +334,8 @@ def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness
     stop. Then solves each connected component, with the full spectrum, on
     its own. A component takes `_serve_every_demand`'s witness when that
     finds one for its capped demands: O = min(R, omega) is then its only
-    optimal per-cell vector. Otherwise it branches on multiplicities of
+    optimal per-cell vector. A clique of 2 or 3 cells that it cannot serve
+    takes `_fill_clique`'s. Otherwise it branches on multiplicities of
     maximal independent sets in lexicographic order, pruning with a disjoint-
     clique bound; the first optimum under that deterministic order is kept.
     The maximal cliques are enumerated once, for that bound and for the
@@ -348,7 +354,7 @@ def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness
     for cells in _components(cells, network):
         # a component holds every neighbour of its cells: no subnetwork needed
         r = [demand[c] for c in cells]
-        sub = _serve_every_demand(network, omega, cells, r)
+        sub = _fill_clique(network, omega, cells, r) or _serve_every_demand(network, omega, cells, r)
         if sub is None:
             if len(cells) > MAX_CELLS:
                 raise InstanceTooLargeError(f"the component of {len(cells)} cells from cell {cells[0]} is not "
@@ -365,6 +371,21 @@ def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness
         per_cell.update(sub.per_cell)
         assignment.update(sub.assignment)
     return OptimumWitness(sum(per_cell.values()), per_cell, assignment)
+
+
+def _fill_clique(network: Network, omega: int, cells: list, r: list[int]) -> Optional[OptimumWitness]:
+    """The optimum omega of a component of 2 or 3 pairwise adjacent cells whose
+    demands sum past omega, else None: the sorted cells take min(R_i, what is
+    left of omega) in turn, in blocks from frequency 1, as the search does
+    over its independent sets, the single cells in order."""
+    if len(cells) > 3 or sum(r) <= omega or any(len(network.neighbors(c)) < len(cells) - 1 for c in cells):
+        return None
+    per_cell, assignment, start = {}, {}, 0
+    for c, d in zip(cells, r):
+        per_cell[c] = min(d, omega - start)
+        assignment[c] = frozenset(range(start + 1, start + per_cell[c] + 1))
+        start += per_cell[c]
+    return OptimumWitness(omega, per_cell, assignment)
 
 
 def _branch_and_bound(

@@ -15,7 +15,7 @@ from collections import Counter
 from functools import cache
 from typing import NamedTuple, Optional
 
-from .hexnet import Cell, Network, classify_neighbor_config, color_of
+from .hexnet import Cell, Network, color_of
 from .spectrum import AssignmentState, FrequencyPartition, make_partition_family
 
 
@@ -176,7 +176,7 @@ class Caco2Algorithm(ScanAlgorithm):
     """Thirds partition with directional overflow on triangle-free hex networks.
 
     Scans are computed once from each cell's neighbors of its successor and
-    predecessor colors (`classify_neighbor_config`):
+    predecessor colors (`Network.neighbor_configs`):
       - isolated cells scan the whole spectrum bottom-to-top;
       - cells with two or more neighbors, all of the successor color, overflow
         into the predecessor color's range, ascending;
@@ -192,7 +192,7 @@ class Caco2Algorithm(ScanAlgorithm):
         require_triangle_free_hex(network)
         super().__init__(network, omega)
         self.partition = make_partition_family(omega, 1, 0)
-        configs = {c: classify_neighbor_config(network, c) for c in network.cells}
+        configs = network.neighbor_configs
         self.scans = {c: self._scan_for(c, *config) for c, config in configs.items()}
         self.flagged_cells = tuple(
             sorted(c for c, (s, p) in configs.items() if not (s and p) and 0 < len(s + p) < 3)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple, Optional
 
 from .hexnet import Cell, Network, UnknownCellError, as_integer
@@ -22,8 +23,9 @@ class FrequencyPartition(NamedTuple):
     shared: Optional[range] = None
 
 
+@cache
 def make_partition_family(omega: int, x_share: int, y_share: int) -> FrequencyPartition:
-    """Per-color ranges of x parts each plus a shared range of y parts (ratio x:x:x:y)."""
+    """Per-color ranges of x parts each plus a shared range of y parts (ratio x:x:x:y), built once."""
     if x_share <= 0 or y_share < 0:
         raise PartitionError(f"invalid share ratio {x_share}:{y_share}")
     parts = 3 * x_share + y_share

@@ -14,6 +14,7 @@ from cellcall.hexnet import (
     hex_patch,
     is_triangle_free,
 )
+from oracles import edge_list_triangle_free
 
 cells_st = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 
@@ -105,6 +106,35 @@ def test_every_network_has_a_proper_coloring(cells):
     net = Network(cells)
     assert net.coloring is not None
     assert all(net.coloring[u] != net.coloring[v] for u, v in net.edges())
+
+
+PATCH3_CELLS = hex_patch(3).sorted_cells()
+
+
+@given(st.sets(st.sampled_from(PATCH3_CELLS), max_size=20))
+def test_per_cell_triangle_test_agrees_with_the_edge_list(cells):
+    net = Network(cells)
+    assert is_triangle_free(net) is edge_list_triangle_free(net)
+
+
+@given(st.sets(st.sampled_from(PATCH3_CELLS)))
+def test_cached_neighbor_split_is_classify_neighbor_config(cells):
+    net = Network(cells)
+    assert net.neighbor_configs == {c: classify_neighbor_config(net, c) for c in net.cells}
+    assert net.neighbor_configs is net.neighbor_configs
+
+
+def test_cached_structure_is_read_only():
+    net = hex_patch(2)
+    cells = net.sorted_cells()
+    assert cells is net.sorted_cells() and list(cells) == sorted(net.cells)
+    with pytest.raises(TypeError):
+        cells[0] = (9, 9)
+    with pytest.raises(AttributeError):
+        cells.append((9, 9))
+    with pytest.raises(TypeError):
+        net.neighbor_configs[(0, 0)] = ((), ())
+    assert net.sorted_cells() == tuple(sorted(net.cells))
 
 
 def test_triangle_detected():

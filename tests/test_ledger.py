@@ -402,7 +402,8 @@ def test_caco2_straight_path_uncovered_at_every_scale(k):
 
 def test_caco2_split_check_runs_under_python_optimize():
     # claim structure A with four receivers for the centre's spare
-    # 54*1 - 24*1 = 30, which 4 does not divide; an `assert` would let it pass under -O
+    # 54*1 - 24*1 = 30, which 4 does not divide, through the network's cached
+    # split, which the certificate reads; an `assert` would let it pass under -O
     code = (
         "from cellcall import ledger\n"
         "from cellcall.hexnet import Network\n"
@@ -411,7 +412,7 @@ def test_caco2_split_check_runs_under_python_optimize():
         "net = Network([(-1, 0), (0, 0), (1, 0)])\n"
         "trace = run_sequence(Caco2Algorithm(net, 9), [(0, 0)])\n"
         "opt = exact_optimum(net, 9, dict(trace.demands))\n"
-        "ledger.classify_neighbor_config = lambda net, cell: (net.neighbors(cell) * 2, ())\n"
+        "net.neighbor_configs = {c: (net.neighbors(c) * 2, ()) for c in net.cells}\n"
         "ledger.caco2_certificate(trace, opt)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}

@@ -35,7 +35,7 @@ from cellcall.offline import (
 )
 from cellcall.online import caco_algorithm, make_algorithm
 from conftest import ODD_HOLE, PATCH_CELLS, random_network
-from oracles import ORACLE_MAX_CELLS, _independent_sets, exhaustive_oracle
+from oracles import ORACLE_MAX_CELLS, ORACLE_MAX_OMEGA, _independent_sets, exhaustive_oracle, searched_optimum
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,6 +43,7 @@ STAR = Network([(0, 0), (-1, 1), (0, -1), (1, 0)])
 PATCH = hex_patch(2)
 PATCH3_CELLS = hex_patch(3).sorted_cells()
 TRIANGLE = Network([(0, 0), (1, 0), (0, 1)])  # the largest clique the hex grid has
+RHOMBUS = Network([(0, 0), (1, 0), (0, 1), (1, -1)])  # two triangles on the edge (0, 0)-(1, 0)
 
 
 def test_demands_must_be_integers():
@@ -173,7 +174,7 @@ def test_far_apart_flowers_are_searched_one_at_a_time():
 def test_a_searched_component_takes_any_omega():
     # 9 cells at omega 65, which no clique of the flower and its two
     # neighbours can serve in full; the optimum meets the clique LP ceiling
-    cells = hex_patch(1).sorted_cells() + [(2, -1), (2, 0)]
+    cells = [*hex_patch(1).sorted_cells(), (2, -1), (2, 0)]
     net = Network(cells)
     demands = dict(zip(cells, (42, 43, 31, 38, 46, 45, 42, 39, 45)))
     assert fast_path(net, 65, demands) is None
@@ -601,10 +602,12 @@ def test_fitting_demands_skip_the_simplex():
         assert opt.per_cell == exact_optimum(net, omega, demands).per_cell
         assert opt.total <= capped
         validate_witness(net, omega, demands, opt)
-    # an over-subscribed clique still takes the simplex
+    # an over-subscribed clique takes the simplex only when some cell lies in
+    # two maximal cliques, as the rhombus's shared edge does
     with mock.patch.object(offline, "_lp_ceiling", side_effect=no_simplex):
+        assert clique_upper_bound(TRIANGLE, 6, dict.fromkeys(TRIANGLE.cells, 3)) == 6
         with pytest.raises(AssertionError, match="the simplex ran"):
-            clique_upper_bound(TRIANGLE, 6, dict.fromkeys(TRIANGLE.cells, 3))
+            clique_upper_bound(RHOMBUS, 6, dict.fromkeys(RHOMBUS.cells, 3))
 
 
 def test_every_ceiling_is_a_checked_dual():
@@ -635,6 +638,76 @@ def test_clique_bound_on_a_triangle_uses_the_whole_clique():
     demands = dict.fromkeys(TRIANGLE.cells, 6)
     assert clique_upper_bound(TRIANGLE, 6, demands) == 6
     assert exact_optimum(TRIANGLE, 6, demands).total == 6
+
+
+# every clique of 2 or 3 hex cells up to translation: the three orientations
+# of a pair and the two of a triangle
+CLIQUE_SHAPES = (
+    ((0, 0), (1, 0)),
+    ((0, 0), (0, 1)),
+    ((0, 0), (1, -1)),
+    ((0, 0), (1, 0), (0, 1)),
+    ((0, 0), (1, 0), (1, -1)),
+)
+
+
+@st.composite
+def clique_instances(draw):
+    shape = draw(st.sampled_from(CLIQUE_SHAPES))
+    dq, dr = draw(st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
+    net = Network([(q + dq, r + dr) for q, r in shape])
+    omega = draw(st.integers(1, 40))
+    return net, omega, {c: draw(st.integers(0, 2 * omega)) for c in net.sorted_cells()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(clique_instances())
+@example((TRIANGLE, 6, dict.fromkeys(TRIANGLE.cells, 3)))
+@example((Network([(0, 0), (1, -1)]), 1, {(0, 0): 0, (1, -1): 2}))
+def test_clique_components_take_the_closed_form(instance):
+    # no independent set, simplex or search: a clique that fits is served in
+    # full, and one that does not is filled up to omega with the frequencies
+    # the search would give it
+    net, omega, demands = instance
+    no_search = AssertionError("the search ran")
+    with mock.patch.object(offline, "_maximal_independent_sets", side_effect=no_search), \
+            mock.patch.object(offline, "_lp_ceiling", side_effect=no_search):
+        opt = exact_optimum(net, omega, demands)
+    searched = searched_optimum(net, omega, demands)
+    assert opt.per_cell == searched.per_cell
+    if sum(min(d, omega) for d in demands.values()) > omega:
+        assert opt.assignment == searched.assignment and opt.total == omega
+    validate_witness(net, omega, demands, opt)
+    if omega <= ORACLE_MAX_OMEGA:
+        assert opt.total == exhaustive_oracle(net, omega, demands).total
+
+
+@st.composite
+def separable_instances(draw):
+    """Networks whose components are single cells, pairs and triangles, so
+    that no cell lies in two maximal cliques: shapes placed four apart in
+    both coordinates never touch."""
+    slots = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=6, unique=True))
+    cells = []
+    for i, j in slots:
+        shape = draw(st.sampled_from((((0, 0),),) + CLIQUE_SHAPES))
+        cells += [(4 * i + q, 4 * j + r) for q, r in shape]
+    net = Network(cells)
+    omega = draw(st.integers(1, 40))
+    return net, omega, {c: draw(st.integers(0, 2 * omega)) for c in net.sorted_cells()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(separable_instances())
+def test_separable_networks_skip_the_simplex(instance):
+    net, omega, demands = instance
+    cells, r, omega = _demand_list(net, omega, demands)
+    r = [min(d, omega) for d in r]
+    cliques = _maximal_cliques(_adjacency(cells, net))
+    assert sum(map(len, cliques)) == len(cells)  # no cell lies in two
+    with mock.patch.object(offline, "_lp_ceiling", side_effect=AssertionError("the simplex ran")):
+        bound = clique_upper_bound(net, omega, demands)
+    assert bound == _lp_ceiling(omega, r, cliques) == sum(min(sum(r[i] for i in k), omega) for k in cliques)
 
 
 def test_clique_bound_flower_duel():
@@ -783,8 +856,10 @@ def test_maximal_independent_sets_are_complement_cliques(cells):
 
 
 def branch_and_bound(net, omega, demands):
-    """`exact_optimum` with the served-in-full fast path switched off."""
-    with mock.patch.object(offline, "_serve_every_demand", return_value=None):
+    """`exact_optimum` with the served-in-full fast path and the clique fill
+    switched off."""
+    with mock.patch.object(offline, "_serve_every_demand", return_value=None), \
+            mock.patch.object(offline, "_fill_clique", return_value=None):
         return exact_optimum(net, omega, demands)
 
 
@@ -832,10 +907,10 @@ def test_fast_path_tries_each_colour_in_the_middle():
 
 
 def test_fast_path_per_component():
-    # the (0, 0)-(1, 0) pair cannot serve its 8 requests at omega 4, the
-    # path from (3, 3) can serve all of its 5
-    net = Network([(0, 0), (1, 0), (3, 3), (4, 3), (5, 3)])
-    demands = {(0, 0): 4, (1, 0): 4, (3, 3): 1, (4, 3): 3, (5, 3): 1}
+    # the path from (0, 0) cannot serve its 8 requests at omega 4, the path
+    # from (3, 3) can serve all of its 5
+    net = Network([(0, 0), (1, 0), (2, 0), (3, 3), (4, 3), (5, 3)])
+    demands = {(0, 0): 4, (1, 0): 4, (2, 0): 0, (3, 3): 1, (4, 3): 3, (5, 3): 1}
     served = []
 
     def recording(*args):
@@ -868,9 +943,9 @@ def test_components_served_in_full_skip_the_search():
 
 
 def test_one_check_and_one_colouring_per_instance():
-    # the (0, 0)-(1, 0) pair is not served in full; the loop over the three
-    # components reuses the checked demands and the colouring, one `color_of`
-    # per cell
+    # the (0, 0)-(1, 0) pair is not served in full, and the two single cells
+    # are; the loop over the three components reuses the checked demands and
+    # the colouring, one `color_of` per cell
     net = Network([(0, 0), (1, 0), (3, 3), (6, 6)])
     demands = {(0, 0): 4, (1, 0): 4, (3, 3): 2, (6, 6): 3}
     with mock.patch.object(offline, "_demand_list", wraps=_demand_list) as checked, \
@@ -879,7 +954,7 @@ def test_one_check_and_one_colouring_per_instance():
             mock.patch.object(offline, "as_integer", wraps=offline.as_integer) as converted:
         opt = exact_optimum(net, 4, demands)
     assert (checked.call_count, reentered.call_count) == (1, 0)
-    assert sorted(call.args[0] for call in coloured.call_args_list) == net.sorted_cells()
+    assert tuple(sorted(call.args[0] for call in coloured.call_args_list)) == net.sorted_cells()
     # plain int demands need no conversion, and no per-cell error text
     assert [call.args[1] for call in converted.call_args_list] == ["omega"]
     assert opt.per_cell == {(0, 0): 4, (1, 0): 0, (3, 3): 2, (6, 6): 3}

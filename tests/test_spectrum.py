@@ -24,6 +24,12 @@ def test_caco_partition_smallest():
     assert list(p.shared) == [7]
 
 
+def test_a_partition_is_built_once_per_arguments():
+    # a partition is immutable, so every algorithm on one omega shares it
+    assert make_partition_family(21, 2, 1) is make_partition_family(21, 2, 1)
+    assert make_partition_family(21, 2, 1) is not make_partition_family(42, 2, 1)
+
+
 def test_caco_partition_divisibility():
     with pytest.raises(PartitionError):
         make_partition_family(10, 2, 1)
