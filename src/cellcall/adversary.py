@@ -4,7 +4,8 @@ and seeded random traffic. Adversaries see only per-cell accepted counts."""
 from __future__ import annotations
 
 import random
-from typing import Callable, NamedTuple, Optional
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .hexnet import Cell, Network, flower_network
 from .online import RunTrace, feed_requests, parse_selector
@@ -15,8 +16,8 @@ STAR_CENTER: Cell = (0, 0)
 STAR_OUTER: tuple[Cell, ...] = ((-1, 1), (0, -1), (1, 0))
 
 # Most requests a selector may ask for: the length of random traffic, and the
-# 4*omega of a star flood. The requests are generated only when the duel runs,
-# and its trace keeps two list slots per request.
+# 4*omega of a star flood. A run keeps nothing per request, so the cap bounds
+# a run's time, not its memory.
 MAX_RANDOM_LENGTH = 1_000_000
 
 
@@ -27,15 +28,15 @@ def star_network() -> Network:
 class AdversaryScenario(NamedTuple):
     """A scripted/adaptive request source.
 
-    `next_batch(phase, counts)` returns the requests of the given phase or
-    None when the adversary stops; `counts` maps cells to accepted counts
-    observed so far (public outcomes only).
+    `next_batch(phase, counts)` returns the phase's requests, an iterable read
+    once, or None when the adversary stops; `counts` maps cells to accepted
+    counts observed so far (public outcomes only).
     """
 
     name: str
     network: Network
     omega: int
-    next_batch: Callable[[int, dict], Optional[list]]
+    next_batch: Callable[[int, dict], Optional[Iterable]]
 
 
 def _star_flood(name: str, omega: int, go_on: Callable[[int], bool]) -> AdversaryScenario:
@@ -47,11 +48,11 @@ def _star_flood(name: str, omega: int, go_on: Callable[[int], bool]) -> Adversar
             f"a {name} flood sends 4*omega requests, at most {MAX_RANDOM_LENGTH}; omega is {omega}"
         )
 
-    def next_batch(phase: int, counts: dict) -> Optional[list]:
+    def next_batch(phase: int, counts: dict) -> Optional[Iterable]:
         if phase == 0:
-            return [STAR_CENTER] * omega
+            return repeat(STAR_CENTER, omega)
         if phase == 1 and go_on(counts.get(STAR_CENTER, 0)):
-            return [c for c in STAR_OUTER for _ in range(omega)]
+            return (c for c in STAR_OUTER for _ in range(omega))
         return None
 
     return AdversaryScenario(name, star_network(), omega, next_batch)
@@ -69,25 +70,30 @@ def fig3_adversary(omega: int) -> AdversaryScenario:
     return _star_flood("fig3", omega, lambda accepted: 5 * accepted > 3 * omega)
 
 
-def random_sequence(network: Network, length: int, seed: int):
-    """Deterministic pseudo-random request list over the network's cells."""
+def random_sequence(network: Network, length: int, seed: int) -> Iterator[Cell]:
+    """Deterministic pseudo-random requests over the network's cells, drawn
+    lazily as unweighted `random.choices` draws a list, `cells[floor(random() * n)]`
+    each; a negative length raises here, not on the first draw."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    rng = random.Random(seed)
-    return rng.choices(network.sorted_cells(), k=length)
+    cells = network.sorted_cells()
+    n = len(cells)
+    draw = random.Random(seed).random
+    return (cells[int(draw() * n)] for _ in range(length))
 
 
 def random_adversary(omega: int, seed: int, length: int, network: Optional[Network] = None) -> AdversaryScenario:
     """Single-batch random traffic; defaults to the 7-cell flower network.
 
-    The batch is generated when it is asked for, so building the scenario to
-    check a selector costs nothing however long the traffic is.
+    The batch is drawn request by request as the duel consumes it, so
+    building the scenario to check a selector costs nothing, and a run holds
+    no request list, however long the traffic is.
     """
     if not 0 <= length <= MAX_RANDOM_LENGTH:
         raise ValueError(f"length must be between 0 and {MAX_RANDOM_LENGTH}, got {length}")
     net = network if network is not None else flower_network()
 
-    def next_batch(phase: int, counts: dict) -> Optional[list]:
+    def next_batch(phase: int, counts: dict) -> Optional[Iterable]:
         return random_sequence(net, length, seed) if phase == 0 else None
 
     return AdversaryScenario(f"random:{seed}:{length}", net, omega, next_batch)

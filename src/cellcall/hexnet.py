@@ -47,7 +47,7 @@ class Network:
 
     Immutable after construction. There is one tuple object per cell: the
     cell set and every neighbor tuple share it, and `own_cell` returns it, so
-    records of many requests hold no copies.
+    a run's per-cell counts key on it and hold no copies.
     """
 
     def __init__(self, cells: Iterable[Cell]):
@@ -96,9 +96,6 @@ class Network:
             return self._adj[cell]
         except KeyError:
             raise UnknownCellError(f"cell {cell} is not in the network") from None
-
-    def edges(self) -> list[tuple[Cell, Cell]]:
-        return [(u, v) for u in self.sorted_cells() for v in self._adj[u] if u < v]
 
     @cached_property
     def coloring(self) -> Mapping[Cell, int]:

@@ -143,7 +143,7 @@ def caco_certificate(trace: RunTrace, opt: OptimumWitness) -> Certificate:
     A_S = {c: trace.shared_accepted_at(c) for c in cells}
     bad = tuple(
         c
-        for c in sorted(trace.rejecting_cells())
+        for c in sorted(trace.rejecting)
         if 7 * (A_S[c] + sum(A_S[k] for k in net.neighbors(c))) < omega
     )
     checks.append(CheckResult("shared_exhaustion_at_rejection", not bad, bad))

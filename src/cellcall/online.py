@@ -4,7 +4,8 @@
 The algorithms differ only in the order in which a cell tries frequencies:
 each is a `ScanAlgorithm`, built for one network and omega, whose per-cell
 scan list drives the one `decide(state, cell) -> Outcome`; `run_sequence`
-feeds a request list through one and accumulates the trace.
+feeds requests through one into a trace that keeps the run's final state,
+not its history.
 """
 
 from __future__ import annotations
@@ -29,24 +30,24 @@ REJECT = Outcome(accepted=False)
 
 @cache
 def accept(frequency: int) -> Outcome:
-    """The one accept outcome for `frequency`, shared by every decision and run;
+    """The one accept outcome for `frequency`, shared by every decision;
     outcomes are immutable, and the table grows to the largest omega used."""
     return Outcome(True, frequency)
 
 
 class RunTrace:
-    """Complete record of one run: requests, outcomes, demands, and the final state.
+    """What one run keeps: its demands, the cells that rejected, and the final state.
 
-    Request i is `requests[i]`, the network's own cell object, and its decision
-    is `outcomes[i]`, a shared `Outcome`; so a run keeps two list slots per
-    request and no object of its own. The three growing fields have no
+    Its size depends on the network and omega, not on the number of requests:
+    `demands` counts the requests at each cell, and `rejecting` is the set
+    of cells that rejected at least once. The two growing fields have no
     default: `start` gives each trace its own, which `feed_requests` fills.
     A slotted class rather than a NamedTuple, as `feed_requests` reads its
     fields once per request, and a slot reads faster than a tuple field.
     """
 
     __slots__ = ("algorithm", "network", "omega", "state", "partition", "flagged_cells",
-                 "requests", "outcomes", "demands")
+                 "demands", "rejecting")
 
     def __init__(
         self,
@@ -56,9 +57,8 @@ class RunTrace:
         state: AssignmentState,
         partition: Optional[FrequencyPartition],
         flagged_cells: tuple,  # degenerate neighbor configs, see caco2
-        requests: list,  # Cell per request
-        outcomes: list,  # Outcome per request
         demands: Counter,  # R_i
+        rejecting: set,  # cells that rejected a request
     ):
         self.algorithm = algorithm
         self.network = network
@@ -66,9 +66,8 @@ class RunTrace:
         self.state = state
         self.partition = partition
         self.flagged_cells = flagged_cells
-        self.requests = requests
-        self.outcomes = outcomes
         self.demands = demands
+        self.rejecting = rejecting
 
     @staticmethod
     def start(algorithm) -> RunTrace:
@@ -80,9 +79,8 @@ class RunTrace:
             state=AssignmentState(algorithm.network, algorithm.omega),
             partition=algorithm.partition,
             flagged_cells=algorithm.flagged_cells,
-            requests=[],
-            outcomes=[],
             demands=Counter(),
+            rejecting=set(),
         )
 
     def accepted_at(self, cell: Cell) -> int:
@@ -97,9 +95,6 @@ class RunTrace:
 
     def total_accepted(self) -> int:
         return sum(self.state.count(c) for c in self.network.cells)
-
-    def rejecting_cells(self) -> set[Cell]:
-        return {cell for cell, out in zip(self.requests, self.outcomes) if not out.accepted}
 
 
 class ScanAlgorithm:
@@ -281,22 +276,22 @@ def run_sequence(algorithm, requests) -> RunTrace:
 
 
 def feed_requests(algorithm, trace: RunTrace, requests) -> None:
-    """Append a batch of requests to an in-progress trace (adversary phases).
+    """Feed a batch of requests into an in-progress trace (adversary phases).
 
     A request is a pair of integers, such as a `[q, r]` list, and not of
-    booleans; the trace records the network's own cell for it, so it keeps no
-    object per request.
+    booleans. The trace counts it at its cell and notes a rejecting cell, so
+    `requests` may be a lazy iterator of any length; an error gives the
+    request's index in the run, the number of requests fed before it.
     """
     own_cell = trace.network.own_cell
     index = operator.index
     for q, r in requests:
         if type(q) is bool or type(r) is bool:  # index(True) is 1
-            raise TypeError(f"request {len(trace.requests)} has a boolean coordinate: ({q!r}, {r!r})")
+            raise TypeError(f"request {sum(trace.demands.values())} has a boolean coordinate: ({q!r}, {r!r})")
         key = (index(q), index(r))
         cell = own_cell(key)
         if cell is None:
-            raise UnknownRequestCellError(len(trace.requests), key)
+            raise UnknownRequestCellError(sum(trace.demands.values()), key)
         trace.demands[cell] += 1
-        outcome = algorithm.decide(trace.state, cell)
-        trace.requests.append(cell)
-        trace.outcomes.append(outcome)
+        if not algorithm.decide(trace.state, cell).accepted:
+            trace.rejecting.add(cell)

@@ -104,9 +104,8 @@ class AssignmentState:
         """Add to the cell the first available frequency of `scans`, ranges
         tried in order through `first_available`, and return it; None, and
         no change, when every range is exhausted. The check that finds the
-        frequency is the one that guards its add."""
-        if cell not in self._used:
-            raise _unknown(cell)
+        frequency is the one that guards its add; an unknown cell raises in
+        `first_available`, so `scans` must not be empty."""
         for freqs in scans:
             f = self.first_available(cell, freqs)
             if f is not None:

@@ -4,7 +4,8 @@
 `searched_optimum` the branch-and-bound path that the clique fill replaced,
 `edge_list_triangle_free` the per-edge triangle test that the per-cell one
 replaced, and `overflow_order_violations` checks the caco2 overflow rule on a
-finished run.
+finished run. A run keeps no per-request record, so `recorded_run` rebuilds
+one from outside, and `run_state` is what two runs are compared by.
 """
 
 import itertools
@@ -22,7 +23,7 @@ from cellcall.offline import (
     _maximal_cliques,
     _maximal_independent_sets,
 )
-from cellcall.online import RunTrace
+from cellcall.online import RunTrace, feed_requests
 
 # `exhaustive_oracle` enumerates every multiset of independent sets.
 ORACLE_MAX_CELLS = 4
@@ -89,9 +90,14 @@ def searched_optimum(network: Network, omega: int, demands: dict) -> OptimumWitn
     return _build_witness(cells, r, [sum(1 << i for i in m) for m in members], mults)
 
 
+def edges(network: Network) -> list:
+    """Each adjacent pair `(u, v)` once, `u < v`, in sorted order."""
+    return [(u, v) for u in network.sorted_cells() for v in network.neighbors(u) if u < v]
+
+
 def edge_list_triangle_free(network: Network) -> bool:
     """True iff no adjacent pair shares a common neighbor in the cell set."""
-    for u, v in network.edges():
+    for u, v in edges(network):
         if set(network.neighbors(u)) & set(network.neighbors(v)):
             return False
     return True
@@ -105,7 +111,7 @@ def overflow_order_violations(trace: RunTrace) -> list:
     if part is None:
         return []
     violations = []
-    for u, v in trace.network.edges():
+    for u, v in edges(trace.network):
         for color, rng in enumerate(part.ranges):
             if color in (color_of(u), color_of(v)):
                 continue
@@ -114,3 +120,30 @@ def overflow_order_violations(trace: RunTrace) -> list:
             if fu and fv and not (fu[-1] < fv[0] or fv[-1] < fu[0]):
                 violations.append((u, v, color))
     return violations
+
+
+def recorded_run(algorithm, requests) -> tuple:
+    """`run_sequence`, with each request's outcome read from outside: the
+    trace and a list of `(cell, frequency)`, the frequency None for a reject.
+
+    Feeds one request at a time through `feed_requests` and takes the
+    frequency the request added to its cell's `state.used`, which must be
+    at most one.
+    """
+    trace = RunTrace.start(algorithm)
+    log = []
+    for q, r in requests:
+        cell = trace.network.own_cell((q, r))
+        before = trace.state.used(cell) if cell is not None else frozenset()
+        feed_requests(algorithm, trace, ((q, r),))
+        taken = sorted(trace.state.used(cell) - before)
+        assert len(taken) <= 1, taken
+        log.append((cell, taken[0] if taken else None))
+    return trace, log
+
+
+def run_state(trace: RunTrace) -> tuple:
+    """What a run keeps, to compare two runs by: each cell's frequencies, the
+    demands, the cells that rejected, and the flagged cells."""
+    used = {c: trace.state.used(c) for c in trace.network.sorted_cells()}
+    return used, trace.demands, trace.rejecting, trace.flagged_cells

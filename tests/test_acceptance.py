@@ -20,9 +20,9 @@ from cellcall.cli import main
 from cellcall.hexnet import Network
 from cellcall.ledger import caco2_certificate, caco_certificate
 from cellcall.offline import clique_upper_bound, exact_optimum
-from cellcall.online import Caco2Algorithm, caco_algorithm, make_algorithm, run_sequence
+from cellcall.online import Caco2Algorithm, caco_algorithm, make_algorithm
 from conftest import ODD_HOLE, random_network, random_requests
-from oracles import exhaustive_oracle, overflow_order_violations
+from oracles import exhaustive_oracle, overflow_order_violations, recorded_run
 
 CACO_SWEEP_SIZE = 500
 CACO2_SWEEP_SIZE = 500
@@ -53,6 +53,7 @@ class SweepInstance:
     omega: int
     demands: dict
     trace: object
+    log: list  # (cell, frequency or None) per request
     opt: object
 
 
@@ -64,9 +65,9 @@ def _sweep(seed, size, omegas, triangle_free, factory):
         net = random_network(rng, max_cells=9, triangle_free=triangle_free)
         omega = rng.choice(omegas)
         seq = random_requests(rng, net, rng.randint(0, 6 * omega))
-        trace = run_sequence(factory(net, omega), seq)
+        trace, log = recorded_run(factory(net, omega), seq)
         opt = exact_optimum(net, omega, dict(trace.demands))
-        instances.append(SweepInstance(net, omega, dict(trace.demands), trace, opt))
+        instances.append(SweepInstance(net, omega, dict(trace.demands), trace, log, opt))
     return instances, time.perf_counter() - start
 
 
@@ -228,7 +229,7 @@ SWEEP_OUTCOMES_SHA256 = "d2a4474035adb9eba66ac136496057cb98cd6117445686f08499656
 def test_sweep_outcomes_are_pinned(caco_sweep, caco2_sweep):
     digest = hashlib.sha256()
     for inst in caco_sweep[0] + caco2_sweep[0]:
-        digest.update(repr([out.frequency for out in inst.trace.outcomes]).encode() + b"\n")
+        digest.update(repr([f for _, f in inst.log]).encode() + b"\n")
     assert digest.hexdigest() == SWEEP_OUTCOMES_SHA256
 
 
@@ -250,7 +251,7 @@ def test_criterion_8_trace_invariants(announce, caco_sweep, caco2_sweep):
             # own range holds 2*omega/7 frequencies and is never blocked
             if 7 * inst.demands.get(cell, 0) >= 2 * omega:
                 ok = ok and 7 * trace.accepted_at(cell) >= 2 * omega
-        for cell in trace.rejecting_cells():
+        for cell in trace.rejecting:
             shared = trace.shared_accepted_at(cell) + sum(
                 trace.shared_accepted_at(n) for n in inst.network.neighbors(cell)
             )

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,9 +19,10 @@ from cellcall.adversary import (
     run_duel,
     star_network,
 )
-from cellcall.hexnet import color_of, flower_network, is_triangle_free
+from cellcall.hexnet import Network, color_of, flower_network, hex_patch, is_triangle_free
 from cellcall.offline import exact_optimum
 from cellcall.online import make_algorithm, run_sequence
+from oracles import run_state
 
 
 def duel(adversary, selector):
@@ -141,18 +143,26 @@ def test_phase_ratios_follow_ratio_report():
 
 
 def test_random_sequence_empty():
-    assert random_sequence(flower_network(), 0, 1) == []
+    assert list(random_sequence(flower_network(), 0, 1)) == []
 
 
 def test_random_sequence_deterministic():
     net = flower_network()
-    assert random_sequence(net, 50, 9) == random_sequence(net, 50, 9)
-    assert random_sequence(net, 50, 9) != random_sequence(net, 50, 10)
+    assert list(random_sequence(net, 50, 9)) == list(random_sequence(net, 50, 9))
+    assert list(random_sequence(net, 50, 9)) != list(random_sequence(net, 50, 10))
+
+
+@pytest.mark.parametrize("cells", [1, 7, 19, 1261])
+def test_random_sequence_draws_the_choices_stream(cells):
+    # drawn lazily, the stream `random.choices` draws as a list
+    net = hex_patch(20) if cells == 1261 else Network(hex_patch(2).sorted_cells()[:cells])
+    expected = random.Random(3).choices(net.sorted_cells(), k=20_000)
+    assert list(random_sequence(net, 20_000, 3)) == expected
 
 
 def test_random_sequence_snapshot():
     # pinned on first run; guards the cross-version stability of seeding
-    seq = random_sequence(flower_network(), 200, 12345)
+    seq = list(random_sequence(flower_network(), 200, 12345))
     digest = hashlib.sha256(json.dumps(seq).encode()).hexdigest()
     assert seq[:5] == [(0, -1), (-1, 0), (1, -1), (0, -1), (0, -1)]
     assert digest == "52baee002ad8e9c4a0280d4ac41761ec7eb4609043e4f5799d4bcfe09dcdefb7"
@@ -167,7 +177,7 @@ def test_duel_replay_identical():
     scenario = fig3_adversary(9)
     t1 = run_duel(scenario, make_algorithm("caco2", scenario.network, 9))
     t2 = run_duel(scenario, make_algorithm("caco2", scenario.network, 9))
-    assert t1.requests == t2.requests and t1.outcomes == t2.outcomes
+    assert run_state(t1) == run_state(t2) and t1.rejecting
 
 
 def test_make_adversary_selectors():
@@ -184,7 +194,7 @@ def test_make_adversary_selectors():
 
 def test_random_adversary_single_batch():
     scenario = random_adversary(7, seed=1, length=10)
-    assert scenario.next_batch(0, {}) == random_sequence(flower_network(), 10, 1)
+    assert list(scenario.next_batch(0, {})) == list(random_sequence(flower_network(), 10, 1))
     assert scenario.next_batch(1, {}) is None
 
 
@@ -194,8 +204,6 @@ def test_single_batch_duel_matches_run_sequence(selector):
     scenario = random_adversary(21, seed=5, length=120, network=net)
     duel_trace = run_duel(scenario, make_algorithm(selector, net, 21))
     seq_trace = run_sequence(make_algorithm(selector, net, 21), scenario.next_batch(0, {}))
-    assert duel_trace.requests == seq_trace.requests
-    assert duel_trace.outcomes == seq_trace.outcomes
-    assert duel_trace.demands == seq_trace.demands
-    assert duel_trace.flagged_cells == seq_trace.flagged_cells
+    assert run_state(duel_trace) == run_state(seq_trace)
+    assert sum(duel_trace.demands.values()) == 120 and duel_trace.rejecting
     assert bool(duel_trace.flagged_cells) == (selector == "caco2")  # outer cells have one neighbor

@@ -35,7 +35,7 @@ from cellcall.offline import (
 )
 from cellcall.online import caco_algorithm, make_algorithm
 from conftest import ODD_HOLE, PATCH_CELLS, random_network
-from oracles import ORACLE_MAX_CELLS, ORACLE_MAX_OMEGA, _independent_sets, exhaustive_oracle, searched_optimum
+from oracles import ORACLE_MAX_CELLS, ORACLE_MAX_OMEGA, _independent_sets, edges, exhaustive_oracle, searched_optimum
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -262,7 +262,7 @@ def test_exact_below_clique_bound_randomized():
         assert opt.total <= clique_upper_bound(net, omega, demands)
         validate_witness(net, omega, demands, opt)
         # adjacent-pair law
-        for u, v in net.edges():
+        for u, v in edges(net):
             assert opt.per_cell[u] + opt.per_cell[v] <= omega
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cellcall import hexnet, online
 from cellcall.adversary import UnknownAdversaryError, make_adversary
+from cellcall.harness import ScenarioConfig, run_experiment
 from cellcall.hexnet import Network, color_of, flower_network, hex_patch
 from cellcall.online import (
     Caco2Algorithm,
@@ -22,40 +23,40 @@ from cellcall.online import (
 )
 from cellcall.spectrum import AssignmentState
 from conftest import random_network, random_requests
-from oracles import overflow_order_violations
+from oracles import overflow_order_violations, recorded_run, run_state
 
 STAR = Network([(0, 0), (-1, 1), (0, -1), (1, 0)])  # R center, G outer
 
 
-def accepted_freqs(trace):
-    return [out.frequency for out in trace.outcomes if out.accepted]
+def accepted_freqs(log):
+    return [f for _, f in log if f is not None]
 
 
-def outcomes(trace):
-    return [out.accepted for out in trace.outcomes]
+def outcomes(log):
+    return [f is not None for _, f in log]
 
 
 # greedy
 
 def test_greedy_accepts_minimum():
     net = Network([(0, 0)])
-    trace = run_sequence(GreedyAlgorithm(net, 7), [(0, 0)])
-    assert accepted_freqs(trace) == [1]
+    _, log = recorded_run(GreedyAlgorithm(net, 7), [(0, 0)])
+    assert accepted_freqs(log) == [1]
 
 
 def test_greedy_rejects_when_spectrum_blocked():
     net = Network([(0, 0), (1, 0)])
     seq = [(0, 0)] * 2 + [(1, 0)] * 2
-    trace = run_sequence(GreedyAlgorithm(net, 3), seq + [(1, 0)])
+    _, log = recorded_run(GreedyAlgorithm(net, 3), seq + [(1, 0)])
     # first cell takes 1,2; neighbor takes 3 then has nothing left
-    assert accepted_freqs(trace) == [1, 2, 3]
-    assert outcomes(trace) == [True, True, True, False, False]
+    assert accepted_freqs(log) == [1, 2, 3]
+    assert outcomes(log) == [True, True, True, False, False]
 
 
 def test_greedy_skips_neighbor_frequencies():
     net = Network([(0, 0), (1, 0)])
-    trace = run_sequence(GreedyAlgorithm(net, 7), [(0, 0), (0, 0), (1, 0)])
-    assert accepted_freqs(trace) == [1, 2, 3]
+    _, log = recorded_run(GreedyAlgorithm(net, 7), [(0, 0), (0, 0), (1, 0)])
+    assert accepted_freqs(log) == [1, 2, 3]
 
 
 def test_greedy_rejections_are_forced():
@@ -64,11 +65,11 @@ def test_greedy_rejections_are_forced():
     net = random_network(rng, max_cells=7)
     omega = 5
     seq = random_requests(rng, net, 80)
-    trace = run_sequence(GreedyAlgorithm(net, omega), seq)
+    _, log = recorded_run(GreedyAlgorithm(net, omega), seq)
     replay = AssignmentState(net, omega)
-    for cell, out in zip(trace.requests, trace.outcomes, strict=True):
-        if out.accepted:
-            replay.assign(cell, out.frequency)
+    for cell, f in log:
+        if f is not None:
+            replay.assign(cell, f)
         else:
             assert replay.first_available(cell, range(1, omega + 1)) is None
 
@@ -84,60 +85,79 @@ def test_decide_commits_what_the_two_check_path_assigns(name, seed, multiple, x,
     args = (x, y) if name == "partition" else ()
     omega = multiple * {"greedy": 1, "caco": 7, "caco2": 3, "partition": 3 * x + y}[name]
     algorithm = online._ALGORITHMS[name](net, omega, *args)
-    trace = run_sequence(algorithm, random_requests(rng, net, rng.randint(0, 4 * omega)))
+    trace, log = recorded_run(algorithm, random_requests(rng, net, rng.randint(0, 4 * omega)))
     replay = AssignmentState(net, omega)
-    for cell, out in zip(trace.requests, trace.outcomes, strict=True):
+    for cell, taken in log:
         found = (replay.first_available(cell, freqs) for freqs in algorithm.scans[cell])
         f = next((f for f in found if f is not None), None)
-        assert out.frequency == f
+        assert taken == f
         if f is not None:
             replay.assign(cell, f)
     assert all(replay.used(c) == trace.state.used(c) for c in net.cells)
+
+
+@pytest.mark.parametrize("name", sorted(online._ALGORITHMS))
+def test_recorded_rejects_are_the_rejecting_cells(name):
+    # the recorder reads each outcome from outside the run; its rejects are
+    # exactly the cells the trace keeps, and the run it drives is `run_sequence`'s
+    rng = random.Random(name)
+    rejected = 0
+    for _ in range(20):
+        net = random_network(rng, triangle_free=name == "caco2")
+        args = (1, 1) if name == "partition" else ()
+        omega = {"greedy": 3, "caco": 7, "caco2": 3, "partition": 4}[name]
+        seq = random_requests(rng, net, rng.randint(0, 8 * omega))
+        algorithm = online._ALGORITHMS[name](net, omega, *args)
+        trace, log = recorded_run(algorithm, seq)
+        assert {cell for cell, f in log if f is None} == trace.rejecting
+        assert run_state(trace) == run_state(run_sequence(algorithm, seq))
+        rejected += bool(trace.rejecting)
+    assert rejected > 0
 
 
 # caco / partition family
 
 def test_caco_single_cell_nine_then_reject():
     net = Network([(0, 0)])
-    trace = run_sequence(caco_algorithm(net, 21), [(0, 0)] * 10)
-    assert accepted_freqs(trace) == [1, 2, 3, 4, 5, 6, 19, 20, 21]
-    assert outcomes(trace)[-1] is False
+    _, log = recorded_run(caco_algorithm(net, 21), [(0, 0)] * 10)
+    assert accepted_freqs(log) == [1, 2, 3, 4, 5, 6, 19, 20, 21]
+    assert outcomes(log)[-1] is False
 
 
 def test_caco_green_cell_overflows_to_shared():
     net = STAR
-    trace = run_sequence(caco_algorithm(net, 21), [(1, 0)] * 7)
-    assert accepted_freqs(trace) == [7, 8, 9, 10, 11, 12, 19]
+    _, log = recorded_run(caco_algorithm(net, 21), [(1, 0)] * 7)
+    assert accepted_freqs(log) == [7, 8, 9, 10, 11, 12, 19]
 
 
 def test_caco_rejects_when_shared_taken_by_neighbor():
     net = STAR
     seq = [(0, 0)] * 21 + [(1, 0)] * 7
-    trace = run_sequence(caco_algorithm(net, 21), seq)
+    trace, log = recorded_run(caco_algorithm(net, 21), seq)
     # center used its 6 own + all 3 shared; outer gets its 6 own then rejects
     assert trace.accepted_at((1, 0)) == 6
-    assert outcomes(trace)[-1] is False
+    assert outcomes(log)[-1] is False
 
 
 def test_partition_2_1_identical_to_caco():
     rng = random.Random(7)
     net = random_network(rng, max_cells=8)
     seq = random_requests(rng, net, 100)
-    t1 = run_sequence(caco_algorithm(net, 21), seq)
-    t2 = run_sequence(PartitionReserveAlgorithm(net, 21, 2, 1), seq)
-    assert [o.frequency for o in t1.outcomes] == [o.frequency for o in t2.outcomes]
+    _, log1 = recorded_run(caco_algorithm(net, 21), seq)
+    _, log2 = recorded_run(PartitionReserveAlgorithm(net, 21, 2, 1), seq)
+    assert log1 == log2
 
 
 def test_partition_1_1_single_cell():
     net = Network([(0, 0)])
-    trace = run_sequence(PartitionReserveAlgorithm(net, 4, 1, 1), [(0, 0)] * 4)
-    assert sum(outcomes(trace)) == 2  # one own + one shared
+    _, log = recorded_run(PartitionReserveAlgorithm(net, 4, 1, 1), [(0, 0)] * 4)
+    assert sum(outcomes(log)) == 2  # one own + one shared
 
 
 def test_partition_3_1_single_cell():
     net = Network([(0, 0)])
-    trace = run_sequence(PartitionReserveAlgorithm(net, 10, 3, 1), [(0, 0)] * 10)
-    assert sum(outcomes(trace)) == 4
+    _, log = recorded_run(PartitionReserveAlgorithm(net, 10, 3, 1), [(0, 0)] * 10)
+    assert sum(outcomes(log)) == 4
 
 
 @pytest.mark.parametrize("x, y", [(2, 1), (1, 1), (3, 1), (1, 2)])
@@ -149,15 +169,15 @@ def test_partition_own_range_matches_counter(x, y):
     took_own = set()
     for _ in range(20):
         net = random_network(rng)
-        trace = run_sequence(PartitionReserveAlgorithm(net, omega, x, y), random_requests(rng, net, 60))
+        trace, log = recorded_run(PartitionReserveAlgorithm(net, omega, x, y), random_requests(rng, net, 60))
         replay = AssignmentState(net, omega)
-        for cell, out in zip(trace.requests, trace.outcomes, strict=True):
+        for cell, f in log:
             own = trace.partition.ranges[color_of(cell)]
-            took = out.accepted and out.frequency in own
+            took = f is not None and f in own
             assert took == (replay.count_in(cell, own) < len(own))
             took_own.add(took)
-            if out.accepted:
-                replay.assign(cell, out.frequency)
+            if f is not None:
+                replay.assign(cell, f)
     assert took_own == {True, False}
 
 
@@ -209,29 +229,29 @@ def test_caco2_builds_no_second_network(monkeypatch):
 
 def test_caco2_isolated_cell_uses_whole_spectrum():
     net = Network([(0, 0)])
-    trace = run_sequence(Caco2Algorithm(net, 9), [(0, 0)] * 10)
-    assert accepted_freqs(trace) == list(range(1, 10))
-    assert outcomes(trace)[-1] is False
+    _, log = recorded_run(Caco2Algorithm(net, 9), [(0, 0)] * 10)
+    assert accepted_freqs(log) == list(range(1, 10))
+    assert outcomes(log)[-1] is False
 
 
 def test_caco2_structure_a_overflow_ascending():
     # R center, three G neighbors: overflow goes to F_B bottom-to-top
-    trace = run_sequence(Caco2Algorithm(STAR, 9), [(0, 0)] * 7)
-    assert accepted_freqs(trace) == [1, 2, 3, 7, 8, 9]
+    _, log = recorded_run(Caco2Algorithm(STAR, 9), [(0, 0)] * 7)
+    assert accepted_freqs(log) == [1, 2, 3, 7, 8, 9]
 
 
 def test_caco2_structure_b_overflow_descending():
     net = Network([(0, 0), (1, 0), (-1, 0)])  # R center, G and B neighbors
-    trace = run_sequence(Caco2Algorithm(net, 9), [(0, 0)] * 7)
-    assert accepted_freqs(trace) == [1, 2, 3, 6, 5, 4]
-    assert outcomes(trace)[-1] is False
+    _, log = recorded_run(Caco2Algorithm(net, 9), [(0, 0)] * 7)
+    assert accepted_freqs(log) == [1, 2, 3, 6, 5, 4]
+    assert outcomes(log)[-1] is False
 
 
 def test_caco2_single_neighbor_acts_like_structure_b():
     net = Network([(0, 0), (1, 0)])  # G cell with single R neighbor
-    trace = run_sequence(Caco2Algorithm(net, 9), [(1, 0)] * 7)
+    trace, log = recorded_run(Caco2Algorithm(net, 9), [(1, 0)] * 7)
     # G's own range then F_B top-to-bottom
-    assert accepted_freqs(trace) == [4, 5, 6, 9, 8, 7]
+    assert accepted_freqs(log) == [4, 5, 6, 9, 8, 7]
     assert (1, 0) in trace.flagged_cells
 
 
@@ -294,7 +314,7 @@ def test_unknown_request_cell_index_counts_earlier_batches():
     with pytest.raises(UnknownRequestCellError) as err:
         feed_requests(alg, trace, [[0, 0], [3, 3]])
     assert (err.value.index, err.value.cell) == (3, (3, 3))
-    assert len(trace.requests) == len(trace.outcomes) == 3
+    assert sum(trace.demands.values()) == 3
 
 
 @pytest.mark.parametrize("pair", [(0.9, 0.2), ("1", "0")])
@@ -310,29 +330,24 @@ def test_boolean_request_rejected():
         run_sequence(GreedyAlgorithm(net, 3), [(True, False)])
 
 
-@pytest.mark.parametrize("as_lists", [False, True])
-def test_trace_keeps_no_object_per_request(as_lists):
-    net = hex_patch(4)
-    own = {c: c for c in net.cells}
-    rng = random.Random(4)
-    # fresh objects equal to the network's cells, as a scenario file yields them
-    requests = [
-        [q, r] if as_lists else (q, r) for q, r in rng.choices(net.sorted_cells(), k=20_000)
-    ]
-    alg = caco_algorithm(net, 21)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        trace = run_sequence(alg, requests)
-        growth = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert growth < 32 * len(requests), growth / len(requests)
-    assert all(cell is own[cell] for cell in trace.requests)
-    shared = {}
-    accepted = [out for out in trace.outcomes if out.accepted]
-    assert len(accepted) > 21
-    assert all(shared.setdefault(out.frequency, out) is out for out in accepted)
+def test_run_memory_does_not_grow_with_the_request_count():
+    # a run keeps its final state, not its history: the tracemalloc peak of
+    # a run of 40,000 random requests is that of one of 10,000, within 4 KiB,
+    # where two list slots per request would add 480 KB
+    def peak(length):
+        config = ScenarioConfig("flat", 21, (), "caco", f"random:1:{length}")
+        tracemalloc.start()
+        try:
+            report = run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.total_demand == length
+        return peak
+
+    peak(100)  # fills the caches that every run shares
+    small, large = peak(10_000), peak(40_000)
+    assert large - small < 4096, (small, large)
 
 
 def test_determinism():
@@ -340,24 +355,25 @@ def test_determinism():
     net = random_network(rng, max_cells=8, triangle_free=True)
     seq = random_requests(rng, net, 60)
     for selector in ("greedy", "caco2"):
-        a = run_sequence(make_algorithm(selector, net, 9), seq)
-        b = run_sequence(make_algorithm(selector, net, 9), seq)
-        assert a.requests == b.requests and a.outcomes == b.outcomes
+        a, log_a = recorded_run(make_algorithm(selector, net, 9), seq)
+        b, log_b = recorded_run(make_algorithm(selector, net, 9), seq)
+        assert log_a == log_b and run_state(a) == run_state(b)
 
 
 def test_traces_share_no_mutable_object():
-    # a record default such as `requests: list = []` would be one list for
+    # a record default such as `rejecting: set = set()` would be one set for
     # every trace; each run and each `RunTrace.start` gets its own
     alg = caco_algorithm(STAR, 21)
-    first = run_sequence(alg, [(0, 0)] * 3)
-    second = run_sequence(alg, [(0, 0)] * 3)
-    assert second.requests == first.requests and second.outcomes == first.outcomes
-    assert second.demands == first.demands == {(0, 0): 3}
+    first = run_sequence(alg, [(0, 0)] * 10)
+    second = run_sequence(alg, [(0, 0)] * 10)
+    assert run_state(second) == run_state(first)
+    assert second.demands == first.demands == {(0, 0): 10}
+    assert second.rejecting == first.rejecting == {(0, 0)}
     for a, b in ((first, second), (RunTrace.start(alg), RunTrace.start(alg))):
-        for name in ("requests", "outcomes", "demands", "state"):
+        for name in ("rejecting", "demands", "state"):
             assert getattr(a, name) is not getattr(b, name), name
     fresh = RunTrace.start(alg)
-    assert fresh.requests == fresh.outcomes == [] and not fresh.demands
+    assert fresh.rejecting == set() and not fresh.demands
     assert fresh.state.count((0, 0)) == 0
 
 
