@@ -330,6 +330,31 @@ def test_boolean_request_rejected():
         run_sequence(GreedyAlgorithm(net, 3), [(True, False)])
 
 
+@pytest.mark.parametrize("as_lists", [False, True])
+def test_trace_keeps_no_object_per_request(as_lists):
+    net = hex_patch(4)
+    own = {c: c for c in net.cells}
+    rng = random.Random(4)
+    # fresh objects equal to the network's cells, as a scenario file yields them
+    requests = [
+        [q, r] if as_lists else (q, r) for q, r in rng.choices(net.sorted_cells(), k=20_000)
+    ]
+    alg = caco_algorithm(net, 21)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run_sequence(alg, requests)
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth < 32 * len(requests), growth / len(requests)
+    assert sum(trace.demands.values()) == len(requests)
+    # the trace keys its counts by the network's own cells, not the request objects
+    assert all(cell is own[cell] for cell in trace.demands)
+    assert trace.rejecting and all(cell is own[cell] for cell in trace.rejecting)
+    assert trace.total_accepted() > 21
+
+
 def test_run_memory_does_not_grow_with_the_request_count():
     # a run keeps its final state, not its history: the tracemalloc peak of
     # a run of 40,000 random requests is that of one of 10,000, within 4 KiB,
