@@ -1,5 +1,6 @@
 """Adaptive request-sequence generators: the two lower-bound star scenarios
-and seeded random traffic. Adversaries see only per-cell accepted counts."""
+and seeded random traffic. An adversary yields its phases one batch at a
+time, and between batches sees only the live per-cell accepted counts."""
 
 from __future__ import annotations
 
@@ -28,15 +29,16 @@ def star_network() -> Network:
 class AdversaryScenario(NamedTuple):
     """A scripted/adaptive request source.
 
-    `next_batch(phase, counts)` returns the phase's requests, an iterable read
-    once, or None when the adversary stops; `counts` maps cells to accepted
-    counts observed so far (public outcomes only).
+    `phases(accepted)` yields each phase's requests, an iterable read once,
+    and stops when the adversary does. `accepted(cell)` is the number of calls
+    accepted at `cell` so far (public outcomes only), which the adversary reads
+    between phases: each batch is fed in full before the generator resumes.
     """
 
     name: str
     network: Network
     omega: int
-    next_batch: Callable[[int, dict], Optional[Iterable]]
+    phases: Callable[[Callable[[Cell], int]], Iterator[Iterable]]
 
 
 def _star_flood(name: str, omega: int, go_on: Callable[[int], bool]) -> AdversaryScenario:
@@ -48,14 +50,12 @@ def _star_flood(name: str, omega: int, go_on: Callable[[int], bool]) -> Adversar
             f"a {name} flood sends 4*omega requests, at most {MAX_RANDOM_LENGTH}; omega is {omega}"
         )
 
-    def next_batch(phase: int, counts: dict) -> Optional[Iterable]:
-        if phase == 0:
-            return repeat(STAR_CENTER, omega)
-        if phase == 1 and go_on(counts.get(STAR_CENTER, 0)):
-            return (c for c in STAR_OUTER for _ in range(omega))
-        return None
+    def phases(accepted: Callable[[Cell], int]) -> Iterator[Iterable]:
+        yield repeat(STAR_CENTER, omega)
+        if go_on(accepted(STAR_CENTER)):
+            yield (c for c in STAR_OUTER for _ in range(omega))
 
-    return AdversaryScenario(name, star_network(), omega, next_batch)
+    return AdversaryScenario(name, star_network(), omega, phases)
 
 
 def fig2_adversary(omega: int) -> AdversaryScenario:
@@ -93,10 +93,10 @@ def random_adversary(omega: int, seed: int, length: int, network: Optional[Netwo
         raise ValueError(f"length must be between 0 and {MAX_RANDOM_LENGTH}, got {length}")
     net = network if network is not None else flower_network()
 
-    def next_batch(phase: int, counts: dict) -> Optional[Iterable]:
-        return random_sequence(net, length, seed) if phase == 0 else None
+    def phases(accepted: Callable[[Cell], int]) -> Iterator[Iterable]:
+        yield random_sequence(net, length, seed)
 
-    return AdversaryScenario(f"random:{seed}:{length}", net, omega, next_batch)
+    return AdversaryScenario(f"random:{seed}:{length}", net, omega, phases)
 
 
 class UnknownAdversaryError(ValueError):
@@ -116,7 +116,7 @@ def make_adversary(selector: str, omega: int, network: Optional[Network] = None)
 def phase_ratios(scenario: AdversaryScenario, algorithm_factory) -> list:
     """Exact OPT/ALG after each adversary phase (the adversary may stop at any
     phase boundary, so the scenario's strength is the max of these); each is
-    `ledger.ratio_report`'s ratio, None when unbounded."""
+    `ledger.ratio_report`'s, None when unbounded."""
     from .ledger import ratio_report
     from .offline import exact_optimum
 
@@ -124,7 +124,7 @@ def phase_ratios(scenario: AdversaryScenario, algorithm_factory) -> list:
 
     def record(trace: RunTrace) -> None:
         opt = exact_optimum(trace.network, trace.omega, dict(trace.demands))
-        ratios.append(ratio_report(trace, opt).ratio)
+        ratios.append(ratio_report(trace, opt))
 
     run_duel(scenario, algorithm_factory(scenario.network, scenario.omega), record)
     return ratios
@@ -137,15 +137,9 @@ def run_duel(
 ) -> RunTrace:
     """Play the adversary against `algorithm` on its network; pure function of
     its inputs. `on_phase(trace)`, when given, runs after each phase's requests."""
-    trace = RunTrace.start(algorithm)
-    phase = 0
-    while True:
-        counts = {c: trace.state.count(c) for c in trace.network.cells}
-        batch = scenario.next_batch(phase, counts)
-        if batch is None:
-            break
+    trace = RunTrace(algorithm)
+    for batch in scenario.phases(trace.state.count):
         feed_requests(algorithm, trace, batch)
         if on_phase is not None:
             on_phase(trace)
-        phase += 1
     return trace

@@ -5,13 +5,14 @@ from __future__ import annotations
 import itertools
 import json
 import reprlib
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
 from . import __version__
 from .adversary import make_adversary, run_duel
 from .hexnet import COLORS, Cell, Network, color_of
-from .ledger import Certificate, RatioReport, caco2_certificate, caco_certificate, ratio_report
+from .ledger import Certificate, caco2_certificate, caco_certificate, ratio_report
 from .offline import InstanceTooLargeError, exact_optimum
 from .online import RunTrace, make_algorithm, run_sequence
 
@@ -67,7 +68,7 @@ def _as_cell(value, what: str) -> Cell:
     return (value[0], value[1])
 
 
-_FIELDS = ("omega", "cells", "algorithm", "traffic", "verify_certificate", "compute_opt")
+_FIELDS = ScenarioConfig._fields[1:]  # every field but the id, which the file name gives
 
 
 def parse_scenario(data: dict, scenario_id: str) -> ScenarioConfig:
@@ -184,7 +185,7 @@ class RunReport(NamedTuple):
     total_demand: int
     total_accepted: int
     total_opt: Optional[int]
-    ratio: Optional[RatioReport]
+    ratio: Optional[Fraction]  # OPT/ALG; None when infinite or without an optimum
     certificate: Optional[Certificate] = None
     flagged_cells: tuple = ()
     error: Optional[str] = None
@@ -198,9 +199,9 @@ class RunReport(NamedTuple):
 def _certificate_for(trace: RunTrace, opt) -> Optional[Certificate]:
     # by resolved name, so "partition:2:1" (which builds caco) is certified too;
     # called through this module's globals, which perfbench/tracing.py rebinds
-    if trace.algorithm == "caco":
+    if trace.algorithm.name == "caco":
         return caco_certificate(trace, opt)
-    if trace.algorithm == "caco2":
+    if trace.algorithm.name == "caco2":
         return caco2_certificate(trace, opt)
     return None
 
@@ -230,7 +231,7 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
     ]
     return RunReport(
         scenario_id=config.scenario_id,
-        algorithm=trace.algorithm,
+        algorithm=trace.algorithm.name,
         omega=config.omega,
         rows=rows,
         total_demand=sum(r[3] for r in rows),
@@ -238,12 +239,20 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
         total_opt=opt.total if opt is not None else None,
         ratio=ratio_report(trace, opt) if opt is not None else None,
         certificate=certificate,
-        flagged_cells=trace.flagged_cells,
+        flagged_cells=trace.algorithm.flagged_cells,
         error=error,
     )
 
 
 CSV_COLUMNS = ("q", "r", "color", "demand", "online_accepted", "opt_accepted")
+
+
+def render_ratio(ratio: Optional[Fraction]) -> str:
+    """An OPT/ALG ratio as the text report prints it: exact, then to four
+    decimals; "inf" for None, the infinite ratio."""
+    if ratio is None:
+        return "inf"
+    return f"{ratio} (~{float(ratio):.4f})"
 
 
 def emit_report(report: RunReport, fmt: str = "text") -> str:
@@ -273,8 +282,8 @@ def emit_report(report: RunReport, fmt: str = "text") -> str:
     lines.append(
         f"totals: demand={report.total_demand} online={report.total_accepted} opt={opt_total}"
     )
-    if report.ratio is not None:
-        lines.append(f"ratio OPT/ALG: {report.ratio.render()}")
+    if report.total_opt is not None:
+        lines.append(f"ratio OPT/ALG: {render_ratio(report.ratio)}")
     if report.flagged_cells:
         lines.append(f"flagged degenerate-structure cells: {list(report.flagged_cells)}")
     cert = report.certificate
@@ -343,10 +352,10 @@ def sweep(template: ScenarioConfig, grid: dict) -> SweepSummary:
             failures.append((point_id, str(exc)))
     ratio_range: dict = {}
     for r in reports:
-        if r.ratio is None or r.ratio.ratio is None:
+        value = r.ratio
+        if value is None:
             continue
         lo, hi = ratio_range.get(r.algorithm, (None, None))
-        value = r.ratio.ratio
         ratio_range[r.algorithm] = (
             value if lo is None else min(lo, value),
             value if hi is None else max(hi, value),

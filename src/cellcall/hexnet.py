@@ -98,13 +98,6 @@ class Network:
             raise UnknownCellError(f"cell {cell} is not in the network") from None
 
     @cached_property
-    def coloring(self) -> Mapping[Cell, int]:
-        """Each cell's `color_of`, read-only: a proper colouring, since hex
-        adjacency joins no two cells of one colour. Found once per network,
-        which is immutable."""
-        return MappingProxyType({c: color_of(c) for c in self.cells})
-
-    @cached_property
     def triangle_free(self) -> bool:
         """`is_triangle_free(self)`, computed once per network, which is immutable."""
         return is_triangle_free(self)
@@ -112,13 +105,8 @@ class Network:
     @cached_property
     def neighbor_configs(self) -> Mapping[Cell, NeighborConfig]:
         """Each cell's `classify_neighbor_config`, read-only and found once per
-        network; a neighbour not of the successor colour has the predecessor's."""
-        configs = {}
-        for c, nbrs in self._adj.items():
-            up = (c[0] - c[1] + 1) % 3  # the successor colour
-            configs[c] = NeighborConfig(tuple([n for n in nbrs if (n[0] - n[1]) % 3 == up]),
-                                        tuple([n for n in nbrs if (n[0] - n[1]) % 3 != up]))
-        return MappingProxyType(configs)
+        network, which is immutable."""
+        return MappingProxyType({c: classify_neighbor_config(self, c) for c in self._adj})
 
 
 def is_triangle_free(network: Network) -> bool:

@@ -8,8 +8,7 @@ proof (floor 3/7, credits divided by 3) uses L = 21, so its credit
 proof (floor 4/9, a spare split over at most 3 neighbors, omega/9 credits)
 uses L = 54, so a spare (9A - 4O)/9 is 54A - 24O and omega/9 is 6*omega.
 Every pass/fail decision is an integer comparison. Fractions are built only
-for `Certificate.b_values` and `h_values`; floats appear only in decimal
-renderings of ratios."""
+for `Certificate.b_values` and `h_values` and for the OPT/ALG ratio."""
 
 from __future__ import annotations
 
@@ -234,22 +233,10 @@ def caco2_certificate(trace: RunTrace, opt: OptimumWitness) -> Certificate:
     return Certificate("caco2", donors, b, h, checks, sorted(set(uncovered)))
 
 
-class RatioReport(NamedTuple):
-    ratio: Optional[Fraction]  # None means infinite
-
-    def render(self) -> str:
-        if self.ratio is None:
-            return "inf"
-        r = self.ratio
-        if r.denominator == 1:
-            return f"{r.numerator} (~{float(r):.4f})"
-        return f"{r.numerator}/{r.denominator} (~{float(r):.4f})"
-
-
-def ratio_report(trace: RunTrace, opt: OptimumWitness) -> RatioReport:
-    """Exact OPT/ALG ratio; 1 for the empty instance, infinite when the
-    algorithm accepted nothing but the optimum is positive."""
+def ratio_report(trace: RunTrace, opt: OptimumWitness) -> Optional[Fraction]:
+    """Exact OPT/ALG ratio; 1 for the empty instance, None (infinite) when
+    the algorithm accepted nothing but the optimum is positive."""
     alg = trace.total_accepted()
     if alg == 0:
-        return RatioReport(Fraction(1) if opt.total == 0 else None)
-    return RatioReport(Fraction(opt.total, alg))
+        return Fraction(1) if opt.total == 0 else None
+    return Fraction(opt.total, alg)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Optional
 
-from .hexnet import Network, as_integer
+from .hexnet import Network, as_integer, color_of
 
 
 class InstanceTooLargeError(ValueError):
@@ -293,7 +293,7 @@ def _build_witness(cells: list, r: list[int], sets: list[int], mults: list[int])
 
 def _serve_every_demand(network: Network, omega: int, cells: list, r: list[int]) -> Optional[OptimumWitness]:
     """A witness serving every demand of `cells` in full, or None when the
-    network's `coloring` finds none; `cells` hold every neighbour of their
+    colouring `color_of` finds none; `cells` hold every neighbour of their
     cells.
 
     With one colour in the middle, a low-colour cell takes frequencies
@@ -306,7 +306,7 @@ def _serve_every_demand(network: Network, omega: int, cells: list, r: list[int])
     cellular networks, Algorithmica 29, 2001). No optimum exceeds the total
     demand, so O = R is then the only optimal vector.
     """
-    color = network.coloring
+    color = {c: color_of(c) for c in cells}
     demand = dict(zip(cells, r))
     # each cell's largest neighbour demand per colour; its own colour stays 0
     peak = []
@@ -376,16 +376,14 @@ def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness
 def _fill_clique(network: Network, omega: int, cells: list, r: list[int]) -> Optional[OptimumWitness]:
     """The optimum omega of a component of 2 or 3 pairwise adjacent cells whose
     demands sum past omega, else None: the sorted cells take min(R_i, what is
-    left of omega) in turn, in blocks from frequency 1, as the search does
-    over its independent sets, the single cells in order."""
+    left of omega) in turn, as the search does over its independent sets, the
+    single cells in order."""
     if len(cells) > 3 or sum(r) <= omega or any(len(network.neighbors(c)) < len(cells) - 1 for c in cells):
         return None
-    per_cell, assignment, start = {}, {}, 0
-    for c, d in zip(cells, r):
-        per_cell[c] = min(d, omega - start)
-        assignment[c] = frozenset(range(start + 1, start + per_cell[c] + 1))
-        start += per_cell[c]
-    return OptimumWitness(omega, per_cell, assignment)
+    mults = []
+    for d in r:
+        mults.append(min(d, omega - sum(mults)))
+    return _build_witness(cells, r, [1 << i for i in range(len(cells))], mults)
 
 
 def _branch_and_bound(

@@ -4,8 +4,8 @@
 The algorithms differ only in the order in which a cell tries frequencies:
 each is a `ScanAlgorithm`, built for one network and omega, whose per-cell
 scan list drives the one `decide(state, cell) -> Outcome`; `run_sequence`
-feeds requests through one into a trace that keeps the run's final state,
-not its history.
+feeds requests through one into a `RunTrace(algorithm)`, which holds the
+algorithm and the run's final state, not its history.
 """
 
 from __future__ import annotations
@@ -36,52 +36,31 @@ def accept(frequency: int) -> Outcome:
 
 
 class RunTrace:
-    """What one run keeps: its demands, the cells that rejected, and the final state.
+    """What one run of `algorithm` keeps: its demands, the cells that rejected,
+    and the final state; the network, omega and partition are the algorithm's.
 
     Its size depends on the network and omega, not on the number of requests:
-    `demands` counts the requests at each cell, and `rejecting` is the set
-    of cells that rejected at least once. The two growing fields have no
-    default: `start` gives each trace its own, which `feed_requests` fills.
+    `demands` counts the requests at each cell (R_i), and `rejecting` is the
+    set of cells that rejected at least once, both filled by `feed_requests`.
     A slotted class rather than a NamedTuple, as `feed_requests` reads its
     fields once per request, and a slot reads faster than a tuple field.
     """
 
-    __slots__ = ("algorithm", "network", "omega", "state", "partition", "flagged_cells",
-                 "demands", "rejecting")
+    __slots__ = ("algorithm", "state", "demands", "rejecting")
 
-    def __init__(
-        self,
-        algorithm: str,
-        network: Network,
-        omega: int,
-        state: AssignmentState,
-        partition: Optional[FrequencyPartition],
-        flagged_cells: tuple,  # degenerate neighbor configs, see caco2
-        demands: Counter,  # R_i
-        rejecting: set,  # cells that rejected a request
-    ):
+    def __init__(self, algorithm: ScanAlgorithm):
         self.algorithm = algorithm
-        self.network = network
-        self.omega = omega
-        self.state = state
-        self.partition = partition
-        self.flagged_cells = flagged_cells
-        self.demands = demands
-        self.rejecting = rejecting
+        self.state = AssignmentState(algorithm.network, algorithm.omega)
+        self.demands = Counter()
+        self.rejecting = set()
 
-    @staticmethod
-    def start(algorithm) -> RunTrace:
-        """Empty trace on `algorithm`'s network and omega, with its name, partition and flagged cells."""
-        return RunTrace(
-            algorithm=algorithm.name,
-            network=algorithm.network,
-            omega=algorithm.omega,
-            state=AssignmentState(algorithm.network, algorithm.omega),
-            partition=algorithm.partition,
-            flagged_cells=algorithm.flagged_cells,
-            demands=Counter(),
-            rejecting=set(),
-        )
+    @property
+    def network(self) -> Network:
+        return self.algorithm.network
+
+    @property
+    def omega(self) -> int:
+        return self.algorithm.omega
 
     def accepted_at(self, cell: Cell) -> int:
         """A_i."""
@@ -89,9 +68,10 @@ class RunTrace:
 
     def shared_accepted_at(self, cell: Cell) -> int:
         """A_S(C_i); zero when the partition has no shared set."""
-        if self.partition is None or self.partition.shared is None:
+        part = self.algorithm.partition
+        if part is None or part.shared is None:
             return 0
-        return self.state.count_in(cell, self.partition.shared)
+        return self.state.count_in(cell, part.shared)
 
     def total_accepted(self) -> int:
         return sum(self.state.count(c) for c in self.network.cells)
@@ -139,8 +119,8 @@ class PartitionReserveAlgorithm(ScanAlgorithm):
     """The x:x:x:y partition family: own color range first, shared range second.
 
     CACO is the 2:1 member. The scan takes the own range iff the cell's count in
-    it is below its size, the paper's rule, because `network.coloring` is
-    proper: no neighbour shares a cell's own range.
+    it is below its size, the paper's rule, because `color_of` colours hex
+    adjacency properly: no neighbour shares a cell's own range.
     """
 
     def __init__(self, network: Network, omega: int, x_share: int, y_share: int):
@@ -149,7 +129,7 @@ class PartitionReserveAlgorithm(ScanAlgorithm):
         self.name = "caco" if (x_share, y_share) == (2, 1) else f"partition:{x_share}:{y_share}"
         shared = (part.shared,) if part.shared is not None else ()
         by_color = [(rng,) + shared for rng in part.ranges]
-        self.scans = {c: by_color[color] for c, color in network.coloring.items()}
+        self.scans = {c: by_color[color_of(c)] for c in network.cells}
 
 
 def caco_algorithm(network: Network, omega: int) -> PartitionReserveAlgorithm:
@@ -270,7 +250,7 @@ class UnknownRequestCellError(ValueError):
 
 def run_sequence(algorithm, requests) -> RunTrace:
     """Feed requests one at a time on the algorithm's network; deterministic."""
-    trace = RunTrace.start(algorithm)
+    trace = RunTrace(algorithm)
     feed_requests(algorithm, trace, requests)
     return trace
 
@@ -283,7 +263,7 @@ def feed_requests(algorithm, trace: RunTrace, requests) -> None:
     `requests` may be a lazy iterator of any length; an error gives the
     request's index in the run, the number of requests fed before it.
     """
-    own_cell = trace.network.own_cell
+    own_cell = algorithm.network.own_cell
     index = operator.index
     for q, r in requests:
         if type(q) is bool or type(r) is bool:  # index(True) is 1

@@ -107,7 +107,7 @@ def overflow_order_violations(trace: RunTrace) -> list:
     """Adjacent cells that both overflowed into the same foreign color range
     must have consumed it from opposite ends; returns (u, v, color) triples
     where their used frequencies in that range interleave or overlap."""
-    part = trace.partition
+    part = trace.algorithm.partition
     if part is None:
         return []
     violations = []
@@ -130,7 +130,7 @@ def recorded_run(algorithm, requests) -> tuple:
     frequency the request added to its cell's `state.used`, which must be
     at most one.
     """
-    trace = RunTrace.start(algorithm)
+    trace = RunTrace(algorithm)
     log = []
     for q, r in requests:
         cell = trace.network.own_cell((q, r))
@@ -146,4 +146,4 @@ def run_state(trace: RunTrace) -> tuple:
     """What a run keeps, to compare two runs by: each cell's frequencies, the
     demands, the cells that rejected, and the flagged cells."""
     used = {c: trace.state.used(c) for c in trace.network.sorted_cells()}
-    return used, trace.demands, trace.rejecting, trace.flagged_cells
+    return used, trace.demands, trace.rejecting, trace.algorithm.flagged_cells

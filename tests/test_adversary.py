@@ -131,7 +131,7 @@ def test_phase_ratios_follow_ratio_report():
     """An empty phase has ratio 1; a phase the algorithm wholly rejects is unbounded (None)."""
     phases = [[], [STAR_CENTER]]
     scenario = AdversaryScenario(
-        "edge", star_network(), 3, lambda phase, counts: phases[phase] if phase < len(phases) else None
+        "edge", star_network(), 3, lambda accepted: iter(phases)
     )
 
     def reject_all(net, omega):
@@ -140,6 +140,31 @@ def test_phase_ratios_follow_ratio_report():
         return alg
 
     assert phase_ratios(scenario, reject_all) == [Fraction(1), None]
+
+
+def test_adversary_reads_the_live_count_between_phases():
+    # three phases at the centre: after each, the adversary resumes only once
+    # its batch is fed in full, and reads the count the trace holds
+    fed = []
+    seen = []
+
+    def batch(size):
+        for _ in range(size):
+            fed.append(STAR_CENTER)
+            yield STAR_CENTER
+
+    def phases(accepted):
+        for size in (3, 2, 4):
+            before = len(fed)
+            yield batch(size)
+            seen.append((len(fed) - before, accepted(STAR_CENTER)))
+
+    counts = []
+    scenario = AdversaryScenario("three", star_network(), 5, phases)
+    trace = run_duel(scenario, make_algorithm("greedy", scenario.network, 5),
+                     lambda trace: counts.append(trace.state.count(STAR_CENTER)))
+    assert counts == [3, 5, 5] and trace.rejecting == {STAR_CENTER}
+    assert seen == [(3, 3), (2, 5), (4, 5)]
 
 
 def test_random_sequence_empty():
@@ -194,8 +219,8 @@ def test_make_adversary_selectors():
 
 def test_random_adversary_single_batch():
     scenario = random_adversary(7, seed=1, length=10)
-    assert list(scenario.next_batch(0, {})) == list(random_sequence(flower_network(), 10, 1))
-    assert scenario.next_batch(1, {}) is None
+    batches = [list(batch) for batch in scenario.phases(lambda cell: 0)]
+    assert batches == [list(random_sequence(flower_network(), 10, 1))]
 
 
 @pytest.mark.parametrize("selector", ["greedy", "caco", "caco2"])
@@ -203,7 +228,8 @@ def test_single_batch_duel_matches_run_sequence(selector):
     net = star_network()
     scenario = random_adversary(21, seed=5, length=120, network=net)
     duel_trace = run_duel(scenario, make_algorithm(selector, net, 21))
-    seq_trace = run_sequence(make_algorithm(selector, net, 21), scenario.next_batch(0, {}))
+    (batch,) = scenario.phases(lambda cell: 0)
+    seq_trace = run_sequence(make_algorithm(selector, net, 21), batch)
     assert run_state(duel_trace) == run_state(seq_trace)
     assert sum(duel_trace.demands.values()) == 120 and duel_trace.rejecting
-    assert bool(duel_trace.flagged_cells) == (selector == "caco2")  # outer cells have one neighbor
+    assert bool(duel_trace.algorithm.flagged_cells) == (selector == "caco2")  # outer cells have one neighbor

@@ -348,7 +348,7 @@ def test_fig2_experiment_report():
     report = run_experiment(load_scenario(SCENARIOS / "fig2_caco.json"))
     assert report.total_accepted == 27
     assert report.total_opt == 63
-    assert report.ratio.ratio == Fraction(7, 3)
+    assert report.ratio == Fraction(7, 3)
     assert report.certificate.status == "pass"
 
 
@@ -356,7 +356,7 @@ def test_fig3_experiment_report():
     report = run_experiment(load_scenario(SCENARIOS / "fig3_caco2.json"))
     assert report.total_accepted == 15
     assert report.total_opt == 27
-    assert report.ratio.ratio == Fraction(9, 5)
+    assert report.ratio == Fraction(9, 5)
     assert report.certificate.status == "pass"
 
 

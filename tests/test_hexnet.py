@@ -14,6 +14,7 @@ from cellcall.hexnet import (
     hex_patch,
     is_triangle_free,
 )
+from cellcall.online import caco_algorithm
 from oracles import edge_list_triangle_free, edges
 
 cells_st = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
@@ -97,15 +98,14 @@ def test_hex_coloring_scans_no_edges(monkeypatch):
     # `color_of` colours hex adjacency properly: nothing to check per edge
     net = hex_patch(3)
     monkeypatch.setattr(Network, "neighbors", lambda self, cell: pytest.fail("adjacency scanned"))
-    assert net.coloring == {c: color_of(c) for c in net.cells}
-    assert net.coloring is net.coloring
+    alg = caco_algorithm(net, 21)
+    assert alg.scans == {c: (alg.partition.ranges[color_of(c)], alg.partition.shared) for c in net.cells}
 
 
 @given(st.sets(st.sampled_from(hex_patch(3).sorted_cells())))
 def test_every_network_has_a_proper_coloring(cells):
     net = Network(cells)
-    assert net.coloring is not None
-    assert all(net.coloring[u] != net.coloring[v] for u, v in edges(net))
+    assert all(color_of(u) != color_of(v) for u, v in edges(net))
 
 
 PATCH3_CELLS = hex_patch(3).sorted_cells()

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from cellcall.adversary import STAR_CENTER, STAR_OUTER, fig2_adversary, fig3_adversary, run_duel
-from cellcall.harness import RunReport
+from cellcall.harness import RunReport, render_ratio
 from cellcall.hexnet import AXIAL_DIRECTIONS, Network, classify_neighbor_config, color_of, hex_patch
 from cellcall.ledger import (
     NetworkMismatchError,
@@ -424,7 +424,6 @@ def test_caco2_split_check_runs_under_python_optimize():
 def test_caco2_certificate_requires_triangle_free():
     net = hex_patch(1)
     trace = run_sequence(make_algorithm("greedy", net, 9), [])
-    trace.algorithm = "caco2"
     opt = exact_optimum(net, 9, {})
     with pytest.raises(NotTriangleFreeError, match="^caco2 requires a triangle-free hex network$"):
         caco2_certificate(trace, opt)
@@ -433,7 +432,7 @@ def test_caco2_certificate_requires_triangle_free():
 def test_caco2_flags_degenerate_structure_cells():
     net = Network([(0, 0), (1, 0)])
     trace, _ = caco2_run(net, 9, [(0, 0)] * 9 + [(1, 0)] * 9)
-    assert trace.flagged_cells == ((0, 0), (1, 0))  # single-neighbor cells are flagged
+    assert trace.algorithm.flagged_cells == ((0, 0), (1, 0))  # single-neighbor cells are flagged
 
 
 # ratio report
@@ -447,7 +446,7 @@ def ratio_report_from_totals(alg_total, opt_total):
     net = Network([(0, 0)])
     trace = run_sequence(make_algorithm("greedy", net, max(alg_total, 1)), [(0, 0)] * alg_total)
     opt = OptimumWitness(opt_total, {(0, 0): opt_total}, {(0, 0): frozenset(range(1, opt_total + 1))})
-    return ratio_report(trace, opt).ratio
+    return ratio_report(trace, opt)
 
 
 def test_ratio_empty_convention():
@@ -458,13 +457,13 @@ def test_ratio_infinite():
     net = Network([(0, 0)])
     trace = run_sequence(make_algorithm("greedy", net, 3), [])
     opt = OptimumWitness(5, {(0, 0): 5}, {(0, 0): frozenset({1, 2, 3, 4, 5})})
-    report = ratio_report(trace, opt)
-    assert report.ratio is None
-    assert report.render() == "inf"
+    assert ratio_report(trace, opt) is None
+    assert render_ratio(None) == "inf"
 
 
 def test_ratio_rendering():
     net = Network([(0, 0)])
     trace = run_sequence(make_algorithm("greedy", net, 9), [(0, 0)] * 3)
     opt = OptimumWitness(7, {(0, 0): 7}, {(0, 0): frozenset(range(1, 8))})
-    assert ratio_report(trace, opt).render() == "7/3 (~2.3333)"
+    assert render_ratio(ratio_report(trace, opt)) == "7/3 (~2.3333)"
+    assert render_ratio(Fraction(3)) == "3 (~3.0000)"

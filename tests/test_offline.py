@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cellcall import hexnet, offline
+from cellcall import offline
 from cellcall.adversary import fig2_adversary, make_adversary, phase_ratios, random_sequence, run_duel
 from cellcall.hexnet import Network, color_of, hex_patch
 from cellcall.offline import (
@@ -944,17 +944,17 @@ def test_components_served_in_full_skip_the_search():
 
 def test_one_check_and_one_colouring_per_instance():
     # the (0, 0)-(1, 0) pair is not served in full, and the two single cells
-    # are; the loop over the three components reuses the checked demands and
-    # the colouring, one `color_of` per cell
+    # are; the loop over the three components reuses the checked demands, and
+    # colours only the cells of a component served in full, once each
     net = Network([(0, 0), (1, 0), (3, 3), (6, 6)])
     demands = {(0, 0): 4, (1, 0): 4, (3, 3): 2, (6, 6): 3}
     with mock.patch.object(offline, "_demand_list", wraps=_demand_list) as checked, \
-            mock.patch.object(hexnet, "color_of", wraps=color_of) as coloured, \
+            mock.patch.object(offline, "color_of", wraps=color_of) as coloured, \
             mock.patch.object(offline, "exact_optimum", wraps=exact_optimum) as reentered, \
             mock.patch.object(offline, "as_integer", wraps=offline.as_integer) as converted:
         opt = exact_optimum(net, 4, demands)
     assert (checked.call_count, reentered.call_count) == (1, 0)
-    assert tuple(sorted(call.args[0] for call in coloured.call_args_list)) == net.sorted_cells()
+    assert sorted(call.args[0] for call in coloured.call_args_list) == [(3, 3), (6, 6)]
     # plain int demands need no conversion, and no per-cell error text
     assert [call.args[1] for call in converted.call_args_list] == ["omega"]
     assert opt.per_cell == {(0, 0): 4, (1, 0): 0, (3, 3): 2, (6, 6): 3}

@@ -172,27 +172,13 @@ def test_partition_own_range_matches_counter(x, y):
         trace, log = recorded_run(PartitionReserveAlgorithm(net, omega, x, y), random_requests(rng, net, 60))
         replay = AssignmentState(net, omega)
         for cell, f in log:
-            own = trace.partition.ranges[color_of(cell)]
+            own = trace.algorithm.partition.ranges[color_of(cell)]
             took = f is not None and f in own
             assert took == (replay.count_in(cell, own) < len(own))
             took_own.add(took)
             if f is not None:
                 replay.assign(cell, f)
     assert took_own == {True, False}
-
-
-def test_colouring_is_found_once_per_network(monkeypatch):
-    net = flower_network()
-    caco_algorithm(net, 21)
-    found = []
-    monkeypatch.setattr(hexnet, "color_of", lambda cell: found.append(cell) or color_of(cell))
-    colors = net.coloring
-    caco_algorithm(net, 21)
-    assert found == [] and colors == {c: color_of(c) for c in net.cells}
-    with pytest.raises(TypeError):
-        colors[(0, 0)] = 1  # shared by every caller, so read-only
-    flower_network().coloring
-    assert len(found) == 7
 
 
 # caco2
@@ -252,7 +238,7 @@ def test_caco2_single_neighbor_acts_like_structure_b():
     trace, log = recorded_run(Caco2Algorithm(net, 9), [(1, 0)] * 7)
     # G's own range then F_B top-to-bottom
     assert accepted_freqs(log) == [4, 5, 6, 9, 8, 7]
-    assert (1, 0) in trace.flagged_cells
+    assert (1, 0) in trace.algorithm.flagged_cells
 
 
 def test_overflow_order_violations_reports_interleaving():
@@ -266,7 +252,7 @@ def test_overflow_order_violations_reports_interleaving():
 def test_overflow_order_violations_empty_without_partition():
     net = Network([(0, 0), (1, 0)])
     trace = run_sequence(GreedyAlgorithm(net, 9), [(0, 0), (1, 0), (0, 0)] * 3)
-    assert trace.partition is None and trace.total_accepted() == 9
+    assert trace.algorithm.partition is None and trace.total_accepted() == 9
     assert overflow_order_violations(trace) == []
 
 
@@ -387,17 +373,17 @@ def test_determinism():
 
 def test_traces_share_no_mutable_object():
     # a record default such as `rejecting: set = set()` would be one set for
-    # every trace; each run and each `RunTrace.start` gets its own
+    # every trace; each run and each `RunTrace` gets its own
     alg = caco_algorithm(STAR, 21)
     first = run_sequence(alg, [(0, 0)] * 10)
     second = run_sequence(alg, [(0, 0)] * 10)
     assert run_state(second) == run_state(first)
     assert second.demands == first.demands == {(0, 0): 10}
     assert second.rejecting == first.rejecting == {(0, 0)}
-    for a, b in ((first, second), (RunTrace.start(alg), RunTrace.start(alg))):
+    for a, b in ((first, second), (RunTrace(alg), RunTrace(alg))):
         for name in ("rejecting", "demands", "state"):
             assert getattr(a, name) is not getattr(b, name), name
-    fresh = RunTrace.start(alg)
+    fresh = RunTrace(alg)
     assert fresh.rejecting == set() and not fresh.demands
     assert fresh.state.count((0, 0)) == 0
 
