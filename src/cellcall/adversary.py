@@ -123,7 +123,7 @@ def phase_ratios(scenario: AdversaryScenario, algorithm_factory) -> list:
     ratios = []
 
     def record(trace: RunTrace) -> None:
-        opt = exact_optimum(trace.network, trace.omega, dict(trace.demands))
+        opt = exact_optimum(trace.network, trace.omega, trace.demands)
         ratios.append(ratio_report(trace, opt))
 
     run_duel(scenario, algorithm_factory(scenario.network, scenario.omega), record)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import reprlib
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
@@ -168,12 +169,16 @@ def load_scenario(path) -> ScenarioConfig:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except ScenarioError:  # from `_unique_keys`, inside the decoder
+        raise
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: not UTF-8 text: byte {exc.start} cannot be decoded") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise ScenarioError(f"{path}: JSON nested too deeply to decode") from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ScenarioError(f"{path}: an integer has more than {sys.get_int_max_str_digits()} digits") from exc
     return parse_scenario(data, scenario_id=path.stem)
 
 
@@ -216,7 +221,7 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
     opt = error = None
     if config.compute_opt or config.verify_certificate:
         try:
-            opt = exact_optimum(trace.network, trace.omega, dict(trace.demands))
+            opt = exact_optimum(trace.network, trace.omega, trace.demands)
         except InstanceTooLargeError as exc:
             error = f"optimum not computed: {exc}"
 
@@ -226,7 +231,7 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
 
     per_cell = {} if opt is None else opt.per_cell
     rows = [
-        (c[0], c[1], COLORS[color_of(c)], trace.demands.get(c, 0), trace.accepted_at(c), per_cell.get(c))
+        (c[0], c[1], COLORS[color_of(c)], trace.demands.get(c, 0), trace.state.count(c), per_cell.get(c))
         for c in trace.network.sorted_cells()
     ]
     return RunReport(

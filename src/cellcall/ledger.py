@@ -85,7 +85,7 @@ def _tallies(trace: RunTrace, opt: OptimumWitness) -> tuple:
             f"{sorted(trace.network.cells)} vs {sorted(opt.per_cell)}"
         )
     cells = trace.network.sorted_cells()
-    return cells, opt.per_cell, {c: trace.accepted_at(c) for c in cells}
+    return cells, opt.per_cell, {c: trace.state.count(c) for c in cells}
 
 
 def _balance(cells, O, A, donors, h, scale: int, floor: tuple, checks: list) -> dict:
@@ -120,9 +120,9 @@ def caco_certificate(trace: RunTrace, opt: OptimumWitness) -> Certificate:
     credited (A_k - 3O_k/7)/3 by every neighbor k, which may be negative.
     Checks: (a) safe cells accept at least 3O/7; (b) dangerous cells are
     pairwise non-adjacent and safe cells have at most 3 dangerous neighbors;
-    (c) every rejecting cell's shared-set usage, own plus neighbors, covers
-    the whole shared range; (d) the amortized total never exceeds the real
-    total; (e) per-cell O <= 7/3 * B, with B = 0 forcing O = 0.
+    (c) at every rejecting cell (R > A), the shared-set usage A_S (0 with no
+    shared range) of it and its neighbors covers the shared range; (d) the
+    amortized total never exceeds the real total; (e) per-cell O <= 7/3 * B.
     """
     cells, O, A = _tallies(trace, opt)
     net, omega = trace.network, trace.omega
@@ -139,7 +139,8 @@ def caco_certificate(trace: RunTrace, opt: OptimumWitness) -> Certificate:
     crowded = tuple(u for u in cells if u in donors and sum(v not in donors for v in net.neighbors(u)) > 3)
     checks.append(CheckResult("dangerous_separation", not (adj_dangerous or crowded), adj_dangerous + crowded))
 
-    A_S = {c: trace.shared_accepted_at(c) for c in cells}
+    shared = getattr(trace.algorithm.partition, "shared", None)  # greedy has no partition
+    A_S = {c: 0 if shared is None else trace.state.count_in(c, shared) for c in cells}
     bad = tuple(
         c
         for c in sorted(trace.rejecting)

@@ -36,23 +36,20 @@ def accept(frequency: int) -> Outcome:
 
 
 class RunTrace:
-    """What one run of `algorithm` keeps: its demands, the cells that rejected,
-    and the final state; the network, omega and partition are the algorithm's.
-
-    Its size depends on the network and omega, not on the number of requests:
-    `demands` counts the requests at each cell (R_i), and `rejecting` is the
-    set of cells that rejected at least once, both filled by `feed_requests`.
+    """What one run of `algorithm` keeps: `demands`, the requests at each cell
+    (R_i), which `feed_requests` counts, and the final `state`, whose
+    `count(cell)` is A_i; the network, omega and partition are the algorithm's.
+    Its size depends on the network and omega, not on the number of requests.
     A slotted class rather than a NamedTuple, as `feed_requests` reads its
     fields once per request, and a slot reads faster than a tuple field.
     """
 
-    __slots__ = ("algorithm", "state", "demands", "rejecting")
+    __slots__ = ("algorithm", "state", "demands")
 
     def __init__(self, algorithm: ScanAlgorithm):
         self.algorithm = algorithm
         self.state = AssignmentState(algorithm.network, algorithm.omega)
         self.demands = Counter()
-        self.rejecting = set()
 
     @property
     def network(self) -> Network:
@@ -62,16 +59,11 @@ class RunTrace:
     def omega(self) -> int:
         return self.algorithm.omega
 
-    def accepted_at(self, cell: Cell) -> int:
-        """A_i."""
-        return self.state.count(cell)
-
-    def shared_accepted_at(self, cell: Cell) -> int:
-        """A_S(C_i); zero when the partition has no shared set."""
-        part = self.algorithm.partition
-        if part is None or part.shared is None:
-            return 0
-        return self.state.count_in(cell, part.shared)
+    @property
+    def rejecting(self) -> set:
+        """The cells that rejected at least once: those with R_i > A_i, as
+        each accepted call adds one frequency at its cell and no call leaves."""
+        return {c for c, d in self.demands.items() if d > self.state.count(c)}
 
     def total_accepted(self) -> int:
         return sum(self.state.count(c) for c in self.network.cells)
@@ -259,9 +251,9 @@ def feed_requests(algorithm, trace: RunTrace, requests) -> None:
     """Feed a batch of requests into an in-progress trace (adversary phases).
 
     A request is a pair of integers, such as a `[q, r]` list, and not of
-    booleans. The trace counts it at its cell and notes a rejecting cell, so
-    `requests` may be a lazy iterator of any length; an error gives the
-    request's index in the run, the number of requests fed before it.
+    booleans. The trace only counts it at its cell, and `decide` accepts or
+    rejects it, so `requests` may be a lazy iterator of any length; an error
+    gives the request's index in the run, the number of requests fed before it.
     """
     own_cell = algorithm.network.own_cell
     index = operator.index
@@ -273,5 +265,4 @@ def feed_requests(algorithm, trace: RunTrace, requests) -> None:
         if cell is None:
             raise UnknownRequestCellError(sum(trace.demands.values()), key)
         trace.demands[cell] += 1
-        if not algorithm.decide(trace.state, cell).accepted:
-            trace.rejecting.add(cell)
+        algorithm.decide(trace.state, cell)

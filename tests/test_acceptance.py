@@ -250,11 +250,11 @@ def test_criterion_8_trace_invariants(announce, caco_sweep, caco2_sweep):
         for cell in inst.network.sorted_cells():
             # own range holds 2*omega/7 frequencies and is never blocked
             if 7 * inst.demands.get(cell, 0) >= 2 * omega:
-                ok = ok and 7 * trace.accepted_at(cell) >= 2 * omega
-        for cell in trace.rejecting:
-            shared = trace.shared_accepted_at(cell) + sum(
-                trace.shared_accepted_at(n) for n in inst.network.neighbors(cell)
-            )
+                ok = ok and 7 * trace.state.count(cell) >= 2 * omega
+        # A_S from the state, at the cells the recorded run saw reject
+        shared_range = trace.algorithm.partition.shared
+        for cell in {cell for cell, f in inst.log if f is None}:
+            shared = sum(trace.state.count_in(c, shared_range) for c in (cell, *inst.network.neighbors(cell)))
             ok = ok and 7 * shared >= omega
     for inst in caco2_sweep[0]:
         ok = ok and overflow_order_violations(inst.trace) == []

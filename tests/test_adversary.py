@@ -58,14 +58,14 @@ def test_fig2_vs_partition_1_1():
 
 def test_fig2_vs_greedy_ratio_3():
     trace, opt = duel(fig2_adversary(21), "greedy")
-    assert trace.accepted_at(STAR_CENTER) == 21
-    assert all(trace.accepted_at(c) == 0 for c in STAR_OUTER)
+    assert trace.state.count(STAR_CENTER) == 21
+    assert all(trace.state.count(c) == 0 for c in STAR_OUTER)
     assert Fraction(opt.total, trace.total_accepted()) == 3
 
 
 def test_fig3_vs_caco2():
     trace, opt = duel(fig3_adversary(9), "caco2")
-    assert trace.accepted_at(STAR_CENTER) == 6  # x > 3*omega/5, phase 2 fires
+    assert trace.state.count(STAR_CENTER) == 6  # x > 3*omega/5, phase 2 fires
     assert trace.total_accepted() == 15
     assert opt.total == 27
     assert Fraction(opt.total, trace.total_accepted()) == Fraction(9, 5)
@@ -80,7 +80,7 @@ def test_fig3_vs_greedy():
 def test_fig3_stops_at_threshold_boundary():
     # partition 1:2 at omega=5 accepts exactly 3*omega/5 = 3 at the center
     trace, opt = duel(fig3_adversary(5), "partition:1:2")
-    assert trace.accepted_at(STAR_CENTER) == 3
+    assert trace.state.count(STAR_CENTER) == 3
     assert sum(trace.demands.values()) == 5  # adversary stopped after phase 1
     assert Fraction(opt.total, trace.total_accepted()) == Fraction(5, 3)
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import shlex
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -129,6 +130,32 @@ def test_long_scenario_values_echoed_short(field, value, start):
     with pytest.raises(ScenarioError) as info:
         validate_scenario(parse_scenario(data, scenario_id="x"))
     assert str(info.value).startswith(start) and len(str(info.value)) < 300, str(info.value)
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="the interpreter converts integers of any length")
+@pytest.mark.parametrize(
+    "field, value",
+    [("omega", "1" + "0" * _DIGIT_LIMIT), ("cells", "[[0, 1" + "0" * _DIGIT_LIMIT + "]]")],
+    ids=["omega", "cell"],
+)
+def test_oversized_integer_is_named_error(tmp_path, field, value):
+    # `json.loads` raises a plain ValueError for an integer literal past the
+    # interpreter's digit limit
+    fields = {"omega": "7", "cells": "[[0, 0]]", "algorithm": '"greedy"', "traffic": "[]", field: value}
+    path = tmp_path / "huge.json"
+    path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(path)
+    assert str(info.value) == f"{path}: an integer has more than {_DIGIT_LIMIT} digits"
+    for args in (["run", str(path)], ["sweep", str(path), "--grid", "omega=7"]):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert result.output.count("Error:") == 1 and "Traceback" not in result.output
+        assert str(path) in result.output
+        assert isinstance(result.exception, SystemExit), result.exception
 
 
 def test_grid_omegas_take_the_selector_integer_rule():

@@ -35,7 +35,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def reference_caco(trace, opt):
     net, omega, O = trace.network, trace.omega, opt.per_cell
-    A = {c: trace.accepted_at(c) for c in net.cells}
+    A = {c: trace.state.count(c) for c in net.cells}
     donors = {c for c in net.cells if O[c] <= Fraction(2 * omega, 3)}
     h = {
         (k, c): (A[k] - Fraction(3, 7) * O[k]) / 3
@@ -48,7 +48,7 @@ def reference_caco(trace, opt):
 
 def reference_caco2(trace, opt):
     net, omega, O = trace.network, trace.omega, opt.per_cell
-    A = {c: trace.accepted_at(c) for c in net.cells}
+    A = {c: trace.state.count(c) for c in net.cells}
     floor = Fraction(4, 9)
     donors = {c for c in net.cells if A[c] >= floor * O[c]}
     h = {}
@@ -104,7 +104,7 @@ def assert_matches_reference(cert, trace, opt):
         given = {i: sum(v for (g, _), v in h.items() if g == i) for i in donors}
         over = tuple(
             i for i in trace.network.sorted_cells()
-            if i in donors and floor * opt.per_cell[i] + given[i] > trace.accepted_at(i)
+            if i in donors and floor * opt.per_cell[i] + given[i] > trace.state.count(i)
         )
         assert checks["donor_budget"].failing_cells == over
 
@@ -149,7 +149,7 @@ def test_single_cell_dangerous():
     trace, opt = caco_run(net, 21, [(0, 0)] * 21)
     cert = caco_certificate(trace, opt)
     assert (0, 0) not in cert.donors  # O = 21 > 14
-    assert trace.accepted_at((0, 0)) == 9  # 3*omega/7
+    assert trace.state.count((0, 0)) == 9  # 3*omega/7
     assert cert.b_values[(0, 0)] == 9
     assert cert.status == "pass"
 
@@ -316,7 +316,7 @@ def test_caco2_single_isolated_cell():
     net = Network([(0, 0)])
     trace, opt = caco2_run(net, 9, [(0, 0)] * 9)
     cert = caco2_certificate(trace, opt)
-    assert trace.accepted_at((0, 0)) == 9
+    assert trace.state.count((0, 0)) == 9
     assert cert.b_values[(0, 0)] == 4  # 4*O/9 with O = 9
     assert Fraction(opt.per_cell[(0, 0)]) / cert.b_values[(0, 0)] == Fraction(9, 4)
     assert cert.status == "pass"
@@ -356,7 +356,7 @@ def structure_b_overflow_runs(omega):
             for counts in itertools.product(range(omega + 1), repeat=3):
                 seq = [c for c, m in zip(order, counts) for _ in range(m)]
                 trace, opt = caco2_run(net, omega, seq)
-                A = {c: trace.accepted_at(c) for c in net.cells}
+                A = {c: trace.state.count(c) for c in net.cells}
                 short = {c: 9 * A[c] < 4 * opt.per_cell[c] for c in net.cells}
                 if not short[centre] and 3 * A[centre] > omega and short[cj] and short[ck]:
                     yield trace, opt, centre, cj, ck
@@ -366,7 +366,7 @@ def test_caco2_structure_b_overflow_credit_found_by_search():
     omega = 3
     trace, opt, i, cj, ck = next(structure_b_overflow_runs(omega))
     cert = caco2_certificate(trace, opt)
-    assert cert.h_values[(i, cj)] == Fraction(4 * opt.per_cell[cj], 9) - trace.accepted_at(cj)
+    assert cert.h_values[(i, cj)] == Fraction(4 * opt.per_cell[cj], 9) - trace.state.count(cj)
     assert cert.h_values[(i, ck)] == Fraction(omega, 9)
     assert cert.status in ("pass", "uncovered")
 

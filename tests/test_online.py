@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,6 +111,9 @@ def test_recorded_rejects_are_the_rejecting_cells(name):
         algorithm = online._ALGORITHMS[name](net, omega, *args)
         trace, log = recorded_run(algorithm, seq)
         assert {cell for cell, f in log if f is None} == trace.rejecting
+        # the view rests on R_i - A_i being the count of rejects at cell i
+        rejects = Counter(cell for cell, f in log if f is None)
+        assert all(trace.demands[c] - trace.state.count(c) == rejects[c] for c in net.cells)
         assert run_state(trace) == run_state(run_sequence(algorithm, seq))
         rejected += bool(trace.rejecting)
     assert rejected > 0
@@ -135,7 +139,7 @@ def test_caco_rejects_when_shared_taken_by_neighbor():
     seq = [(0, 0)] * 21 + [(1, 0)] * 7
     trace, log = recorded_run(caco_algorithm(net, 21), seq)
     # center used its 6 own + all 3 shared; outer gets its 6 own then rejects
-    assert trace.accepted_at((1, 0)) == 6
+    assert trace.state.count((1, 0)) == 6
     assert outcomes(log)[-1] is False
 
 
@@ -277,7 +281,7 @@ def test_empty_sequence_all_zero():
 
 def test_fig2_center_phase_accepts_three_sevenths():
     trace = run_sequence(caco_algorithm(STAR, 21), [(0, 0)] * 21)
-    assert trace.accepted_at((0, 0)) == 9  # = 3*omega/7
+    assert trace.state.count((0, 0)) == 9  # = 3*omega/7
 
 
 def test_fig2_full_run_total():
@@ -372,7 +376,7 @@ def test_determinism():
 
 
 def test_traces_share_no_mutable_object():
-    # a record default such as `rejecting: set = set()` would be one set for
+    # a record default such as `demands: Counter = Counter()` would be one Counter for
     # every trace; each run and each `RunTrace` gets its own
     alg = caco_algorithm(STAR, 21)
     first = run_sequence(alg, [(0, 0)] * 10)
@@ -381,7 +385,7 @@ def test_traces_share_no_mutable_object():
     assert second.demands == first.demands == {(0, 0): 10}
     assert second.rejecting == first.rejecting == {(0, 0)}
     for a, b in ((first, second), (RunTrace(alg), RunTrace(alg))):
-        for name in ("rejecting", "demands", "state"):
+        for name in ("demands", "state"):
             assert getattr(a, name) is not getattr(b, name), name
     fresh = RunTrace(alg)
     assert fresh.rejecting == set() and not fresh.demands
@@ -450,4 +454,4 @@ def test_trace_demand_counters():
     assert trace.demands[(0, 0)] == 3
     assert trace.demands[(1, 0)] == 2
     for cell in net.sorted_cells():
-        assert trace.demands.get(cell, 0) >= trace.accepted_at(cell)
+        assert trace.demands.get(cell, 0) >= trace.state.count(cell)
