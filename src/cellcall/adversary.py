@@ -124,7 +124,7 @@ def phase_ratios(scenario: AdversaryScenario, algorithm_factory) -> list:
 
     def record(trace: RunTrace) -> None:
         opt = exact_optimum(trace.network, trace.omega, trace.demands)
-        ratios.append(ratio_report(trace, opt))
+        ratios.append(ratio_report(opt.total, trace.total_accepted()))
 
     run_duel(scenario, algorithm_factory(scenario.network, scenario.omega), record)
     return ratios
@@ -135,8 +135,11 @@ def run_duel(
     algorithm,
     on_phase: Optional[Callable[[RunTrace], None]] = None,
 ) -> RunTrace:
-    """Play the adversary against `algorithm` on its network; pure function of
-    its inputs. `on_phase(trace)`, when given, runs after each phase's requests."""
+    """Play the adversary against `algorithm`, built for its network and omega;
+    pure function of its inputs. `on_phase(trace)` runs after each phase."""
+    if (algorithm.omega, algorithm.network) != (scenario.omega, scenario.network):
+        raise ValueError(f"the {scenario.name} adversary plays omega {scenario.omega} on {scenario.network!r}, "
+                         f"but the algorithm runs at omega {algorithm.omega} on {algorithm.network!r}")
     trace = RunTrace(algorithm)
     for batch in scenario.phases(trace.state.count):
         feed_requests(algorithm, trace, batch)

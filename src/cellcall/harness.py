@@ -201,13 +201,13 @@ class RunReport(NamedTuple):
         return self.certificate is None or self.certificate.status != "fail"
 
 
-def _certificate_for(trace: RunTrace, opt) -> Optional[Certificate]:
+def _certificate_for(trace: RunTrace, O: dict) -> Optional[Certificate]:
     # by resolved name, so "partition:2:1" (which builds caco) is certified too;
     # called through this module's globals, which perfbench/tracing.py rebinds
     if trace.algorithm.name == "caco":
-        return caco_certificate(trace, opt)
+        return caco_certificate(trace, O)
     if trace.algorithm.name == "caco2":
-        return caco2_certificate(trace, opt)
+        return caco2_certificate(trace, O)
     return None
 
 
@@ -225,24 +225,26 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
         except InstanceTooLargeError as exc:
             error = f"optimum not computed: {exc}"
 
+    per_cell = {} if opt is None else opt.per_cell
     certificate = None
     if config.verify_certificate and opt is not None:
-        certificate = _certificate_for(trace, opt)
+        certificate = _certificate_for(trace, per_cell)
 
-    per_cell = {} if opt is None else opt.per_cell
     rows = [
         (c[0], c[1], COLORS[color_of(c)], trace.demands.get(c, 0), trace.state.count(c), per_cell.get(c))
         for c in trace.network.sorted_cells()
     ]
+    total_accepted = sum(r[4] for r in rows)
+    total_opt = None if opt is None else sum(r[5] for r in rows)
     return RunReport(
         scenario_id=config.scenario_id,
         algorithm=trace.algorithm.name,
         omega=config.omega,
         rows=rows,
         total_demand=sum(r[3] for r in rows),
-        total_accepted=sum(r[4] for r in rows),
-        total_opt=opt.total if opt is not None else None,
-        ratio=ratio_report(trace, opt) if opt is not None else None,
+        total_accepted=total_accepted,
+        total_opt=total_opt,
+        ratio=None if opt is None else ratio_report(total_opt, total_accepted),
         certificate=certificate,
         flagged_cells=trace.algorithm.flagged_cells,
         error=error,
@@ -327,10 +329,7 @@ class SweepSummary(NamedTuple):
 
     def best_by_ratio(self) -> Optional[str]:
         """Algorithm with the smallest worst-case ratio over the sweep."""
-        ranking = sorted(
-            (hi, alg) for alg, (lo, hi) in self.ratio_range.items() if hi is not None
-        )
-        return ranking[0][1] if ranking else None
+        return min(((hi, alg) for alg, (lo, hi) in self.ratio_range.items()), default=(None, None))[1]
 
 
 def sweep(template: ScenarioConfig, grid: dict) -> SweepSummary:
@@ -357,14 +356,9 @@ def sweep(template: ScenarioConfig, grid: dict) -> SweepSummary:
             failures.append((point_id, str(exc)))
     ratio_range: dict = {}
     for r in reports:
-        value = r.ratio
-        if value is None:
-            continue
-        lo, hi = ratio_range.get(r.algorithm, (None, None))
-        ratio_range[r.algorithm] = (
-            value if lo is None else min(lo, value),
-            value if hi is None else max(hi, value),
-        )
+        if r.ratio is not None:
+            lo, hi = ratio_range.get(r.algorithm, (r.ratio, r.ratio))
+            ratio_range[r.algorithm] = (min(lo, r.ratio), max(hi, r.ratio))
     return SweepSummary(reports=reports, ratio_range=ratio_range, failures=failures)
 
 

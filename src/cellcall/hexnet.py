@@ -39,7 +39,11 @@ def as_integer(value, what: str) -> int:
 
 
 class UnknownCellError(KeyError):
-    """A cell outside the network was referenced."""
+    """A cell outside the network was referenced: a KeyError keyed by the
+    cell, printed as a sentence rather than as a quoted key."""
+
+    def __str__(self) -> str:
+        return f"cell {self.args[0]} is not in the network"
 
 
 class Network:
@@ -95,7 +99,7 @@ class Network:
         try:
             return self._adj[cell]
         except KeyError:
-            raise UnknownCellError(f"cell {cell} is not in the network") from None
+            raise UnknownCellError(cell) from None
 
     @cached_property
     def triangle_free(self) -> bool:

@@ -8,7 +8,9 @@ proof (floor 3/7, credits divided by 3) uses L = 21, so its credit
 proof (floor 4/9, a spare split over at most 3 neighbors, omega/9 credits)
 uses L = 54, so a spare (9A - 4O)/9 is 54A - 24O and omega/9 is 6*omega.
 Every pass/fail decision is an integer comparison. Fractions are built only
-for `Certificate.b_values` and `h_values` and for the OPT/ALG ratio."""
+for `Certificate.b_values` and `h_values` and for the OPT/ALG ratio. The
+ledger takes counts: a certificate the trace and O (Cell -> O_i), the ratio
+the totals OPT and ALG."""
 
 from __future__ import annotations
 
@@ -17,14 +19,13 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 from .hexnet import Cell
-from .offline import OptimumWitness
 from .online import RunTrace, require_triangle_free_hex
 
 SCALE = {"caco": 21, "caco2": 54}  # L per certificate kind
 
 
 class NetworkMismatchError(ValueError):
-    """Trace and optimum witness were computed over different networks."""
+    """Trace and per-cell optimum were computed over different networks."""
 
 
 class CheckResult(NamedTuple):
@@ -77,15 +78,15 @@ class Certificate(NamedTuple):
         return "pass" if all(c.passed for c in self.checks) else "fail"
 
 
-def _tallies(trace: RunTrace, opt: OptimumWitness) -> tuple:
-    """Sorted cells, O and A per cell, of a trace and a witness over the same cells."""
-    if opt.per_cell.keys() != trace.network.cells:
+def _tallies(trace: RunTrace, O: dict) -> tuple:
+    """Sorted cells and A per cell of a trace, whose cells must be those of O."""
+    if O.keys() != trace.network.cells:
         raise NetworkMismatchError(
             "trace and optimum cover different cell sets: "
-            f"{sorted(trace.network.cells)} vs {sorted(opt.per_cell)}"
+            f"{sorted(trace.network.cells)} vs {sorted(O)}"
         )
     cells = trace.network.sorted_cells()
-    return cells, opt.per_cell, {c: trace.state.count(c) for c in cells}
+    return cells, {c: trace.state.count(c) for c in cells}
 
 
 def _balance(cells, O, A, donors, h, scale: int, floor: tuple, checks: list) -> dict:
@@ -113,7 +114,7 @@ def _balance(cells, O, A, donors, h, scale: int, floor: tuple, checks: list) -> 
     return b
 
 
-def caco_certificate(trace: RunTrace, opt: OptimumWitness) -> Certificate:
+def caco_certificate(trace: RunTrace, O: dict) -> Certificate:
     """Evaluate the safe/dangerous amortization of a 2:2:2:1 partition run.
 
     The donors are the safe cells, O <= 2*omega/3; each dangerous cell is
@@ -124,7 +125,7 @@ def caco_certificate(trace: RunTrace, opt: OptimumWitness) -> Certificate:
     shared range) of it and its neighbors covers the shared range; (d) the
     amortized total never exceeds the real total; (e) per-cell O <= 7/3 * B.
     """
-    cells, O, A = _tallies(trace, opt)
+    cells, A = _tallies(trace, O)
     net, omega = trace.network, trace.omega
     donors = frozenset(c for c in cells if 3 * O[c] <= 2 * omega)
     # 21 * (A_k - 3O_k/7)/3 from each neighbour k of a dangerous cell
@@ -152,15 +153,15 @@ def caco_certificate(trace: RunTrace, opt: OptimumWitness) -> Certificate:
     return Certificate("caco", donors, b, h, checks, [])
 
 
-def caco2_certificate(trace: RunTrace, opt: OptimumWitness) -> Certificate:
+def caco2_certificate(trace: RunTrace, O: dict) -> Certificate:
     """Evaluate the compensation accounting of a thirds-partition run.
 
     The donors are the cells with A >= 4O/9; each donates its surplus along
     the proof's case tree. Cells the tree does not cover for the given
-    optimum witness are reported as uncovered rather than guessed. The global
-    9/4 ratio check is independent of the case tree and always enforced.
+    per-cell optimum `O` are reported as uncovered rather than guessed. The
+    global 9/4 ratio check is independent of the case tree and always enforced.
     """
-    cells, O, A = _tallies(trace, opt)
+    cells, A = _tallies(trace, O)
     net, omega = trace.network, trace.omega
     require_triangle_free_hex(net)
     configs = net.neighbor_configs
@@ -221,23 +222,16 @@ def caco2_certificate(trace: RunTrace, opt: OptimumWitness) -> Certificate:
         if i not in donors:
             uncovered.append((i, "compensation left the cell below 4O/9"))
 
-    total_o = sum(O.values())
-    total_a = sum(A.values())
-    checks.append(
-        CheckResult(
-            "global_ratio_9_4",
-            4 * total_o <= 9 * total_a,
-            detail=f"sum O = {total_o}, sum A = {total_a}",
-        )
-    )
+    total_o, total_a = sum(O.values()), sum(A.values())
+    detail = f"sum O = {total_o}, sum A = {total_a}"
+    checks.append(CheckResult("global_ratio_9_4", 4 * total_o <= 9 * total_a, detail=detail))
 
     return Certificate("caco2", donors, b, h, checks, sorted(set(uncovered)))
 
 
-def ratio_report(trace: RunTrace, opt: OptimumWitness) -> Optional[Fraction]:
+def ratio_report(opt_total: int, alg_total: int) -> Optional[Fraction]:
     """Exact OPT/ALG ratio; 1 for the empty instance, None (infinite) when
     the algorithm accepted nothing but the optimum is positive."""
-    alg = trace.total_accepted()
-    if alg == 0:
-        return Fraction(1) if opt.total == 0 else None
-    return Fraction(opt.total, alg)
+    if alg_total == 0:
+        return Fraction(1) if opt_total == 0 else None
+    return Fraction(opt_total, alg_total)

@@ -16,6 +16,8 @@ than by a row. Either way the dual is checked before use.
 `clique_upper_bound` is that floor for any network, never below the integer
 clique bound and equal to it wherever measured. The brute-force cross-check,
 `exhaustive_oracle`, lives with the tests in `tests/oracles.py`.
+An `OptimumWitness` is its assignment: O_i (`per_cell`) and OPT (`total`)
+are read off the sizes of its per-cell frequency sets.
 """
 
 from __future__ import annotations
@@ -37,9 +39,15 @@ NODE_BUDGET = 10_000_000
 
 
 class OptimumWitness(NamedTuple):
-    total: int
-    per_cell: dict  # Cell -> O_i
-    assignment: dict  # Cell -> frozenset of frequencies, |set| == O_i
+    assignment: dict  # Cell -> frozenset of frequencies
+
+    @property
+    def per_cell(self) -> dict:  # Cell -> O_i, the size of its set
+        return {c: len(freqs) for c, freqs in self.assignment.items()}
+
+    @property
+    def total(self) -> int:  # OPT
+        return sum(map(len, self.assignment.values()))
 
 
 def validate_witness(network: Network, omega: int, demands: dict, witness: OptimumWitness) -> None:
@@ -49,8 +57,6 @@ def validate_witness(network: Network, omega: int, demands: dict, witness: Optim
     for cell, freqs in witness.assignment.items():
         if cell not in network:
             raise AssertionError(f"witness cell {cell} not in network")
-        if len(freqs) != witness.per_cell[cell]:
-            raise AssertionError(f"cell {cell} has {len(freqs)} frequencies, not its O")
         if len(freqs) > demands.get(cell, 0):
             raise AssertionError(f"cell {cell} exceeds its demand")
         if not all(1 <= f <= omega for f in freqs):
@@ -58,8 +64,6 @@ def validate_witness(network: Network, omega: int, demands: dict, witness: Optim
         for n in network.neighbors(cell):
             if freqs & witness.assignment.get(n, frozenset()):
                 raise AssertionError(f"cells {cell} and {n} share a frequency")
-    if witness.total != sum(witness.per_cell.values()):
-        raise AssertionError(f"witness total {witness.total} is not the sum of its per-cell O")
 
 
 def _demand_list(network: Network, omega: int, demands: dict) -> tuple[tuple, list, int]:
@@ -274,21 +278,17 @@ def _components(cells: list, network: Network) -> list[list]:
 
 
 def _build_witness(cells: list, r: list[int], sets: list[int], mults: list[int]) -> OptimumWitness:
-    freq = 1
-    per_cell_freqs = {c: [] for c in cells}
+    """Each set of `sets` in turn takes the next block of frequencies from 1
+    up, as many as its entry in `mults`; a cell keeps its lowest ones, up to
+    its demand."""
+    freqs = {c: [] for c in cells}
+    start = 1
     for mask, count in zip(sets, mults):
-        for _ in range(count):
-            for i, c in enumerate(cells):
-                if mask >> i & 1:
-                    per_cell_freqs[c].append(freq)
-            freq += 1
-    assignment = {}
-    per_cell = {}
-    for i, c in enumerate(cells):
-        keep = per_cell_freqs[c][: r[i]]  # trim surplus coverage to the demand
-        assignment[c] = frozenset(keep)
-        per_cell[c] = len(keep)
-    return OptimumWitness(total=sum(per_cell.values()), per_cell=per_cell, assignment=assignment)
+        for i, c in enumerate(cells):
+            if mask >> i & 1:
+                freqs[c] += range(start, start + count)
+        start += count
+    return OptimumWitness({c: frozenset(freqs[c][:d]) for c, d in zip(cells, r)})
 
 
 def _serve_every_demand(network: Network, omega: int, cells: list, r: list[int]) -> Optional[OptimumWitness]:
@@ -322,7 +322,7 @@ def _serve_every_demand(network: Network, omega: int, cells: list, r: list[int])
             for c, d, top in zip(cells, r, peak):
                 start = 0 if color[c] == low else omega - d if color[c] == high else top[low]
                 assignment[c] = frozenset(range(start + 1, start + d + 1))
-            return OptimumWitness(sum(r), demand, assignment)
+            return OptimumWitness(assignment)
     return None
 
 
@@ -349,28 +349,30 @@ def exact_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness
     """
     cells, r, omega = _demand_list(network, omega, demands)
     demand = {c: min(d, omega) for c, d in zip(cells, r)}
-    per_cell: dict = {}
     assignment: dict = {}
     for cells in _components(cells, network):
         # a component holds every neighbour of its cells: no subnetwork needed
         r = [demand[c] for c in cells]
         sub = _fill_clique(network, omega, cells, r) or _serve_every_demand(network, omega, cells, r)
-        if sub is None:
-            if len(cells) > MAX_CELLS:
-                raise InstanceTooLargeError(f"the component of {len(cells)} cells from cell {cells[0]} is not "
-                                            f"served in full and is past the search's cell cap of {MAX_CELLS}")
-            adj = _adjacency(cells, network)
-            members = _maximal_independent_sets(adj)
-            cliques = _maximal_cliques(adj)
-            parts = _clique_partition(cliques)
-            ceiling = _clique_ceiling(omega, r, cliques)
-            mults = _branch_and_bound(r, members, parts, omega, ceiling, ceiling - 1)
-            if mults is None:
-                mults = _branch_and_bound(r, members, parts, omega, ceiling, -1)
-            sub = _build_witness(cells, r, [sum(1 << i for i in m) for m in members], mults)
-        per_cell.update(sub.per_cell)
-        assignment.update(sub.assignment)
-    return OptimumWitness(sum(per_cell.values()), per_cell, assignment)
+        assignment.update((sub or _search(network, omega, cells, r)).assignment)
+    return OptimumWitness(assignment)
+
+
+def _search(network: Network, omega: int, cells: list, r: list[int]) -> OptimumWitness:
+    """The branch-and-bound witness of a component: `cells`, sorted, hold
+    every neighbour of their cells, and `r` their demands, capped at omega."""
+    if len(cells) > MAX_CELLS:
+        raise InstanceTooLargeError(f"the component of {len(cells)} cells from cell {cells[0]} is not "
+                                    f"served in full and is past the search's cell cap of {MAX_CELLS}")
+    adj = _adjacency(cells, network)
+    members = _maximal_independent_sets(adj)
+    cliques = _maximal_cliques(adj)
+    parts = _clique_partition(cliques)
+    ceiling = _clique_ceiling(omega, r, cliques)
+    mults = _branch_and_bound(r, members, parts, omega, ceiling, ceiling - 1)
+    if mults is None:
+        mults = _branch_and_bound(r, members, parts, omega, ceiling, -1)
+    return _build_witness(cells, r, [sum(1 << i for i in m) for m in members], mults)
 
 
 def _fill_clique(network: Network, omega: int, cells: list, r: list[int]) -> Optional[OptimumWitness]:

@@ -257,10 +257,14 @@ def feed_requests(algorithm, trace: RunTrace, requests) -> None:
     """
     own_cell = algorithm.network.own_cell
     index = operator.index
-    for q, r in requests:
+    for request in requests:
+        try:
+            q, r = request
+            key = (index(q), index(r))
+        except (TypeError, ValueError):
+            raise TypeError(f"request {sum(trace.demands.values())} is not a pair of integers: {request!r}") from None
         if type(q) is bool or type(r) is bool:  # index(True) is 1
             raise TypeError(f"request {sum(trace.demands.values())} has a boolean coordinate: ({q!r}, {r!r})")
-        key = (index(q), index(r))
         cell = own_cell(key)
         if cell is None:
             raise UnknownRequestCellError(sum(trace.demands.values()), key)

@@ -41,10 +41,6 @@ def make_partition_family(omega: int, x_share: int, y_share: int) -> FrequencyPa
     return FrequencyPartition(ranges, shared)
 
 
-def _unknown(cell: Cell) -> UnknownCellError:
-    return UnknownCellError(f"cell {cell} is not in the network")
-
-
 class AssignmentState:
     """Per-cell in-use frequency sets for one network.
 
@@ -68,7 +64,7 @@ class AssignmentState:
     def _cell_used(self, cell: Cell) -> set[int]:
         """The cell's own in-use set; UnknownCellError for a cell outside the network."""
         if cell not in self._used:
-            raise _unknown(cell)
+            raise UnknownCellError(cell)
         return self._used[cell]
 
     def used(self, cell: Cell) -> frozenset[int]:
@@ -94,7 +90,7 @@ class AssignmentState:
         """First available frequency of `freqs`, scanned in the range's own
         order; a descending scan is a negative-step range such as `r[::-1]`."""
         if cell not in self._used:
-            raise _unknown(cell)
+            raise UnknownCellError(cell)
         for f in freqs:
             if self.is_available(cell, f):
                 return f

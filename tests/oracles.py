@@ -1,7 +1,6 @@
 """Brute-force cross-checks the tests hold the program to; no CLI path runs them.
 
 `exhaustive_oracle` is a pruning-free optimum for tiny instances,
-`searched_optimum` the branch-and-bound path that the clique fill replaced,
 `edge_list_triangle_free` the per-edge triangle test that the per-cell one
 replaced, and `overflow_order_violations` checks the caco2 overflow rule on a
 finished run. A run keeps no per-request record, so `recorded_run` rebuilds
@@ -15,13 +14,8 @@ from cellcall.offline import (
     InstanceTooLargeError,
     OptimumWitness,
     _adjacency,
-    _branch_and_bound,
     _build_witness,
-    _clique_partition,
     _demand_list,
-    _lp_ceiling,
-    _maximal_cliques,
-    _maximal_independent_sets,
 )
 from cellcall.online import RunTrace, feed_requests
 
@@ -70,24 +64,6 @@ def exhaustive_oracle(network: Network, omega: int, demands: dict) -> OptimumWit
     mult = {m: best_combo.count(m) for m in set(best_combo)}
     ordered = sorted(mult)
     return _build_witness(cells, r, ordered, [mult[m] for m in ordered])
-
-
-def searched_optimum(network: Network, omega: int, demands: dict) -> OptimumWitness:
-    """`exact_optimum`'s search on a network of one component, whatever its
-    demands: the demands capped at omega, the maximal independent sets, the
-    clique LP ceiling by the simplex, then the aimed and, if that finds
-    nothing, the plain branch-and-bound."""
-    cells, r, omega = _demand_list(network, omega, demands)
-    r = [min(d, omega) for d in r]
-    adj = _adjacency(cells, network)
-    members = _maximal_independent_sets(adj)
-    cliques = _maximal_cliques(adj)
-    parts = _clique_partition(cliques)
-    ceiling = _lp_ceiling(omega, r, cliques)
-    mults = _branch_and_bound(r, members, parts, omega, ceiling, ceiling - 1)
-    if mults is None:
-        mults = _branch_and_bound(r, members, parts, omega, ceiling, -1)
-    return _build_witness(cells, r, [sum(1 << i for i in m) for m in members], mults)
 
 
 def edges(network: Network) -> list:

@@ -142,6 +142,20 @@ def test_phase_ratios_follow_ratio_report():
     assert phase_ratios(scenario, reject_all) == [Fraction(1), None]
 
 
+def test_duel_refuses_an_algorithm_built_for_another_omega_or_network():
+    star = "Network([(-1, 1), (0, -1), (0, 0), (1, 0)])"
+    with pytest.raises(ValueError) as err:
+        run_duel(fig2_adversary(21), make_algorithm("caco", star_network(), 42))
+    assert str(err.value) == (
+        f"the fig2 adversary plays omega 21 on {star}, but the algorithm runs at omega 42 on {star}"
+    )
+    with pytest.raises(ValueError) as err:
+        run_duel(fig2_adversary(21), make_algorithm("greedy", hex_patch(1), 21))
+    assert str(err.value) == (
+        f"the fig2 adversary plays omega 21 on {star}, but the algorithm runs at omega 21 on {hex_patch(1)!r}"
+    )
+
+
 def test_adversary_reads_the_live_count_between_phases():
     # three phases at the centre: after each, the adversary resumes only once
     # its batch is fed in full, and reads the count the trace holds

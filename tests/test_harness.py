@@ -721,10 +721,11 @@ def _tampered_optimum(monkeypatch):
     exact_optimum = harness.exact_optimum
 
     def tampered(network, omega, demands):
-        # 7 more calls at one outer star cell than fig3's true optimum of 9 there
-        opt = exact_optimum(network, omega, demands)
-        per_cell = {**opt.per_cell, (1, 0): opt.per_cell[(1, 0)] + 7}
-        return OptimumWitness(opt.total + 7, per_cell, opt.assignment)
+        # 7 more calls at one outer star cell than fig3's true optimum of 9
+        # there: 7 frequencies past omega added to its set
+        assignment = exact_optimum(network, omega, demands).assignment
+        extra = frozenset(range(omega + 1, omega + 8))
+        return OptimumWitness({**assignment, (1, 0): assignment[(1, 0)] | extra})
 
     monkeypatch.setattr(harness, "exact_optimum", tampered)
 

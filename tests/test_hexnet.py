@@ -15,6 +15,7 @@ from cellcall.hexnet import (
     is_triangle_free,
 )
 from cellcall.online import caco_algorithm
+from cellcall.spectrum import AssignmentState
 from oracles import edge_list_triangle_free, edges
 
 cells_st = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
@@ -60,6 +61,16 @@ def test_neighbors_restricted_to_members():
 def test_neighbors_unknown_cell_raises():
     with pytest.raises(UnknownCellError):
         Network([(0, 0)]).neighbors((1, 1))
+
+
+def test_unknown_cell_error_prints_its_message_unquoted():
+    # a KeyError would print its key in quotes; still caught as a KeyError
+    with pytest.raises(KeyError) as err:
+        Network([(0, 0)]).neighbors((5, 5))
+    assert str(err.value) == "cell (5, 5) is not in the network"
+    with pytest.raises(UnknownCellError) as err:
+        AssignmentState(Network([(0, 0)]), 7).count((5, 5))
+    assert str(err.value) == "cell (5, 5) is not in the network"
 
 
 def test_neighbors_sorted_deterministically():

@@ -17,7 +17,7 @@ from cellcall.ledger import (
     caco_certificate,
     ratio_report,
 )
-from cellcall.offline import OptimumWitness, exact_optimum
+from cellcall.offline import exact_optimum
 from cellcall.online import (
     Caco2Algorithm,
     NotTriangleFreeError,
@@ -31,10 +31,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 # Reference ledgers: B and h recomputed in Fractions straight from the proofs'
-# formulas, for comparison with the certificates' integer arithmetic.
+# formulas, for comparison with the certificates' integer arithmetic. Each
+# takes the per-cell optimum O, as the certificates do.
 
-def reference_caco(trace, opt):
-    net, omega, O = trace.network, trace.omega, opt.per_cell
+def reference_caco(trace, O):
+    net, omega = trace.network, trace.omega
     A = {c: trace.state.count(c) for c in net.cells}
     donors = {c for c in net.cells if O[c] <= Fraction(2 * omega, 3)}
     h = {
@@ -46,8 +47,8 @@ def reference_caco(trace, opt):
     return donors, h, reference_b(net, O, A, donors, h, Fraction(3, 7))
 
 
-def reference_caco2(trace, opt):
-    net, omega, O = trace.network, trace.omega, opt.per_cell
+def reference_caco2(trace, O):
+    net, omega = trace.network, trace.omega
     A = {c: trace.state.count(c) for c in net.cells}
     floor = Fraction(4, 9)
     donors = {c for c in net.cells if A[c] >= floor * O[c]}
@@ -84,10 +85,10 @@ def reference_b(net, O, A, donors, h, floor):
     }
 
 
-def assert_matches_reference(cert, trace, opt):
+def assert_matches_reference(cert, trace, O):
     """The certificate's donors, B and h equal the reference ledger's, and its
     balance checks give the reference verdicts."""
-    donors, h, b = {"caco": reference_caco, "caco2": reference_caco2}[cert.kind](trace, opt)
+    donors, h, b = {"caco": reference_caco, "caco2": reference_caco2}[cert.kind](trace, O)
     assert cert.donors == donors
     assert cert.h_values == h
     assert cert.b_values == b
@@ -97,22 +98,21 @@ def assert_matches_reference(cert, trace, opt):
     total_a = trace.total_accepted()
     assert checks["amortized_total"].passed == (sum(b.values()) <= total_a)
     assert checks["amortized_total"].detail == f"sum B = {sum(b.values())}, sum A = {total_a}"
-    short = tuple(c for c in trace.network.sorted_cells() if not opt.per_cell[c] <= b[c] / floor)
+    short = tuple(c for c in trace.network.sorted_cells() if not O[c] <= b[c] / floor)
     ratio = checks[f"per_cell_ratio_{floor.denominator}_{floor.numerator}"]
     assert ratio.failing_cells == short and ratio.passed == (not short)
     if cert.kind == "caco2":
         given = {i: sum(v for (g, _), v in h.items() if g == i) for i in donors}
         over = tuple(
             i for i in trace.network.sorted_cells()
-            if i in donors and floor * opt.per_cell[i] + given[i] > trace.state.count(i)
+            if i in donors and floor * O[i] + given[i] > trace.state.count(i)
         )
         assert checks["donor_budget"].failing_cells == over
 
 
-def tampered(rng, opt, omega):
-    """`opt` with every cell's O redrawn from 0..2*omega."""
-    per_cell = {c: rng.randint(0, 2 * omega) for c in opt.per_cell}
-    return OptimumWitness(sum(per_cell.values()), per_cell, opt.assignment)
+def tampered(rng, O, omega):
+    """The per-cell optimum `O` with every cell's O redrawn from 0..2*omega."""
+    return {c: rng.randint(0, 2 * omega) for c in O}
 
 
 def caco_run(net, omega, seq):
@@ -125,7 +125,7 @@ def test_fig2_certificate_values():
     scenario = fig2_adversary(21)
     trace = run_duel(scenario, make_algorithm("caco", scenario.network, scenario.omega))
     opt = exact_optimum(trace.network, 21, dict(trace.demands))
-    cert = caco_certificate(trace, opt)
+    cert = caco_certificate(trace, opt.per_cell)
     assert STAR_CENTER in cert.donors
     assert cert.b_values[STAR_CENTER] == 0
     for c in STAR_OUTER:
@@ -139,7 +139,7 @@ def test_fig2_certificate_values():
 def test_empty_sequence_vacuous_pass():
     net = Network([(0, 0), (1, 0)])
     trace, opt = caco_run(net, 21, [])
-    cert = caco_certificate(trace, opt)
+    cert = caco_certificate(trace, opt.per_cell)
     assert cert.status == "pass"
     assert all(b == 0 for b in cert.b_values.values())
 
@@ -147,7 +147,7 @@ def test_empty_sequence_vacuous_pass():
 def test_single_cell_dangerous():
     net = Network([(0, 0)])
     trace, opt = caco_run(net, 21, [(0, 0)] * 21)
-    cert = caco_certificate(trace, opt)
+    cert = caco_certificate(trace, opt.per_cell)
     assert (0, 0) not in cert.donors  # O = 21 > 14
     assert trace.state.count((0, 0)) == 9  # 3*omega/7
     assert cert.b_values[(0, 0)] == 9
@@ -161,10 +161,10 @@ def test_caco_certificate_random_sweep():
         net = random_network(rng, max_cells=9)
         omega = rng.choice([7, 14, 21])
         trace, opt = caco_run(net, omega, random_requests(rng, net, rng.randint(0, 4 * omega)))
-        cert = caco_certificate(trace, opt)
+        cert = caco_certificate(trace, opt.per_cell)
         assert cert.status == "pass", [str(c) for c in cert.checks if not c.passed]
-        assert_matches_reference(cert, trace, opt)
-        bad = tampered(rng, opt, omega)
+        assert_matches_reference(cert, trace, opt.per_cell)
+        bad = tampered(rng, opt.per_cell, omega)
         cert = caco_certificate(trace, bad)
         assert_matches_reference(cert, trace, bad)
         negative_credits += any(v < 0 for v in cert.h_values.values())
@@ -175,17 +175,15 @@ def test_caco_certificate_random_sweep():
 def test_network_mismatch_rejected():
     net = Network([(0, 0)])
     trace, _ = caco_run(net, 21, [(0, 0)])
-    other = OptimumWitness(0, {(5, 5): 0}, {(5, 5): frozenset()})
     with pytest.raises(NetworkMismatchError):
-        caco_certificate(trace, other)
+        caco_certificate(trace, {(5, 5): 0})
 
 
 def test_tampered_optimum_fails_with_cell_named():
     # inflate the optimum beyond 7/3 * B at one cell: check (e) must fail
     net = Network([(0, 0)])
-    trace, opt = caco_run(net, 21, [(0, 0)] * 2)
-    bad = OptimumWitness(22, {(0, 0): 22}, opt.assignment)
-    cert = caco_certificate(trace, bad)
+    trace, _ = caco_run(net, 21, [(0, 0)] * 2)
+    cert = caco_certificate(trace, {(0, 0): 22})
     failing = [c for c in cert.checks if not c.passed]
     assert failing
     assert any((0, 0) in c.failing_cells for c in failing)
@@ -203,7 +201,7 @@ def test_safe_cell_floor_fails_on_tampered_optimum():
     # O = 7 makes the cell safe (3*7 <= 2*21), yet it accepted 2 < 3O/7
     net = Network([(0, 0)])
     trace, _ = caco_run(net, 21, [(0, 0)] * 2)
-    cert = caco_certificate(trace, OptimumWitness(7, {(0, 0): 7}, {}))
+    cert = caco_certificate(trace, {(0, 0): 7})
     assert_fails(cert, [
         "safe_cell_floor: FAIL at [(0, 0)]",
         "dangerous_separation: pass",
@@ -218,7 +216,7 @@ def test_adjacent_dangerous_cells_fail_separation():
     # negative (A_k - 3O_k/7)/3, and the amortized total goes negative
     net = Network([(0, 0), (1, 0)])
     trace, _ = caco_run(net, 21, [(0, 0), (0, 0), (1, 0)])
-    cert = caco_certificate(trace, OptimumWitness(30, {(0, 0): 15, (1, 0): 15}, {}))
+    cert = caco_certificate(trace, {(0, 0): 15, (1, 0): 15})
     assert cert.h_values[((1, 0), (0, 0))] == Fraction(-38, 21)
     assert_fails(cert, [
         "safe_cell_floor: pass",
@@ -235,7 +233,7 @@ def test_crowded_safe_cell_fails_separation():
     leaves = [(1, 0), (1, -1), (0, -1), (-1, 1)]
     net = Network([(0, 0)] + leaves)
     trace, _ = caco_run(net, 7, [(0, 0)] * 2 + [c for c in leaves for _ in range(2)])
-    cert = caco_certificate(trace, OptimumWitness(28, {(0, 0): 0, **dict.fromkeys(leaves, 7)}, {}))
+    cert = caco_certificate(trace, {(0, 0): 0, **dict.fromkeys(leaves, 7)})
     assert_fails(cert, [
         "safe_cell_floor: pass",
         "dangerous_separation: FAIL at [(0, -1), (1, -1), (1, 0), (0, 0)]",
@@ -249,7 +247,7 @@ def test_balance_checks_fail_by_one_twenty_first():
     # O = 6 at (1, 0) needs B >= 18/7 = 54/21, and B is 2 + (2 - 3/7)/3 = 53/21
     net = Network([(0, 0), (1, 0)])
     trace, _ = caco_run(net, 7, [(0, 0), (0, 0), (1, 0), (1, 0)])
-    cert = caco_certificate(trace, OptimumWitness(7, {(0, 0): 1, (1, 0): 6}, {}))
+    cert = caco_certificate(trace, {(0, 0): 1, (1, 0): 6})
     assert cert.b_values[(1, 0)] == Fraction(53, 21)
     assert_fails(cert, [
         "safe_cell_floor: pass",
@@ -261,7 +259,7 @@ def test_balance_checks_fail_by_one_twenty_first():
     # sum B exceeds sum A = 1 by 1/21
     net = Network([(-1, 0), (0, 0), (1, 0)])
     trace, _ = caco_run(net, 7, [(1, 0)])
-    cert = caco_certificate(trace, OptimumWitness(14, {(-1, 0): 4, (0, 0): 5, (1, 0): 5}, {}))
+    cert = caco_certificate(trace, {(-1, 0): 4, (0, 0): 5, (1, 0): 5})
     assert_fails(cert, [
         "safe_cell_floor: FAIL at [(-1, 0)]",
         "dangerous_separation: FAIL at [(0, 0), (1, 0)]",
@@ -276,7 +274,7 @@ def test_greedy_trace_fails_shared_exhaustion():
     net = Network([(0, 0)])
     trace = run_sequence(make_algorithm("greedy", net, 7), [(0, 0)] * 8)
     opt = exact_optimum(net, 7, dict(trace.demands))
-    assert_fails(caco_certificate(trace, opt), [
+    assert_fails(caco_certificate(trace, opt.per_cell), [
         "safe_cell_floor: pass",
         "dangerous_separation: pass",
         "shared_exhaustion_at_rejection: FAIL at [(0, 0)]",
@@ -297,7 +295,7 @@ def test_fig3_certificate_values():
     scenario = fig3_adversary(9)
     trace = run_duel(scenario, make_algorithm("caco2", scenario.network, scenario.omega))
     opt = exact_optimum(trace.network, 9, dict(trace.demands))
-    cert = caco2_certificate(trace, opt)
+    cert = caco2_certificate(trace, opt.per_cell)
     for c in STAR_OUTER:
         assert cert.h_values[(STAR_CENTER, c)] == 2
         assert cert.b_values[c] == 5  # 3 accepted + 2 compensation
@@ -309,13 +307,13 @@ def test_fig3_certificate_values():
 def test_caco2_empty_sequence():
     net = Network([(0, 0), (1, 0)])
     trace, opt = caco2_run(net, 9, [])
-    assert caco2_certificate(trace, opt).status == "pass"
+    assert caco2_certificate(trace, opt.per_cell).status == "pass"
 
 
 def test_caco2_single_isolated_cell():
     net = Network([(0, 0)])
     trace, opt = caco2_run(net, 9, [(0, 0)] * 9)
-    cert = caco2_certificate(trace, opt)
+    cert = caco2_certificate(trace, opt.per_cell)
     assert trace.state.count((0, 0)) == 9
     assert cert.b_values[(0, 0)] == 4  # 4*O/9 with O = 9
     assert Fraction(opt.per_cell[(0, 0)]) / cert.b_values[(0, 0)] == Fraction(9, 4)
@@ -330,11 +328,11 @@ def test_caco2_random_sweep_pass_or_uncovered():
         net = random_network(rng, max_cells=9, triangle_free=True)
         omega = rng.choice([3, 9, 21])
         trace, opt = caco2_run(net, omega, random_requests(rng, net, rng.randint(0, 4 * omega)))
-        cert = caco2_certificate(trace, opt)
+        cert = caco2_certificate(trace, opt.per_cell)
         assert cert.status in ("pass", "uncovered"), [str(c) for c in cert.checks]
-        assert_matches_reference(cert, trace, opt)
+        assert_matches_reference(cert, trace, opt.per_cell)
         statuses.append(cert.status)
-        bad = tampered(rng, opt, omega)
+        bad = tampered(rng, opt.per_cell, omega)
         cert = caco2_certificate(trace, bad)
         assert_matches_reference(cert, trace, bad)
         failed_checks += not all(c.passed for c in cert.checks)
@@ -365,7 +363,7 @@ def structure_b_overflow_runs(omega):
 def test_caco2_structure_b_overflow_credit_found_by_search():
     omega = 3
     trace, opt, i, cj, ck = next(structure_b_overflow_runs(omega))
-    cert = caco2_certificate(trace, opt)
+    cert = caco2_certificate(trace, opt.per_cell)
     assert cert.h_values[(i, cj)] == Fraction(4 * opt.per_cell[cj], 9) - trace.state.count(cj)
     assert cert.h_values[(i, ck)] == Fraction(omega, 9)
     assert cert.status in ("pass", "uncovered")
@@ -374,8 +372,7 @@ def test_caco2_structure_b_overflow_credit_found_by_search():
 def test_donor_budget_fails_on_tampered_optimum():
     # O = 30 at C_j makes its shortfall credit exceed the donor's spare
     trace, opt, i, cj, ck = next(structure_b_overflow_runs(3))
-    per_cell = {**opt.per_cell, cj: 30}
-    cert = caco2_certificate(trace, OptimumWitness(sum(per_cell.values()), per_cell, opt.assignment))
+    cert = caco2_certificate(trace, {**opt.per_cell, cj: 30})
     assert (i, cj) == ((0, 0), (1, 0))
     assert cert.uncovered == [((0, 0), "compensation exceeds the donor's budget")]
     assert_fails(cert, [
@@ -392,12 +389,12 @@ def test_caco2_straight_path_uncovered_at_every_scale(k):
     # the global 9/4 ratio, but the case tree leaves the far end (1, 0) short
     net = Network([(-1, 0), (0, 0), (1, 0)])
     trace, opt = caco2_run(net, 3 * k, [(-1, 0)] * (2 * k) + [(0, 0)] * k + [(1, 0)] * (3 * k))
-    cert = caco2_certificate(trace, opt)
+    cert = caco2_certificate(trace, opt.per_cell)
     assert (trace.total_accepted(), opt.total) == (4 * k, 5 * k)
     assert cert.uncovered == [((1, 0), "compensation left the cell below 4O/9")]
     assert cert.status == "uncovered"
     assert next(c for c in cert.checks if c.name == "global_ratio_9_4").passed
-    assert_matches_reference(cert, trace, opt)
+    assert_matches_reference(cert, trace, opt.per_cell)
 
 
 def test_caco2_split_check_runs_under_python_optimize():
@@ -413,7 +410,7 @@ def test_caco2_split_check_runs_under_python_optimize():
         "trace = run_sequence(Caco2Algorithm(net, 9), [(0, 0)])\n"
         "opt = exact_optimum(net, 9, dict(trace.demands))\n"
         "net.neighbor_configs = {c: (net.neighbors(c) * 2, ()) for c in net.cells}\n"
-        "ledger.caco2_certificate(trace, opt)\n"
+        "ledger.caco2_certificate(trace, opt.per_cell)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     result = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
@@ -426,7 +423,7 @@ def test_caco2_certificate_requires_triangle_free():
     trace = run_sequence(make_algorithm("greedy", net, 9), [])
     opt = exact_optimum(net, 9, {})
     with pytest.raises(NotTriangleFreeError, match="^caco2 requires a triangle-free hex network$"):
-        caco2_certificate(trace, opt)
+        caco2_certificate(trace, opt.per_cell)
 
 
 def test_caco2_flags_degenerate_structure_cells():
@@ -438,32 +435,19 @@ def test_caco2_flags_degenerate_structure_cells():
 # ratio report
 
 def test_ratio_fig2_values():
-    assert ratio_report_from_totals(27, 63) == Fraction(7, 3)
-    assert ratio_report_from_totals(15, 27) == Fraction(9, 5)
-
-
-def ratio_report_from_totals(alg_total, opt_total):
-    net = Network([(0, 0)])
-    trace = run_sequence(make_algorithm("greedy", net, max(alg_total, 1)), [(0, 0)] * alg_total)
-    opt = OptimumWitness(opt_total, {(0, 0): opt_total}, {(0, 0): frozenset(range(1, opt_total + 1))})
-    return ratio_report(trace, opt)
+    assert ratio_report(63, 27) == Fraction(7, 3)
+    assert ratio_report(27, 15) == Fraction(9, 5)
 
 
 def test_ratio_empty_convention():
-    assert ratio_report_from_totals(0, 0) == Fraction(1)
+    assert ratio_report(0, 0) == Fraction(1)
 
 
 def test_ratio_infinite():
-    net = Network([(0, 0)])
-    trace = run_sequence(make_algorithm("greedy", net, 3), [])
-    opt = OptimumWitness(5, {(0, 0): 5}, {(0, 0): frozenset({1, 2, 3, 4, 5})})
-    assert ratio_report(trace, opt) is None
+    assert ratio_report(5, 0) is None
     assert render_ratio(None) == "inf"
 
 
 def test_ratio_rendering():
-    net = Network([(0, 0)])
-    trace = run_sequence(make_algorithm("greedy", net, 9), [(0, 0)] * 3)
-    opt = OptimumWitness(7, {(0, 0): 7}, {(0, 0): frozenset(range(1, 8))})
-    assert render_ratio(ratio_report(trace, opt)) == "7/3 (~2.3333)"
+    assert render_ratio(ratio_report(7, 3)) == "7/3 (~2.3333)"
     assert render_ratio(Fraction(3)) == "3 (~3.0000)"

@@ -35,7 +35,7 @@ from cellcall.offline import (
 )
 from cellcall.online import caco_algorithm, make_algorithm
 from conftest import ODD_HOLE, PATCH_CELLS, random_network
-from oracles import ORACLE_MAX_CELLS, ORACLE_MAX_OMEGA, _independent_sets, edges, exhaustive_oracle, searched_optimum
+from oracles import ORACLE_MAX_CELLS, ORACLE_MAX_OMEGA, _independent_sets, edges, exhaustive_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -310,7 +310,7 @@ def test_validate_witness_checks_under_python_optimize():
         "from cellcall.hexnet import Network\n"
         "from cellcall.offline import OptimumWitness, validate_witness\n"
         "one = frozenset({1})\n"
-        "witness = OptimumWitness(2, {(0, 0): 1, (1, 0): 1}, {(0, 0): one, (1, 0): one})\n"
+        "witness = OptimumWitness({(0, 0): one, (1, 0): one})\n"
         "validate_witness(Network([(0, 0), (1, 0)]), 3, {(0, 0): 1, (1, 0): 1}, witness)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -320,27 +320,22 @@ def test_validate_witness_checks_under_python_optimize():
 
 
 @pytest.mark.parametrize(
-    "changed, counts, total, message",
+    "changed, message",
     [
-        ({(9, 9): frozenset()}, {}, None, r"witness cell \(9, 9\) not in network"),
-        ({}, {(0, 0): 1}, None, r"cell \(0, 0\) has 2 frequencies, not its O"),
-        ({(1, 0): frozenset({3, 4})}, {}, None, r"cell \(1, 0\) exceeds its demand"),
-        ({(0, 0): frozenset({1, 5})}, {}, None, r"cell \(0, 0\) has a frequency outside 1\.\.4"),
-        ({(1, 0): frozenset({2})}, {}, None, r"cells \(0, 0\) and \(1, 0\) share a frequency"),
-        ({}, {}, 4, "witness total 4 is not the sum of its per-cell O"),
+        ({(9, 9): frozenset()}, r"witness cell \(9, 9\) not in network"),
+        ({(1, 0): frozenset({3, 4})}, r"cell \(1, 0\) exceeds its demand"),
+        ({(0, 0): frozenset({1, 5})}, r"cell \(0, 0\) has a frequency outside 1\.\.4"),
+        ({(1, 0): frozenset({2})}, r"cells \(0, 0\) and \(1, 0\) share a frequency"),
     ],
-    ids=["foreign_cell", "size_not_o", "past_demand", "out_of_range", "shared_across_edge", "bad_total"],
+    ids=["foreign_cell", "past_demand", "out_of_range", "shared_across_edge"],
 )
-def test_validate_witness_rejects_each_bad_witness(changed, counts, total, message):
+def test_validate_witness_rejects_each_bad_witness(changed, message):
     # one fault each in a valid witness for demands 2 and 1 at omega 4
     net, demands = Network([(0, 0), (1, 0)]), {(0, 0): 2, (1, 0): 1}
     assignment = {(0, 0): frozenset({1, 2}), (1, 0): frozenset({3})}
-    validate_witness(net, 4, demands, OptimumWitness(3, {(0, 0): 2, (1, 0): 1}, assignment))
-    assignment.update(changed)
-    per_cell = {c: len(f) for c, f in assignment.items()} | counts
-    witness = OptimumWitness(sum(per_cell.values()) if total is None else total, per_cell, assignment)
+    validate_witness(net, 4, demands, OptimumWitness(assignment))
     with pytest.raises(AssertionError, match=message):
-        validate_witness(net, 4, demands, witness)
+        validate_witness(net, 4, demands, OptimumWitness(assignment | changed))
 
 
 def test_unknown_demand_cell_rejected():
@@ -673,7 +668,8 @@ def test_clique_components_take_the_closed_form(instance):
     with mock.patch.object(offline, "_maximal_independent_sets", side_effect=no_search), \
             mock.patch.object(offline, "_lp_ceiling", side_effect=no_search):
         opt = exact_optimum(net, omega, demands)
-    searched = searched_optimum(net, omega, demands)
+    cells = net.sorted_cells()
+    searched = offline._search(net, omega, cells, [min(demands[c], omega) for c in cells])
     assert opt.per_cell == searched.per_cell
     if sum(min(d, omega) for d in demands.values()) > omega:
         assert opt.assignment == searched.assignment and opt.total == omega

@@ -320,6 +320,17 @@ def test_boolean_request_rejected():
         run_sequence(GreedyAlgorithm(net, 3), [(True, False)])
 
 
+@pytest.mark.parametrize(
+    "bad, shown",
+    [((0, 0, 1), r"\(0, 0, 1\)"), ((0,), r"\(0,\)"), ("ab", "'ab'"), ((1.0, 0.0), r"\(1\.0, 0\.0\)")],
+    ids=["triple", "single", "string", "float_pair"],
+)
+def test_malformed_request_is_named_by_its_index(bad, shown):
+    net = Network([(0, 0), (1, 0)])
+    with pytest.raises(TypeError, match=rf"^request 1 is not a pair of integers: {shown}$"):
+        run_sequence(GreedyAlgorithm(net, 3), [(0, 0), bad])
+
+
 @pytest.mark.parametrize("as_lists", [False, True])
 def test_trace_keeps_no_object_per_request(as_lists):
     net = hex_patch(4)
