@@ -12,7 +12,7 @@ from typing import NamedTuple, Optional, Union
 
 from . import __version__
 from .adversary import make_adversary, run_duel
-from .hexnet import COLORS, Cell, Network, color_of
+from .hexnet import COLORS, Cell, Network, as_cell, color_of
 from .ledger import Certificate, caco2_certificate, caco_certificate, ratio_report
 from .offline import InstanceTooLargeError, exact_optimum
 from .online import RunTrace, make_algorithm, run_sequence
@@ -47,11 +47,6 @@ class ScenarioConfig(NamedTuple):
     compute_opt: bool = False
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _as_flag(data: dict, name: str) -> bool:
     value = data.get(name, False)
     if not isinstance(value, bool):
@@ -60,13 +55,10 @@ def _as_flag(data: dict, name: str) -> bool:
 
 
 def _as_cell(value, what: str) -> Cell:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(_is_int(v) for v in value)
-    ):
+    cell = as_cell(value)
+    if cell is None:
         raise ScenarioError(f"{what} must be an integer pair [q, r], got {_brief.repr(value)}")
-    return (value[0], value[1])
+    return cell
 
 
 _FIELDS = ScenarioConfig._fields[1:]  # every field but the id, which the file name gives
@@ -85,7 +77,7 @@ def parse_scenario(data: dict, scenario_id: str) -> ScenarioConfig:
             f"a scenario has only {', '.join(_FIELDS)}"
         )
     omega = data.get("omega")
-    if not _is_int(omega):
+    if type(omega) is not int:  # JSON true and false load as bool, not int
         raise ScenarioError(f"omega must be a positive integer, got {_brief.repr(omega)}")
     raw_cells = data.get("cells")
     if not isinstance(raw_cells, list) or not raw_cells:
@@ -121,7 +113,7 @@ def _adversary(selector: str, omega: int, network: Optional[Network] = None):
         raise ScenarioError(f"traffic selector {_brief.repr(selector)}: {_clip(exc)}") from exc
 
 
-def build_scenario(config: ScenarioConfig):
+def validate_scenario(config: ScenarioConfig) -> tuple:
     """Check a scenario's values and build what it runs: `(adversary,
     algorithm)`, the adversary None for a request list. The only place a
     scenario's values are checked; `parse_scenario` checks only its shape."""
@@ -148,11 +140,6 @@ def build_scenario(config: ScenarioConfig):
     except ValueError as exc:
         raise ScenarioError(f"algorithm {_brief.repr(config.algorithm)}: {_clip(exc)}") from exc
     return adversary, algorithm
-
-
-def validate_scenario(config: ScenarioConfig) -> None:
-    """Raise `ScenarioError` if `config` cannot run."""
-    build_scenario(config)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -212,7 +199,7 @@ def _certificate_for(trace: RunTrace, O: dict) -> Optional[Certificate]:
 
 
 def run_experiment(config: ScenarioConfig) -> RunReport:
-    adversary, algorithm = build_scenario(config)
+    adversary, algorithm = validate_scenario(config)
     if adversary is None:
         trace = run_sequence(algorithm, config.traffic)
     else:

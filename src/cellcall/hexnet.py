@@ -1,8 +1,10 @@
-"""Finite hexagonal-grid topology: axial coordinates, 3-coloring, neighbor split by color."""
+"""Finite hexagonal-grid topology: axial coordinates, 3-coloring, neighbor split by color.
+
+An input integer is a plain `int` (`as_integer`), and a cell a pair of them in
+a tuple or a list (`as_cell`); a bool, a float or an int-like is refused."""
 
 from __future__ import annotations
 
-import operator
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Tuple
@@ -31,11 +33,22 @@ def color_of(cell: Cell) -> int:
 
 
 def as_integer(value, what: str) -> int:
-    """`operator.index(value)`, except that a bool raises TypeError too, so
-    True is never read as 1."""
-    if isinstance(value, bool):
+    """`value` if it is a plain `int`; else TypeError naming `what`, so a
+    bool, a float and an int-like are refused rather than converted."""
+    if type(value) is not int:
         raise TypeError(f"{what} must be an integer, not {value!r}")
-    return operator.index(value)
+    return value
+
+
+def as_cell(value) -> Optional[Cell]:
+    """`value` as a tuple if it is a pair of plain `int`s in a tuple or a list, else None."""
+    try:
+        q, r = value
+    except (TypeError, ValueError):
+        return None
+    if type(q) is int and type(r) is int and (type(value) is tuple or type(value) is list):
+        return (q, r)
+    return None
 
 
 class UnknownCellError(KeyError):
@@ -56,10 +69,10 @@ class Network:
 
     def __init__(self, cells: Iterable[Cell]):
         own = {}
-        for q, r in cells:
-            if type(q) is not int or type(r) is not int:  # a bool is refused, an int-like converted
-                q, r = as_integer(q, "a cell coordinate"), as_integer(r, "a cell coordinate")
-            cell = (q, r)
+        for value in cells:
+            cell = as_cell(value)
+            if cell is None:
+                raise TypeError(f"a cell is not a pair of integers: {value!r}")
             own.setdefault(cell, cell)
         self._own = own
         self.cells = frozenset(own)

@@ -189,6 +189,7 @@ def caco2_certificate(trace: RunTrace, O: dict) -> Certificate:
             # structure A: each of the k <= 3 neighbors gets spare/k; isolated: nothing
             receivers = succ + pred
             share, rest = divmod(spare, len(receivers) or 1)
+            # cannot fire: spare = 54A - 24O = 6(9A - 4O) splits evenly over 1, 2 or 3 receivers
             if rest:
                 raise AssertionError(f"spare of {i} does not split over {len(receivers)} neighbors")
             for j in receivers:

@@ -16,6 +16,7 @@ than by a row. Either way the dual is checked before use.
 `clique_upper_bound` is that floor for any network, never below the integer
 clique bound and equal to it wherever measured. The brute-force cross-check,
 `exhaustive_oracle`, lives with the tests in `tests/oracles.py`.
+Omega and every demand must be nonnegative plain `int`s (`hexnet.as_integer`).
 An `OptimumWitness` is its assignment: O_i (`per_cell`) and OPT (`total`)
 are read off the sizes of its per-cell frequency sets.
 """
@@ -76,11 +77,9 @@ def _demand_list(network: Network, omega: int, demands: dict) -> tuple[tuple, li
     if not network.cells.issuperset(demands):
         raise ValueError(f"demand given for cells outside the network: {sorted(set(demands) - network.cells)}")
     r = [demands.get(c, 0) for c in cells]
-    for k, d in enumerate(r):
-        if type(d) is not int:  # a bool is refused, an int-like converted
-            r[k] = as_integer(d, f"the demand at cell {cells[k]}")
     for c, d in zip(cells, r):
-        if d < 0:
+        if type(d) is not int or d < 0:
+            as_integer(d, f"the demand at cell {c}")  # raises unless d is an int
             raise ValueError(f"the demand at cell {c} must be nonnegative, not {d}")
     return cells, r, omega
 

@@ -5,18 +5,18 @@ The algorithms differ only in the order in which a cell tries frequencies:
 each is a `ScanAlgorithm`, built for one network and omega, whose per-cell
 scan list drives the one `decide(state, cell) -> Outcome`; `run_sequence`
 feeds requests through one into a `RunTrace(algorithm)`, which holds the
-algorithm and the run's final state, not its history.
+algorithm and the run's final state, not its history. Omega is a positive plain
+`int`, checked when an algorithm is built, and a request a pair of them (`as_cell`).
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from collections import Counter
 from functools import cache
 from typing import NamedTuple, Optional
 
-from .hexnet import Cell, Network, color_of
+from .hexnet import Cell, Network, as_cell, as_integer, color_of
 from .spectrum import AssignmentState, FrequencyPartition, make_partition_family
 
 
@@ -86,6 +86,8 @@ class ScanAlgorithm:
     flagged_cells: tuple = ()  # degenerate neighbor configs, see caco2
 
     def __init__(self, network: Network, omega: int):
+        if as_integer(omega, "omega") <= 0:
+            raise ValueError(f"omega must be positive, got {omega}")
         self.network = network
         self.omega = omega
 
@@ -250,21 +252,17 @@ def run_sequence(algorithm, requests) -> RunTrace:
 def feed_requests(algorithm, trace: RunTrace, requests) -> None:
     """Feed a batch of requests into an in-progress trace (adversary phases).
 
-    A request is a pair of integers, such as a `[q, r]` list, and not of
-    booleans. The trace only counts it at its cell, and `decide` accepts or
-    rejects it, so `requests` may be a lazy iterator of any length; an error
-    gives the request's index in the run, the number of requests fed before it.
+    A request is a cell, a pair of plain `int`s in a tuple or a list such as
+    `[q, r]` (`as_cell`). The trace only counts it at its cell, and `decide`
+    accepts or rejects it, so `requests` may be a lazy iterator of any length;
+    an error gives the request's index in the run, the number of requests fed
+    before it.
     """
-    own_cell = algorithm.network.own_cell
-    index = operator.index
+    own_cell, cell_of = algorithm.network.own_cell, as_cell
     for request in requests:
-        try:
-            q, r = request
-            key = (index(q), index(r))
-        except (TypeError, ValueError):
-            raise TypeError(f"request {sum(trace.demands.values())} is not a pair of integers: {request!r}") from None
-        if type(q) is bool or type(r) is bool:  # index(True) is 1
-            raise TypeError(f"request {sum(trace.demands.values())} has a boolean coordinate: ({q!r}, {r!r})")
+        key = cell_of(request)
+        if key is None:
+            raise TypeError(f"request {sum(trace.demands.values())} is not a pair of integers: {request!r}")
         cell = own_cell(key)
         if cell is None:
             raise UnknownRequestCellError(sum(trace.demands.values()), key)

@@ -48,7 +48,7 @@ class AssignmentState:
     `is_available` has found it free: `take_first` adds the first free
     frequency its scan finds, and `assign` adds a given frequency or raises
     FrequencyConflictError, so algorithm bugs surface in tests instead of
-    corrupting counters. A frequency and omega are integers, not bools
+    corrupting counters. A frequency and omega are plain `int`s
     (`as_integer`), and a cell outside the network raises UnknownCellError;
     both are checked where a call enters, not in the per-frequency probe.
     """

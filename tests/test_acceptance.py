@@ -27,6 +27,9 @@ from oracles import exhaustive_oracle, overflow_order_violations, recorded_run
 CACO_SWEEP_SIZE = 500
 CACO2_SWEEP_SIZE = 500
 ORACLE_SWEEP_SIZE = 200
+# `_sweep`'s arguments for each sweep: seed, size, omegas, triangle-free, algorithm
+CACO_SWEEP = (2024, CACO_SWEEP_SIZE, (7, 14, 21), False, caco_algorithm)
+CACO2_SWEEP = (2025, CACO2_SWEEP_SIZE, (3, 9, 21), True, Caco2Algorithm)
 
 
 @pytest.fixture(scope="module")
@@ -73,12 +76,12 @@ def _sweep(seed, size, omegas, triangle_free, factory):
 
 @pytest.fixture(scope="module")
 def caco_sweep():
-    return _sweep(2024, CACO_SWEEP_SIZE, (7, 14, 21), False, caco_algorithm)
+    return _sweep(*CACO_SWEEP)
 
 
 @pytest.fixture(scope="module")
 def caco2_sweep():
-    return _sweep(2025, CACO2_SWEEP_SIZE, (3, 9, 21), True, Caco2Algorithm)
+    return _sweep(*CACO2_SWEEP)
 
 
 def test_criterion_1_fig2_reproduction(announce):

@@ -37,13 +37,15 @@ def test_neighbors_come_out_sorted_without_sorting():
 
 
 def test_cells_must_be_integer_pairs():
-    with pytest.raises(TypeError):
-        Network([(1.5, 0)])
+    for bad in [(1, 2, 3), 1, (1.5, 0), "ab", [0]]:
+        with pytest.raises(TypeError) as info:
+            Network([(0, 0), bad])
+        assert str(info.value) == f"a cell is not a pair of integers: {bad!r}"
     assert Network([[1, 0]]).cells == {(1, 0)}
 
 
 def test_boolean_coordinates_rejected():
-    with pytest.raises(TypeError, match="^a cell coordinate must be an integer, not True$"):
+    with pytest.raises(TypeError, match=r"^a cell is not a pair of integers: \(True, 0\)$"):
         Network([(True, 0), (0, 0)])
 
 

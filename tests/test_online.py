@@ -316,7 +316,7 @@ def test_request_must_be_integer_pair(pair):
 
 def test_boolean_request_rejected():
     net = Network([(0, 0), (1, 0)])
-    with pytest.raises(TypeError, match=r"^request 0 has a boolean coordinate: \(True, False\)$"):
+    with pytest.raises(TypeError, match=r"^request 0 is not a pair of integers: \(True, False\)$"):
         run_sequence(GreedyAlgorithm(net, 3), [(True, False)])
 
 
@@ -413,6 +413,22 @@ def test_make_algorithm_selectors():
         make_algorithm("magic", net, 7)
     with pytest.raises(UnknownAlgorithmError):
         make_algorithm("partition:a:b", net, 7)
+
+
+@pytest.mark.parametrize("selector, good", [("greedy", 7), ("caco", 7), ("caco2", 9), ("partition:1:1", 4)])
+def test_make_algorithm_refuses_an_invalid_omega(selector, good):
+    # refused when the algorithm is built, not when a run first assigns; a
+    # build at the same omega as an int first must not let the float through
+    net = Network([(0, 0)])
+    assert make_algorithm(selector, net, good).omega == good
+    for bad, error, message in [
+        (True, TypeError, "omega must be an integer, not True"),
+        (0, ValueError, "omega must be positive, got 0"),
+        (float(good), TypeError, f"omega must be an integer, not {float(good)}"),
+    ]:
+        with pytest.raises(error) as info:
+            make_algorithm(selector, net, bad)
+        assert str(info.value) == message
 
 
 def _algorithm(selector):

@@ -135,14 +135,20 @@ def test_take_first_never_assigns_past_omega():
 @pytest.mark.parametrize("freq", [True, 2.0, "2"], ids=["bool", "float", "str"])
 def test_assign_refuses_a_non_integer_frequency(freq):
     state = AssignmentState(Network([(0, 0)]), 7)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=rf"^a frequency must be an integer, not {freq!r}$"):
         state.assign((0, 0), freq)
     assert state.count((0, 0)) == 0
 
 
 @pytest.mark.parametrize("omega", [True, 7.0, "7"], ids=["bool", "float", "str"])
 def test_state_refuses_a_non_integer_omega(omega):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=rf"^omega must be an integer, not {omega!r}$"):
+        AssignmentState(Network([(0, 0)]), omega)
+
+
+@pytest.mark.parametrize("omega", [0, -1])
+def test_state_refuses_a_nonpositive_omega(omega):
+    with pytest.raises(ValueError, match=rf"^omega must be positive, got {omega}$"):
         AssignmentState(Network([(0, 0)]), omega)
 
 
