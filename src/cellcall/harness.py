@@ -15,7 +15,7 @@ from .adversary import make_adversary, run_duel
 from .hexnet import COLORS, Cell, Network, as_cell, color_of
 from .ledger import Certificate, caco2_certificate, caco_certificate, ratio_report
 from .offline import InstanceTooLargeError, exact_optimum
-from .online import RunTrace, make_algorithm, run_sequence
+from .online import RunTrace, UnknownRequestCellError, make_algorithm, run_sequence
 
 
 class ScenarioError(ValueError):
@@ -115,8 +115,10 @@ def _adversary(selector: str, omega: int, network: Optional[Network] = None):
 
 def validate_scenario(config: ScenarioConfig) -> tuple:
     """Check a scenario's values and build what it runs: `(adversary,
-    algorithm)`, the adversary None for a request list. The only place a
-    scenario's values are checked; `parse_scenario` checks only its shape."""
+    algorithm)`, the adversary None for a request list. `parse_scenario`
+    checks only its shape. A request list's cells are not checked here:
+    `run_experiment` refuses a request outside the network when the run
+    reaches it, from `feed_requests`' own lookup of each request."""
     if config.omega <= 0:
         raise ScenarioError(f"omega must be a positive integer, got {_brief.repr(config.omega)}")
     network = Network(config.cells)
@@ -132,9 +134,6 @@ def validate_scenario(config: ScenarioConfig) -> tuple:
                 f"but the scenario lists cells {_brief.repr(sorted(network.cells))}"
             )
         network = adversary.network
-    elif not network.cells.issuperset(config.traffic):
-        i, cell = next((i, c) for i, c in enumerate(config.traffic) if c not in network)
-        raise ScenarioError(f"traffic request {i} at cell {cell} is outside the network")
     try:
         algorithm = make_algorithm(config.algorithm, network, config.omega)
     except ValueError as exc:
@@ -199,9 +198,17 @@ def _certificate_for(trace: RunTrace, O: dict) -> Optional[Certificate]:
 
 
 def run_experiment(config: ScenarioConfig) -> RunReport:
+    """Check and run a scenario, and report it. A ScenarioError names what is
+    wrong: a value `validate_scenario` refuses, or else the first request of
+    a request list outside the network, found as the run reaches it."""
     adversary, algorithm = validate_scenario(config)
     if adversary is None:
-        trace = run_sequence(algorithm, config.traffic)
+        try:
+            trace = run_sequence(algorithm, config.traffic)
+        except UnknownRequestCellError as exc:
+            raise ScenarioError(
+                f"traffic request {exc.index} at cell {exc.cell} is outside the network"
+            ) from exc
     else:
         trace = run_duel(adversary, algorithm)
 

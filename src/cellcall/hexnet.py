@@ -11,9 +11,8 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Tuple
 
 Cell = Tuple[int, int]  # axial (q, r)
 
-# The six axial offsets of a hex grid, in lexicographic order: a translation
-# keeps that order, so a cell's neighbours found by trying them in turn come
-# out sorted.
+# The six axial offsets of a hex grid, in lexicographic order: the last three
+# lead from a cell to the larger ones.
 AXIAL_DIRECTIONS = ((-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0))
 
 
@@ -77,11 +76,19 @@ class Network:
         self._own = own
         self.cells = frozenset(own)
         self._sorted_cells = tuple(sorted(own))
+        # Each edge is found once, from its smaller end, by the three forward
+        # directions: taken in sorted order, a cell's list first gets its
+        # smaller neighbours in order, then its larger ones in direction order.
         get = own.get
-        self._adj = {
-            c: tuple([n for dq, dr in AXIAL_DIRECTIONS if (n := get((c[0] + dq, c[1] + dr))) is not None])
-            for c in own
-        }
+        adj = {c: [] for c in own}
+        for c in self._sorted_cells:
+            q, r = c
+            nbrs = adj[c]
+            for n in (get((q, r + 1)), get((q + 1, r - 1)), get((q + 1, r))):
+                if n is not None:
+                    nbrs.append(n)
+                    adj[n].append(c)
+        self._adj = {c: tuple(nbrs) for c, nbrs in adj.items()}
 
     def __contains__(self, cell: Cell) -> bool:
         return cell in self.cells
@@ -131,7 +138,10 @@ def is_triangle_free(network: Network) -> bool:
     lattice is {c, c + (1, 0), c + (0, 1)} or {c, c + (1, 0), c + (1, -1)} for
     exactly one cell c, so each cell checks those two."""
     cells = network.cells
-    return not any((q + 1, r) in cells and ((q, r + 1) in cells or (q + 1, r - 1) in cells) for q, r in cells)
+    for q, r in cells:
+        if (q + 1, r) in cells and ((q, r + 1) in cells or (q + 1, r - 1) in cells):
+            return False
+    return True
 
 
 class NeighborConfig(NamedTuple):
@@ -146,12 +156,14 @@ class NeighborConfig(NamedTuple):
 
 
 def classify_neighbor_config(network: Network, cell: Cell) -> NeighborConfig:
-    x = color_of(cell)
-    nbrs = network.neighbors(cell)
-    return NeighborConfig(
-        tuple(n for n in nbrs if color_of(n) == (x + 1) % 3),
-        tuple(n for n in nbrs if color_of(n) == (x - 1) % 3),
-    )
+    """Split `cell`'s neighbours by colour, `color_of` being (q - r) mod 3. A
+    neighbour's q - r differs from the cell's by -2, -1, 1 or 2, so it is a
+    successor when the difference is 1 mod 3 and a predecessor otherwise."""
+    d = cell[0] - cell[1]
+    succ, pred = [], []
+    for n in network.neighbors(cell):
+        (succ if (n[0] - n[1] - d) % 3 == 1 else pred).append(n)
+    return NeighborConfig(tuple(succ), tuple(pred))
 
 
 def hex_patch(radius: int, center: Cell = (0, 0)) -> Network:

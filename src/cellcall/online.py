@@ -160,21 +160,23 @@ class Caco2Algorithm(ScanAlgorithm):
     def __init__(self, network: Network, omega: int):
         require_triangle_free_hex(network)
         super().__init__(network, omega)
-        self.partition = make_partition_family(omega, 1, 0)
+        self.partition = part = make_partition_family(omega, 1, 0)
         configs = network.neighbor_configs
-        self.scans = {c: self._scan_for(c, *config) for c, config in configs.items()}
+        # one scan per rule and own colour, shared by every cell that takes it
+        whole = (range(1, omega + 1),)
+        ascending = [(rng, part.ranges[(x - 1) % 3]) for x, rng in enumerate(part.ranges)]
+        descending = [(rng, part.ranges[(x + 1) % 3][::-1]) for x, rng in enumerate(part.ranges)]
+        self.scans = {}
+        for c, (s, p) in configs.items():
+            if not (s or p):
+                self.scans[c] = whole
+            elif len(s) >= 2 and not p:
+                self.scans[c] = ascending[color_of(c)]
+            else:
+                self.scans[c] = descending[color_of(c)]
         self.flagged_cells = tuple(
             sorted(c for c, (s, p) in configs.items() if not (s and p) and 0 < len(s + p) < 3)
         )
-
-    def _scan_for(self, cell: Cell, succ: tuple, pred: tuple) -> tuple:
-        if not (succ or pred):
-            return (range(1, self.omega + 1),)
-        x = color_of(cell)
-        ranges = self.partition.ranges
-        if len(succ) >= 2 and not pred:
-            return (ranges[x], ranges[(x - 1) % 3])
-        return (ranges[x], ranges[(x + 1) % 3][::-1])
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -254,9 +256,11 @@ def feed_requests(algorithm, trace: RunTrace, requests) -> None:
 
     A request is a cell, a pair of plain `int`s in a tuple or a list such as
     `[q, r]` (`as_cell`). The trace only counts it at its cell, and `decide`
-    accepts or rejects it, so `requests` may be a lazy iterator of any length;
-    an error gives the request's index in the run, the number of requests fed
-    before it.
+    accepts or rejects it, so `requests` may be a lazy iterator of any length.
+    Its lookup of each request's cell is the only check of a request list's
+    cells: a request outside the network raises UnknownRequestCellError when
+    it is reached, after the requests before it have run. An error gives the
+    request's index in the run, the number of requests fed before it.
     """
     own_cell, cell_of = algorithm.network.own_cell, as_cell
     for request in requests:

@@ -23,9 +23,15 @@ class FrequencyPartition(NamedTuple):
     shared: Optional[range] = None
 
 
-@cache
 def make_partition_family(omega: int, x_share: int, y_share: int) -> FrequencyPartition:
-    """Per-color ranges of x parts each plus a shared range of y parts (ratio x:x:x:y), built once."""
+    """Per-color ranges of x parts each plus a shared range of y parts (ratio x:x:x:y), built once.
+
+    The three arguments are plain `int`s (`as_integer`), checked before the
+    cache is asked, so 7.0 or True never reaches or returns a cached partition.
+    """
+    as_integer(omega, "omega")
+    as_integer(x_share, "x_share")
+    as_integer(y_share, "y_share")
     if x_share <= 0 or y_share < 0:
         raise PartitionError(f"invalid share ratio {x_share}:{y_share}")
     parts = 3 * x_share + y_share
@@ -34,6 +40,13 @@ def make_partition_family(omega: int, x_share: int, y_share: int) -> FrequencyPa
             f"omega={omega} is not a positive multiple of {parts} "
             f"(required for the {x_share}:{x_share}:{x_share}:{y_share} split)"
         )
+    return _partition_family(omega, x_share, y_share)
+
+
+@cache
+def _partition_family(omega: int, x_share: int, y_share: int) -> FrequencyPartition:
+    """`make_partition_family` on arguments it has checked, one partition per arguments."""
+    parts = 3 * x_share + y_share
     unit = omega // parts
     per_color = x_share * unit
     ranges = tuple(range(1 + x * per_color, 1 + (x + 1) * per_color) for x in range(3))

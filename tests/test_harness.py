@@ -229,7 +229,26 @@ def test_traffic_outside_network_names_first_request():
     data = {"omega": 7, "cells": [[0, 0], [1, 0]], "algorithm": "greedy"}
     data["traffic"] = [[1, 0], [0, 0], [5, 5], [6, 6]]
     with pytest.raises(ScenarioError, match=r"^traffic request 2 at cell \(5, 5\) is outside the network$"):
-        validate_scenario(parse_scenario(data, scenario_id="x"))
+        run_experiment(parse_scenario(data, scenario_id="x"))
+
+
+def test_an_invalid_algorithm_is_named_before_a_stray_request():
+    # the algorithm is checked before the run, which alone looks the requests up
+    data = {"omega": 20, "cells": [[0, 0], [1, 0]], "algorithm": "caco", "traffic": [[0, 0], [5, 5]]}
+    with pytest.raises(ScenarioError, match=r"^algorithm 'caco': omega=20 is not a positive multiple of 7"):
+        run_experiment(parse_scenario(data, scenario_id="x"))
+
+
+def test_sweep_records_a_stray_request_at_every_point():
+    data = {"omega": 7, "cells": [[0, 0], [1, 0]], "algorithm": "greedy", "traffic": [[0, 0], [5, 5]]}
+    template = parse_scenario(data, scenario_id="stray")
+    summary = sweep(template, {"omega": [7, 14], "algorithm": ["greedy", "caco"]})
+    assert summary.reports == []
+    assert summary.failures == [
+        (f"stray[omega={omega},algorithm={alg}]", "traffic request 1 at cell (5, 5) is outside the network")
+        for omega in (7, 14)
+        for alg in ("greedy", "caco")
+    ]
 
 
 json_values = st.recursive(
@@ -277,7 +296,8 @@ any_fields = st.fixed_dictionaries(
 @given(well_typed | any_fields | json_values)
 def test_parse_scenario_raises_only_scenario_error(data):
     # parsing reads the shape, building checks the values: neither stage
-    # raises anything but ScenarioError, and what passes both can run
+    # raises anything but ScenarioError, and what passes both can run, its
+    # request list's cells checked as the run reaches them
     try:
         config = parse_scenario(data, scenario_id="fuzz")
         validate_scenario(config)

@@ -27,7 +27,7 @@ def test_full_grid_center_has_six_neighbors():
 
 
 def test_neighbors_come_out_sorted_without_sorting():
-    # the offsets are tried in lexicographic order, which a translation keeps
+    # each edge is found from its smaller end, the cells taken in sorted order
     assert list(AXIAL_DIRECTIONS) == sorted(AXIAL_DIRECTIONS)
     patch = hex_patch(20)
     cells = patch.sorted_cells()
@@ -89,15 +89,16 @@ def test_color_anchors():
 
 def test_color_cyclic_order():
     # successors have colour (x + 1) % 3 and predecessors (x - 1) % 3,
-    # and between them they hold every neighbour of another colour
-    net = hex_patch(2)
-    for cell in net.sorted_cells():
-        x = color_of(cell)
-        succ, pred = classify_neighbor_config(net, cell)
-        nbrs = net.neighbors(cell)
-        assert succ == tuple(n for n in nbrs if color_of(n) == (x + 1) % 3)
-        assert pred == tuple(n for n in nbrs if color_of(n) == (x - 1) % 3)
-        assert sorted(succ + pred) == sorted(nbrs)
+    # and between them they hold every neighbour of another colour; the split
+    # reads q - r mod 3, so a patch far off the origin at negative q is checked too
+    for net in (hex_patch(2), hex_patch(2, center=(-1000, 37))):
+        for cell in net.sorted_cells():
+            x = color_of(cell)
+            succ, pred = classify_neighbor_config(net, cell)
+            nbrs = net.neighbors(cell)
+            assert succ == tuple(n for n in nbrs if color_of(n) == (x + 1) % 3)
+            assert pred == tuple(n for n in nbrs if color_of(n) == (x - 1) % 3)
+            assert sorted(succ + pred) == sorted(nbrs)
 
 
 @given(cells_st)

@@ -30,6 +30,22 @@ def test_a_partition_is_built_once_per_arguments():
     assert make_partition_family(21, 2, 1) is not make_partition_family(42, 2, 1)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((7.0, 2, 1), "omega must be an integer, not 7.0"),
+        ((3, True, 0), "x_share must be an integer, not True"),
+        ((7, 2, 1.0), "y_share must be an integer, not 1.0"),
+    ],
+    ids=["float-omega", "bool-share", "float-share"],
+)
+def test_partition_refuses_a_non_integer_argument(args, message):
+    # after a call at omega 7, the float 7.0 would find the int partition in the cache
+    make_partition_family(7, 2, 1)
+    with pytest.raises(TypeError, match=rf"^{message}$"):
+        make_partition_family(*args)
+
+
 def test_caco_partition_divisibility():
     with pytest.raises(PartitionError):
         make_partition_family(10, 2, 1)
