@@ -8,7 +8,7 @@ import random
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .hexnet import Cell, Network, flower_network
+from .hexnet import Cell, Network, as_omega, flower_network
 from .online import RunTrace, feed_requests, parse_selector
 
 # Star topology shared by both lower-bound constructions: a center cell and
@@ -43,9 +43,9 @@ class AdversaryScenario(NamedTuple):
 
 def _star_flood(name: str, omega: int, go_on: Callable[[int], bool]) -> AdversaryScenario:
     """omega requests at the center, then omega at each outer cell when
-    `go_on(the center's accepted count)`; refuses 4*omega past
-    MAX_RANDOM_LENGTH before any request is made."""
-    if 4 * omega > MAX_RANDOM_LENGTH:
+    `go_on(the center's accepted count)`; refuses a bad omega (`as_omega`)
+    and a 4*omega past MAX_RANDOM_LENGTH before any request is made."""
+    if 4 * as_omega(omega) > MAX_RANDOM_LENGTH:
         raise ValueError(
             f"a {name} flood sends 4*omega requests, at most {MAX_RANDOM_LENGTH}; omega is {omega}"
         )
@@ -87,8 +87,9 @@ def random_adversary(omega: int, seed: int, length: int, network: Optional[Netwo
 
     The batch is drawn request by request as the duel consumes it, so
     building the scenario to check a selector costs nothing, and a run holds
-    no request list, however long the traffic is.
+    no request list, however long the traffic is. Omega passes `as_omega`.
     """
+    as_omega(omega)
     if not 0 <= length <= MAX_RANDOM_LENGTH:
         raise ValueError(f"length must be between 0 and {MAX_RANDOM_LENGTH}, got {length}")
     net = network if network is not None else flower_network()

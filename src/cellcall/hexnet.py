@@ -1,7 +1,8 @@
 """Finite hexagonal-grid topology: axial coordinates, 3-coloring, neighbor split by color.
 
-An input integer is a plain `int` (`as_integer`), and a cell a pair of them in
-a tuple or a list (`as_cell`); a bool, a float or an int-like is refused."""
+An input integer is a plain `int` (`as_integer`), the bandwidth omega a
+positive one (`as_omega`), and a cell a pair of them in a tuple or a list
+(`as_cell`); a bool, a float or an int-like is refused."""
 
 from __future__ import annotations
 
@@ -36,6 +37,14 @@ def as_integer(value, what: str) -> int:
     bool, a float and an int-like are refused rather than converted."""
     if type(value) is not int:
         raise TypeError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def as_omega(value) -> int:
+    """`value` if it is a positive plain `int`: the rule for the bandwidth
+    omega of every algorithm, assignment state, partition and adversary."""
+    if as_integer(value, "omega") <= 0:
+        raise ValueError(f"omega must be positive, got {value}")
     return value
 
 

@@ -5,8 +5,8 @@ The algorithms differ only in the order in which a cell tries frequencies:
 each is a `ScanAlgorithm`, built for one network and omega, whose per-cell
 scan list drives the one `decide(state, cell) -> Outcome`; `run_sequence`
 feeds requests through one into a `RunTrace(algorithm)`, which holds the
-algorithm and the run's final state, not its history. Omega is a positive plain
-`int`, checked when an algorithm is built, and a request a pair of them (`as_cell`).
+algorithm and the run's final state, not its history. Omega passes `as_omega`
+when an algorithm is built, and a request is a pair of plain `int`s (`as_cell`).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from collections import Counter
 from functools import cache
 from typing import NamedTuple, Optional
 
-from .hexnet import Cell, Network, as_cell, as_integer, color_of
+from .hexnet import Cell, Network, as_cell, as_omega, color_of
 from .spectrum import AssignmentState, FrequencyPartition, make_partition_family
 
 
@@ -86,10 +86,8 @@ class ScanAlgorithm:
     flagged_cells: tuple = ()  # degenerate neighbor configs, see caco2
 
     def __init__(self, network: Network, omega: int):
-        if as_integer(omega, "omega") <= 0:
-            raise ValueError(f"omega must be positive, got {omega}")
         self.network = network
-        self.omega = omega
+        self.omega = as_omega(omega)
 
     def decide(self, state: AssignmentState, cell: Cell) -> Outcome:
         """Accept with the first available frequency of `scans[cell]`, which

@@ -1,11 +1,10 @@
-"""Frequency partitions and the interference-checked assignment state."""
+"""Frequency partitions, built anew by each algorithm, and the interference-checked assignment state."""
 
 from __future__ import annotations
 
-from functools import cache
 from typing import NamedTuple, Optional
 
-from .hexnet import Cell, Network, UnknownCellError, as_integer
+from .hexnet import Cell, Network, UnknownCellError, as_integer, as_omega
 
 
 class PartitionError(ValueError):
@@ -24,31 +23,21 @@ class FrequencyPartition(NamedTuple):
 
 
 def make_partition_family(omega: int, x_share: int, y_share: int) -> FrequencyPartition:
-    """Per-color ranges of x parts each plus a shared range of y parts (ratio x:x:x:y), built once.
-
-    The three arguments are plain `int`s (`as_integer`), checked before the
-    cache is asked, so 7.0 or True never reaches or returns a cached partition.
-    """
-    as_integer(omega, "omega")
+    """Per-color ranges of x parts each plus a shared range of y parts (ratio
+    x:x:x:y), built anew for each algorithm. Omega passes `as_omega`, and both
+    shares are plain `int`s (`as_integer`)."""
+    as_omega(omega)
     as_integer(x_share, "x_share")
     as_integer(y_share, "y_share")
     if x_share <= 0 or y_share < 0:
         raise PartitionError(f"invalid share ratio {x_share}:{y_share}")
     parts = 3 * x_share + y_share
-    if omega <= 0 or omega % parts != 0:
+    if omega % parts != 0:
         raise PartitionError(
             f"omega={omega} is not a positive multiple of {parts} "
             f"(required for the {x_share}:{x_share}:{x_share}:{y_share} split)"
         )
-    return _partition_family(omega, x_share, y_share)
-
-
-@cache
-def _partition_family(omega: int, x_share: int, y_share: int) -> FrequencyPartition:
-    """`make_partition_family` on arguments it has checked, one partition per arguments."""
-    parts = 3 * x_share + y_share
-    unit = omega // parts
-    per_color = x_share * unit
+    per_color = x_share * (omega // parts)
     ranges = tuple(range(1 + x * per_color, 1 + (x + 1) * per_color) for x in range(3))
     shared = range(1 + 3 * per_color, omega + 1) if y_share else None
     return FrequencyPartition(ranges, shared)
@@ -61,17 +50,14 @@ class AssignmentState:
     `is_available` has found it free: `take_first` adds the first free
     frequency its scan finds, and `assign` adds a given frequency or raises
     FrequencyConflictError, so algorithm bugs surface in tests instead of
-    corrupting counters. A frequency and omega are plain `int`s
-    (`as_integer`), and a cell outside the network raises UnknownCellError;
-    both are checked where a call enters, not in the per-frequency probe.
+    corrupting counters. Omega passes `as_omega` and a frequency `as_integer`,
+    both checked where a call enters, not in the per-frequency probe; a cell
+    outside the network raises UnknownCellError from every method.
     """
 
     def __init__(self, network: Network, omega: int):
-        omega = as_integer(omega, "omega")
-        if omega <= 0:
-            raise ValueError(f"omega must be positive, got {omega}")
         self.network = network
-        self.omega = omega
+        self.omega = as_omega(omega)
         self._used: dict[Cell, set[int]] = {c: set() for c in network.cells}
 
     def _cell_used(self, cell: Cell) -> set[int]:
@@ -93,9 +79,11 @@ class AssignmentState:
 
     def is_available(self, cell: Cell, freq: int) -> bool:
         """True iff `freq` is unused in the cell and in every neighbor."""
-        if not 1 <= freq <= self.omega:
-            return False
-        if freq in self._used[cell]:
+        try:  # costs nothing unless the cell is unknown
+            used = self._used[cell]
+        except KeyError:
+            raise UnknownCellError(cell) from None
+        if not 1 <= freq <= self.omega or freq in used:
             return False
         return all(freq not in self._used[n] for n in self.network.neighbors(cell))
 

@@ -2,14 +2,13 @@
 
 Each test prints one verdict line through the terminal reporter so the
 pass/fail record survives pytest's output capturing. The two big random
-sweeps are built once per module and shared by the bound, certificate,
-solver, and invariant checks.
+sweeps are `conftest`'s session fixtures, built once and shared by the bound,
+certificate, solver, and invariant checks here and by the MILP cross-check.
 """
 
 import hashlib
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -17,19 +16,13 @@ from click.testing import CliRunner
 
 from cellcall.adversary import fig2_adversary, fig3_adversary, phase_ratios, run_duel
 from cellcall.cli import main
-from cellcall.hexnet import Network
 from cellcall.ledger import caco2_certificate, caco_certificate
 from cellcall.offline import clique_upper_bound, exact_optimum
-from cellcall.online import Caco2Algorithm, caco_algorithm, make_algorithm
-from conftest import ODD_HOLE, random_network, random_requests
-from oracles import exhaustive_oracle, overflow_order_violations, recorded_run
+from cellcall.online import make_algorithm
+from conftest import ODD_HOLE, random_network
+from oracles import exhaustive_oracle, overflow_order_violations
 
-CACO_SWEEP_SIZE = 500
-CACO2_SWEEP_SIZE = 500
 ORACLE_SWEEP_SIZE = 200
-# `_sweep`'s arguments for each sweep: seed, size, omegas, triangle-free, algorithm
-CACO_SWEEP = (2024, CACO_SWEEP_SIZE, (7, 14, 21), False, caco_algorithm)
-CACO2_SWEEP = (2025, CACO2_SWEEP_SIZE, (3, 9, 21), True, Caco2Algorithm)
 
 
 @pytest.fixture(scope="module")
@@ -48,40 +41,6 @@ def announce(request):
 def verdict(announce, number, label, ok, extra=""):
     announce(f"acceptance {number} [{label}]: {'PASS' if ok else 'FAIL'}{extra}")
     assert ok, f"criterion {number} ({label}) failed"
-
-
-@dataclass
-class SweepInstance:
-    network: Network
-    omega: int
-    demands: dict
-    trace: object
-    log: list  # (cell, frequency or None) per request
-    opt: object
-
-
-def _sweep(seed, size, omegas, triangle_free, factory):
-    rng = random.Random(seed)
-    instances = []
-    start = time.perf_counter()
-    for _ in range(size):
-        net = random_network(rng, max_cells=9, triangle_free=triangle_free)
-        omega = rng.choice(omegas)
-        seq = random_requests(rng, net, rng.randint(0, 6 * omega))
-        trace, log = recorded_run(factory(net, omega), seq)
-        opt = exact_optimum(net, omega, dict(trace.demands))
-        instances.append(SweepInstance(net, omega, dict(trace.demands), trace, log, opt))
-    return instances, time.perf_counter() - start
-
-
-@pytest.fixture(scope="module")
-def caco_sweep():
-    return _sweep(*CACO_SWEEP)
-
-
-@pytest.fixture(scope="module")
-def caco2_sweep():
-    return _sweep(*CACO2_SWEEP)
 
 
 def test_criterion_1_fig2_reproduction(announce):

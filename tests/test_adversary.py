@@ -156,6 +156,31 @@ def test_duel_refuses_an_algorithm_built_for_another_omega_or_network():
     )
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        fig2_adversary,
+        fig3_adversary,
+        lambda omega: random_adversary(omega, 1, 5),
+        lambda omega: make_adversary("random:1:5", omega),
+        # a duel at omega True against an algorithm at omega 1 does not play
+        lambda omega: run_duel(fig2_adversary(omega), make_algorithm("greedy", star_network(), 1)),
+    ],
+    ids=["fig2", "fig3", "random", "make_adversary", "duel"],
+)
+def test_adversaries_refuse_an_invalid_omega(build):
+    # the rule of `hexnet.as_omega`, as every algorithm applies it
+    for bad, error, message in [
+        (True, TypeError, "omega must be an integer, not True"),
+        (7.0, TypeError, "omega must be an integer, not 7.0"),
+        (0, ValueError, "omega must be positive, got 0"),
+        (-4, ValueError, "omega must be positive, got -4"),
+    ]:
+        with pytest.raises(error) as info:
+            build(bad)
+        assert str(info.value) == message
+
+
 def test_adversary_reads_the_live_count_between_phases():
     # three phases at the centre: after each, the adversary resumes only once
     # its batch is fed in full, and reads the count the trace holds

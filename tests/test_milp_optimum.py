@@ -15,7 +15,6 @@ from cellcall.adversary import fig2_adversary, fig3_adversary, run_duel
 from cellcall.harness import load_scenario, validate_scenario
 from cellcall.offline import exact_optimum
 from cellcall.online import make_algorithm, run_sequence
-from test_acceptance import CACO2_SWEEP, CACO_SWEEP, _sweep
 
 np = pytest.importorskip("numpy")
 optimize = pytest.importorskip("scipy.optimize")
@@ -58,9 +57,9 @@ def milp_optimum(network, omega: int, demands: dict) -> int:
     return round(-result.fun)
 
 
-@pytest.mark.parametrize("sweep", [CACO_SWEEP, CACO2_SWEEP], ids=["caco", "caco2"])
-def test_milp_agrees_on_the_acceptance_sweep(sweep):
-    instances, _ = _sweep(*sweep)
+@pytest.mark.parametrize("sweep", ["caco_sweep", "caco2_sweep"], ids=["caco", "caco2"])
+def test_milp_agrees_on_the_acceptance_sweep(sweep, request):
+    instances, _ = request.getfixturevalue(sweep)
     found = [milp_optimum(inst.network, inst.omega, inst.demands) for inst in instances]
     wrong = [(k, inst.opt.total, f) for k, (inst, f) in enumerate(zip(instances, found)) if f != inst.opt.total]
     assert not wrong, f"(instance, exact_optimum, MILP): {wrong}"

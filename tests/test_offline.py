@@ -326,9 +326,10 @@ def test_validate_witness_checks_under_python_optimize():
         ({(9, 9): frozenset()}, r"witness cell \(9, 9\) not in network"),
         ({(1, 0): frozenset({3, 4})}, r"cell \(1, 0\) exceeds its demand"),
         ({(0, 0): frozenset({1, 5})}, r"cell \(0, 0\) has a frequency outside 1\.\.4"),
+        ({(0, 0): frozenset({0, 1})}, r"cell \(0, 0\) has a frequency outside 1\.\.4"),
         ({(1, 0): frozenset({2})}, r"cells \(0, 0\) and \(1, 0\) share a frequency"),
     ],
-    ids=["foreign_cell", "past_demand", "out_of_range", "shared_across_edge"],
+    ids=["foreign_cell", "past_demand", "out_of_range", "frequency_zero", "shared_across_edge"],
 )
 def test_validate_witness_rejects_each_bad_witness(changed, message):
     # one fault each in a valid witness for demands 2 and 1 at omega 4

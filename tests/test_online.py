@@ -371,7 +371,7 @@ def test_run_memory_does_not_grow_with_the_request_count():
         assert report.total_demand == length
         return peak
 
-    peak(100)  # fills the caches that every run shares
+    peak(100)  # fills `online.accept`'s cache, the one that every run shares
     small, large = peak(10_000), peak(40_000)
     assert large - small < 4096, (small, large)
 
@@ -424,6 +424,7 @@ def test_make_algorithm_refuses_an_invalid_omega(selector, good):
     for bad, error, message in [
         (True, TypeError, "omega must be an integer, not True"),
         (0, ValueError, "omega must be positive, got 0"),
+        (-4, ValueError, "omega must be positive, got -4"),
         (float(good), TypeError, f"omega must be an integer, not {float(good)}"),
     ]:
         with pytest.raises(error) as info:

@@ -24,12 +24,6 @@ def test_caco_partition_smallest():
     assert list(p.shared) == [7]
 
 
-def test_a_partition_is_built_once_per_arguments():
-    # a partition is immutable, so every algorithm on one omega shares it
-    assert make_partition_family(21, 2, 1) is make_partition_family(21, 2, 1)
-    assert make_partition_family(21, 2, 1) is not make_partition_family(42, 2, 1)
-
-
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -40,7 +34,7 @@ def test_a_partition_is_built_once_per_arguments():
     ids=["float-omega", "bool-share", "float-share"],
 )
 def test_partition_refuses_a_non_integer_argument(args, message):
-    # after a call at omega 7, the float 7.0 would find the int partition in the cache
+    # a call at omega 7 first: no partition built at an int omega is handed to 7.0
     make_partition_family(7, 2, 1)
     with pytest.raises(TypeError, match=rf"^{message}$"):
         make_partition_family(*args)
@@ -156,16 +150,26 @@ def test_assign_refuses_a_non_integer_frequency(freq):
     assert state.count((0, 0)) == 0
 
 
+# the state and the partition keep omega under the one rule, `hexnet.as_omega`
+OMEGA_KEEPERS = (
+    lambda omega: AssignmentState(Network([(0, 0)]), omega),
+    lambda omega: make_partition_family(omega, 1, 0),
+)
+
+
 @pytest.mark.parametrize("omega", [True, 7.0, "7"], ids=["bool", "float", "str"])
 def test_state_refuses_a_non_integer_omega(omega):
-    with pytest.raises(TypeError, match=rf"^omega must be an integer, not {omega!r}$"):
-        AssignmentState(Network([(0, 0)]), omega)
+    for build in OMEGA_KEEPERS:
+        with pytest.raises(TypeError, match=rf"^omega must be an integer, not {omega!r}$"):
+            build(omega)
 
 
-@pytest.mark.parametrize("omega", [0, -1])
+@pytest.mark.parametrize("omega", [0, -1, -4])
 def test_state_refuses_a_nonpositive_omega(omega):
-    with pytest.raises(ValueError, match=rf"^omega must be positive, got {omega}$"):
-        AssignmentState(Network([(0, 0)]), omega)
+    # at 0 the partition raises the rule's ValueError, not a PartitionError
+    for build in OMEGA_KEEPERS:
+        with pytest.raises(ValueError, match=rf"^omega must be positive, got {omega}$"):
+            build(omega)
 
 
 @pytest.mark.parametrize(
@@ -177,8 +181,9 @@ def test_state_refuses_a_nonpositive_omega(omega):
         lambda s, c: s.count(c),
         lambda s, c: s.count_in(c, range(1, 8)),
         lambda s, c: s.used(c),
+        lambda s, c: s.is_available(c, 1),
     ],
-    ids=["assign", "take_first", "first_available", "count", "count_in", "used"],
+    ids=["assign", "take_first", "first_available", "count", "count_in", "used", "is_available"],
 )
 def test_cell_outside_the_network_is_named(call):
     state = AssignmentState(flower_network(), 7)
