@@ -8,7 +8,7 @@ import random
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .hexnet import Cell, Network, as_omega, flower_network
+from .hexnet import Cell, Network, as_integer, as_omega, flower_network
 from .online import RunTrace, feed_requests, parse_selector
 
 # Star topology shared by both lower-bound constructions: a center cell and
@@ -73,9 +73,11 @@ def fig3_adversary(omega: int) -> AdversaryScenario:
 def random_sequence(network: Network, length: int, seed: int) -> Iterator[Cell]:
     """Deterministic pseudo-random requests over the network's cells, drawn
     lazily as unweighted `random.choices` draws a list, `cells[floor(random() * n)]`
-    each; a negative length raises here, not on the first draw."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
+    each. The seed (never None, which seeds from the OS) and the length are
+    plain `int`s, the length in 0..MAX_RANDOM_LENGTH, checked before any draw."""
+    as_integer(seed, "seed")
+    if not 0 <= as_integer(length, "length") <= MAX_RANDOM_LENGTH:
+        raise ValueError(f"length must be between 0 and {MAX_RANDOM_LENGTH}, got {length}")
     cells = network.sorted_cells()
     n = len(cells)
     draw = random.Random(seed).random
@@ -87,12 +89,12 @@ def random_adversary(omega: int, seed: int, length: int, network: Optional[Netwo
 
     The batch is drawn request by request as the duel consumes it, so
     building the scenario to check a selector costs nothing, and a run holds
-    no request list, however long the traffic is. Omega passes `as_omega`.
+    no request list, however long the traffic is. Omega passes `as_omega`,
+    and the seed and the length pass `random_sequence`'s rule when it is built.
     """
     as_omega(omega)
-    if not 0 <= length <= MAX_RANDOM_LENGTH:
-        raise ValueError(f"length must be between 0 and {MAX_RANDOM_LENGTH}, got {length}")
     net = network if network is not None else flower_network()
+    random_sequence(net, length, seed)
 
     def phases(accepted: Callable[[Cell], int]) -> Iterator[Iterable]:
         yield random_sequence(net, length, seed)
@@ -105,12 +107,16 @@ class UnknownAdversaryError(ValueError):
 
 
 def make_adversary(selector: str, omega: int, network: Optional[Network] = None) -> AdversaryScenario:
-    """Selectors: "fig2", "fig3", "random:<seed>:<length>"."""
+    """Selectors: "fig2", "fig3", "random:<seed>:<length>". The adversary runs
+    on `network` (its own without one); fig2 and fig3 refuse any but their star."""
     name, args = parse_selector(
         selector, "adversary", {"fig2": 0, "fig3": 0, "random": 2}, UnknownAdversaryError
     )
     if name == "random":
         return random_adversary(omega, *args, network)
+    if network not in (None, star_network()):
+        raise ValueError(f"{name} runs only on its star, cells {sorted(star_network().cells)}, "
+                         f"not on {len(network)} given cells")
     return fig2_adversary(omega) if name == "fig2" else fig3_adversary(omega)
 
 

@@ -31,8 +31,8 @@ _brief.maxstring = 80
 
 
 def _clip(exc: ValueError) -> str:
-    """The message of a selector parser's error, which may echo the selector
-    whole, cut to at most 160 characters."""
+    """The message of an error from building an algorithm or an adversary,
+    which may echo its selector whole, cut to at most 160 characters."""
     text = str(exc)
     return text if len(text) <= 160 else f"{text[:157]}..."
 
@@ -106,33 +106,22 @@ def parse_scenario(data: dict, scenario_id: str) -> ScenarioConfig:
     )
 
 
-def _adversary(selector: str, omega: int, network: Optional[Network] = None):
-    try:
-        return make_adversary(selector, omega, network)
-    except ValueError as exc:
-        raise ScenarioError(f"traffic selector {_brief.repr(selector)}: {_clip(exc)}") from exc
-
-
 def validate_scenario(config: ScenarioConfig) -> tuple:
     """Check a scenario's values and build what it runs: `(adversary,
     algorithm)`, the adversary None for a request list. `parse_scenario`
-    checks only its shape. A request list's cells are not checked here:
-    `run_experiment` refuses a request outside the network when the run
-    reaches it, from `feed_requests`' own lookup of each request."""
+    checks only its shape. An adversary is built on the scenario's cells,
+    which `make_adversary` may refuse. A request list's cells are not
+    checked here: `run_experiment` refuses a request outside the network
+    when the run reaches it, from `feed_requests`' own lookup of each one."""
     if config.omega <= 0:
         raise ScenarioError(f"omega must be a positive integer, got {_brief.repr(config.omega)}")
     network = Network(config.cells)
     adversary = None
     if isinstance(config.traffic, str):
-        # fig2 and fig3 run on their own star, so the scenario must list exactly
-        # its cells; a scenario with no cells runs on the adversary's own network
-        adversary = _adversary(config.traffic, config.omega, network if config.cells else None)
-        if config.cells and adversary.network.cells != network.cells:
-            raise ScenarioError(
-                f"adversary {_brief.repr(config.traffic)} runs on cells "
-                f"{_brief.repr(sorted(adversary.network.cells))}, "
-                f"but the scenario lists cells {_brief.repr(sorted(network.cells))}"
-            )
+        try:  # a duel lists no cells, and runs on the adversary's own network
+            adversary = make_adversary(config.traffic, config.omega, network if config.cells else None)
+        except ValueError as exc:
+            raise ScenarioError(f"traffic selector {_brief.repr(config.traffic)}: {_clip(exc)}") from exc
         network = adversary.network
     try:
         algorithm = make_algorithm(config.algorithm, network, config.omega)

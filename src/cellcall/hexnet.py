@@ -176,7 +176,10 @@ def classify_neighbor_config(network: Network, cell: Cell) -> NeighborConfig:
 
 
 def hex_patch(radius: int, center: Cell = (0, 0)) -> Network:
-    """Full hexagonal patch of the given radius (radius 1 = 7-cell flower)."""
+    """Full hexagonal patch of the given radius (radius 1 = 7-cell flower);
+    the radius is a nonnegative plain `int`."""
+    if as_integer(radius, "radius") < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     cq, cr = center
     cells = [
         (cq + q, cr + r)

@@ -89,9 +89,9 @@ class AssignmentState:
 
     def first_available(self, cell: Cell, freqs: range) -> Optional[int]:
         """First available frequency of `freqs`, scanned in the range's own
-        order; a descending scan is a negative-step range such as `r[::-1]`."""
-        if cell not in self._used:
-            raise UnknownCellError(cell)
+        order; a descending scan is a negative-step range such as `r[::-1]`.
+        A cell outside the network raises in the first probe's `is_available`,
+        so an empty range gives None for any cell."""
         for f in freqs:
             if self.is_available(cell, f):
                 return f
@@ -102,7 +102,7 @@ class AssignmentState:
         tried in order through `first_available`, and return it; None, and
         no change, when every range is exhausted. The check that finds the
         frequency is the one that guards its add; an unknown cell raises in
-        `first_available`, so `scans` must not be empty."""
+        `is_available`, so `scans` must not be empty, nor its first range."""
         for freqs in scans:
             f = self.first_available(cell, freqs)
             if f is not None:

@@ -43,7 +43,7 @@ MUTANTS = (
            "if 4 * as_omega(omega) > MAX_RANDOM_LENGTH:", "if 4 * omega > MAX_RANDOM_LENGTH:",
            ("tests/test_adversary.py",)),
     Mutant("random traffic skips as_omega", "adversary.py",
-           "    as_omega(omega)\n    if not 0 <= length", "    if not 0 <= length",
+           "    as_omega(omega)\n    net = network", "    net = network",
            ("tests/test_adversary.py",)),
     Mutant("an algorithm skips as_omega", "online.py",
            "self.omega = as_omega(omega)", "self.omega = omega",
@@ -54,6 +54,65 @@ MUTANTS = (
     Mutant("a partition skips as_omega", "spectrum.py",
            "    as_omega(omega)\n    as_integer(x_share", "    as_integer(x_share",
            ("tests/test_spectrum.py",)),
+    # an adversary runs on the network it is given, and random traffic's seed and length rule
+    Mutant("a star flood takes any network", "adversary.py",
+           "if network not in (None, star_network()):", "if False:",
+           ("tests/test_adversary.py",)),
+    Mutant("random traffic takes any seed", "adversary.py",
+           '    as_integer(seed, "seed")\n', "",
+           ("tests/test_adversary.py",)),
+    Mutant("random traffic takes a length that is not an int", "adversary.py",
+           'if not 0 <= as_integer(length, "length") <= MAX_RANDOM_LENGTH:',
+           "if not 0 <= length <= MAX_RANDOM_LENGTH:",
+           ("tests/test_adversary.py",)),
+    # `hexnet`: the patch radius, the triangle test and the neighbour split
+    Mutant("hex_patch takes a radius that is not an int", "hexnet.py",
+           'if as_integer(radius, "radius") < 0:', "if radius < 0:",
+           ("tests/test_hexnet.py",)),
+    Mutant("hex_patch takes a negative radius", "hexnet.py",
+           'if as_integer(radius, "radius") < 0:', 'if as_integer(radius, "radius") < -1:',
+           ("tests/test_hexnet.py",)),
+    Mutant("the triangle test misses the (q + 1, r - 1) orientation", "hexnet.py",
+           "if (q + 1, r) in cells and ((q, r + 1) in cells or (q + 1, r - 1) in cells):",
+           "if (q + 1, r) in cells and (q, r + 1) in cells:",
+           ("tests/test_hexnet.py",)),
+    Mutant("the neighbour split takes every other colour as a successor", "hexnet.py",
+           "(succ if (n[0] - n[1] - d) % 3 == 1 else pred)", "(succ if (n[0] - n[1] - d) % 3 != 0 else pred)",
+           ("tests/test_hexnet.py",)),
+    # the exact optimum's solver: the node budget, the clique closed forms, the fast path
+    Mutant("the search never counts a node", "offline.py",
+           "        nodes -= 1\n", "        nodes -= 0\n",
+           ("tests/test_offline.py::test_node_budget_ends_the_search_with_a_named_error",)),
+    Mutant("_fill_clique fills from the last cell", "offline.py",
+           "    for d in r:\n        mults.append(min(d, omega - sum(mults)))",
+           "    for d in reversed(r):\n        mults.insert(0, min(d, omega - sum(mults)))",
+           ("tests/test_offline.py::test_clique_components_take_the_closed_form",)),
+    Mutant("the closed-form ceiling on overlapping cliques", "offline.py",
+           "if any(over) and sum(map(len, cliques)) != len(r):", "if False:",
+           ("tests/test_offline.py::test_clique_bound_matches_brute_force_randomized",)),
+    Mutant("_serve_every_demand tries one middle colour only", "offline.py",
+           "for low, middle, high in ((1, 0, 2), (0, 1, 2), (0, 2, 1)):",
+           "for low, middle, high in ((1, 0, 2),):",
+           ("tests/test_offline.py::test_fast_path_tries_each_colour_in_the_middle",)),
+    Mutant("_serve_every_demand drops the high-neighbour term", "offline.py",
+           "if all(d + top[low] + top[high] <= omega", "if all(d + top[low] <= omega",
+           ("tests/test_offline.py::test_fast_path_witness_is_the_branch_and_bound_vector",)),
+    Mutant("_serve_every_demand offsets a middle cell by its high neighbours", "offline.py",
+           "omega - d if color[c] == high else top[low]", "omega - d if color[c] == high else top[high]",
+           ("tests/test_offline.py::test_fast_path_witness_is_the_branch_and_bound_vector",)),
+    # the two ledgers and the caco2 scans they certify
+    Mutant("the caco ledger drops the crowded term", "ledger.py",
+           "crowded = tuple(u for u in cells if u in donors and sum(v not in donors for v in net.neighbors(u)) > 3)",
+           "crowded = ()",
+           ("tests/test_ledger.py::test_crowded_safe_cell_fails_separation",)),
+    Mutant("the caco2 ledger credits omega/8 for omega/9", "ledger.py",
+           "credit(i, ck, 6 * omega)", "credit(i, ck, 54 * omega // 8)",
+           ("tests/test_ledger.py::test_caco2_structure_b_overflow_credit_found_by_search",)),
+    Mutant("caco2's structure-B overflow ascending", "online.py",
+           "                self.scans[c] = descending[color_of(c)]\n",
+           "                self.scans[c] = descending[color_of(c)] if not s or not p else "
+           "(part.ranges[color_of(c)], part.ranges[(color_of(c) + 1) % 3])\n",
+           ("tests/test_online.py::test_caco2_structure_b_overflow_descending",)),
     # AssignmentState's cell and spectrum checks
     Mutant("is_available lets a bare KeyError out", "spectrum.py",
            "raise UnknownCellError(cell) from None", "raise",

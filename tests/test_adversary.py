@@ -163,10 +163,11 @@ def test_duel_refuses_an_algorithm_built_for_another_omega_or_network():
         fig3_adversary,
         lambda omega: random_adversary(omega, 1, 5),
         lambda omega: make_adversary("random:1:5", omega),
+        lambda omega: make_adversary("fig3", omega, star_network()),
         # a duel at omega True against an algorithm at omega 1 does not play
         lambda omega: run_duel(fig2_adversary(omega), make_algorithm("greedy", star_network(), 1)),
     ],
-    ids=["fig2", "fig3", "random", "make_adversary", "duel"],
+    ids=["fig2", "fig3", "random", "make_adversary", "make_adversary_on_star", "duel"],
 )
 def test_adversaries_refuse_an_invalid_omega(build):
     # the rule of `hexnet.as_omega`, as every algorithm applies it
@@ -179,6 +180,46 @@ def test_adversaries_refuse_an_invalid_omega(build):
         with pytest.raises(error) as info:
             build(bad)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda seed, length: random_adversary(7, seed, length),
+        lambda seed, length: random_sequence(flower_network(), length, seed),
+    ],
+    ids=["random_adversary", "random_sequence"],
+)
+def test_random_traffic_refuses_a_bad_seed_or_length(build, monkeypatch):
+    # refused before the generator is seeded, where a None seed would read the OS
+    monkeypatch.setattr(random, "Random", None)
+    for seed, length, error, message in [
+        (None, 5, TypeError, "seed must be an integer, not None"),
+        (1.5, 5, TypeError, "seed must be an integer, not 1.5"),
+        ("x", 5, TypeError, "seed must be an integer, not 'x'"),
+        (True, 5, TypeError, "seed must be an integer, not True"),
+        (1, True, TypeError, "length must be an integer, not True"),
+        (1, 5.0, TypeError, "length must be an integer, not 5.0"),
+        (1, -1, ValueError, "length must be between 0 and 1000000, got -1"),
+        (1, 1_000_001, ValueError, "length must be between 0 and 1000000, got 1000001"),
+    ]:
+        with pytest.raises(error) as info:
+            build(seed, length)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("selector", ["fig2", "fig3"])
+def test_star_floods_run_only_on_their_star(selector):
+    star = star_network()
+    assert make_adversary(selector, 7, star).network == star
+    assert make_adversary(selector, 7, Network(reversed(star.sorted_cells()))).network == star
+    for network in (hex_patch(1), Network([STAR_CENTER]), Network(star.cells | {(5, 5)})):
+        with pytest.raises(ValueError) as info:
+            make_adversary(selector, 7, network)
+        assert str(info.value) == (
+            f"{selector} runs only on its star, cells [(-1, 1), (0, -1), (0, 0), (1, 0)], "
+            f"not on {len(network)} given cells"
+        )
 
 
 def test_adversary_reads_the_live_count_between_phases():

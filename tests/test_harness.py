@@ -307,10 +307,14 @@ def test_parse_scenario_raises_only_scenario_error(data):
 
 
 def test_random_traffic_length_checked_without_generating(tmp_path, monkeypatch):
-    def generate(*args):
-        raise AssertionError("requests generated while checking a selector")
+    class Undrawn:
+        def __init__(self, seed):
+            pass
 
-    monkeypatch.setattr(adversary, "random_sequence", generate)
+        def random(self):
+            raise AssertionError("requests generated while checking a selector")
+
+    monkeypatch.setattr(adversary.random, "Random", Undrawn)
     flower = json.loads((SCENARIOS / "flower_greedy_random.json").read_text())
     validate_scenario(
         parse_scenario(dict(flower, traffic=f"random:1:{MAX_RANDOM_LENGTH}"), scenario_id="at-cap")
@@ -338,16 +342,13 @@ def test_random_traffic_length_checked_without_generating(tmp_path, monkeypatch)
 
 def test_fixed_network_adversary_needs_exactly_its_cells():
     flower = json.loads((SCENARIOS / "flower_greedy_random.json").read_text())
-    flower_cells = sorted(tuple(c) for c in flower["cells"])
     # caco2 would run on the triangle-free star, so the cells, not the
-    # algorithm, are what is wrong
+    # algorithm, are what is wrong; `make_adversary` names the star's cells
     for algorithm in ("greedy", "caco2"):
         config = parse_scenario(dict(flower, traffic="fig2", algorithm=algorithm), scenario_id="x")
         with pytest.raises(ScenarioError) as info:
             validate_scenario(config)
-        message = str(info.value)
-        assert "[(-1, 1), (0, -1), (0, 0), (1, 0)]" in message
-        assert str(flower_cells) in message
+        assert "[(-1, 1), (0, -1), (0, 0), (1, 0)]" in str(info.value)
 
 
 def test_certificate_by_resolved_name():

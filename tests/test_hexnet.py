@@ -36,6 +36,18 @@ def test_neighbors_come_out_sorted_without_sorting():
         assert all(net.neighbors(c) == tuple(sorted(net.neighbors(c))) for c in net.cells)
 
 
+def test_hex_patch_takes_a_nonnegative_integer_radius():
+    assert len(hex_patch(0)) == 1 and len(hex_patch(2)) == 19
+    for bad, error, message in [
+        (True, TypeError, "radius must be an integer, not True"),
+        (2.0, TypeError, "radius must be an integer, not 2.0"),
+        (-1, ValueError, "radius must be nonnegative, got -1"),
+    ]:
+        with pytest.raises(error) as info:
+            hex_patch(bad)
+        assert str(info.value) == message
+
+
 def test_cells_must_be_integer_pairs():
     for bad in [(1, 2, 3), 1, (1.5, 0), "ab", [0]]:
         with pytest.raises(TypeError) as info:
